@@ -63,7 +63,8 @@ replay::ExperimentResult run_mode(const trace::SimulationTrace& trace,
 /// gpu-limit (§4.3): the tighter of the two lower bounds — the critical
 /// path (dependency bound) and no-dependency (resource bound). The paper's
 /// text says "shorter"; both are lower bounds on completion time, so the
-/// max is the sound combined bound (see EXPERIMENTS.md).
+/// max is the sound combined bound (see the "gpu-limit" section of
+/// metro_bench/README.md).
 double gpu_limit_seconds(const trace::SimulationTrace& trace,
                          const replay::ExperimentConfig& cfg);
 
@@ -78,7 +79,9 @@ void print_row(const std::vector<std::string>& cells,
 // benchmark then writes a machine-readable `BENCH_<benchmark>.json` under
 // <dir> alongside its console output, so CI can accumulate a perf
 // trajectory instead of scraping logs. One record per (benchmark, N,
-// shards) cell; peak RSS is the process high-water mark at write time.
+// shards) cell. `peak_rss_kib` is the process high-water mark at write
+// time, not a per-benchmark figure, so every record of one run carries
+// the same value.
 
 struct BenchRecord {
   std::string benchmark;

@@ -393,14 +393,19 @@ BENCHMARK(BM_CostModelIteration);
 
 // Tees every run that carries an "N" counter into BenchRecords (the
 // benchmarks wired into the perf trajectory set it; the rest only print).
-// Console output is unchanged — this subclass only observes.
+// Aggregate rows (mean/median/stddev under --benchmark_repetitions) are
+// skipped: they are not per-iteration times. Console output is unchanged
+// — this subclass only observes.
 class JsonTeeReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
     benchmark::ConsoleReporter::ReportRuns(reports);
     for (const Run& run : reports) {
       auto n_it = run.counters.find("N");
-      if (n_it == run.counters.end() || run.error_occurred) continue;
+      if (n_it == run.counters.end() || run.error_occurred ||
+          run.run_type == Run::RT_Aggregate) {
+        continue;
+      }
       aimetro::bench::BenchRecord rec;
       rec.benchmark = run.run_name.function_name;
       for (char& c : rec.benchmark) {

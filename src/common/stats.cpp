@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/check.h"
 
@@ -47,27 +46,6 @@ void RunningStat::merge(const RunningStat& other) {
   n_ += other.n_;
 }
 
-double PercentileTracker::percentile(double q) const {
-  AIM_CHECK(!samples_.empty());
-  AIM_CHECK(q >= 0.0 && q <= 1.0);
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  const double rank = q * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-double PercentileTracker::mean() const {
-  if (samples_.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : samples_) s += x;
-  return s / static_cast<double>(samples_.size());
-}
-
 void TimeWeightedStat::set(SimTime t, double value) {
   if (!started_) {
     started_ = true;
@@ -87,44 +65,6 @@ double TimeWeightedStat::average_until(SimTime t_end) const {
   const double total = weighted_sum_ + value_ * static_cast<double>(t_end - last_);
   const double span = static_cast<double>(t_end - first_);
   return span > 0.0 ? total / span : value_;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0.0) {
-  AIM_CHECK(hi > lo);
-  AIM_CHECK(bins > 0);
-}
-
-void Histogram::add(double x, double weight) {
-  total_ += weight;
-  if (x < lo_) {
-    underflow_ += weight;
-    return;
-  }
-  if (x >= hi_) {
-    overflow_ += weight;
-    return;
-  }
-  const auto idx = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) *
-                                            static_cast<double>(counts_.size()));
-  counts_[std::min(idx, counts_.size() - 1)] += weight;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-std::string Histogram::to_string(int width) const {
-  double peak = 1e-12;
-  for (double c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const int bar = static_cast<int>(counts_[i] / peak * width);
-    os << bucket_lo(i) << "\t" << counts_[i] << "\t" << std::string(bar, '#')
-       << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace aimetro

@@ -1,12 +1,9 @@
-// Streaming statistics used by the serving-engine metrics and the
-// benchmark harnesses (means, percentiles, histograms, time-weighted
-// averages such as "average number of outstanding LLM requests").
+// Streaming statistics used by the serving-engine metrics (means and
+// time-weighted averages such as "average number of outstanding LLM
+// requests").
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
 #include "common/types.h"
 
@@ -35,23 +32,6 @@ class RunningStat {
   double sum_ = 0.0;
 };
 
-/// Collects samples and answers percentile queries (exact; sorts on demand).
-class PercentileTracker {
- public:
-  void add(double x) {
-    samples_.push_back(x);
-    sorted_ = false;
-  }
-  std::size_t count() const { return samples_.size(); }
-  /// q in [0,1]; linear interpolation between closest ranks.
-  double percentile(double q) const;
-  double mean() const;
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
-};
-
 /// Time-weighted average of a piecewise-constant signal, e.g. the number of
 /// outstanding LLM requests over virtual time. This is the metric the paper
 /// calls "achieved parallelism" (§4.2).
@@ -71,29 +51,6 @@ class TimeWeightedStat {
   SimTime last_ = 0;
   double value_ = 0.0;
   double weighted_sum_ = 0.0;  // integral of value dt, microsecond units
-};
-
-/// Fixed-bucket histogram over [lo, hi) with `bins` buckets plus overflow
-/// buckets on both ends.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x, double weight = 1.0);
-  double bucket_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  double underflow() const { return underflow_; }
-  double overflow() const { return overflow_; }
-  double total() const { return total_; }
-  /// Lower edge of bucket i.
-  double bucket_lo(std::size_t i) const;
-  std::string to_string(int width = 50) const;
-
- private:
-  double lo_, hi_;
-  std::vector<double> counts_;
-  double underflow_ = 0.0;
-  double overflow_ = 0.0;
-  double total_ = 0.0;
 };
 
 }  // namespace aimetro

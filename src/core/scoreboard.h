@@ -38,7 +38,7 @@
 // single-shard board. Agents whose blocking-radius box straddles a strip
 // border register in every overlapped strip's border set, and clusters
 // whose members span strips are counted per strip; both feed
-// local_commit_shard(), which tells a concurrent caller (the engine)
+// local_commit_shard(), which tells a caller (core::MetroController)
 // whether a commit is provably confined to one strip — the precondition
 // for taking a per-shard lock instead of the exclusive one. The
 // scoreboard itself stays unsynchronized: callers serialize commits that
@@ -161,7 +161,8 @@ class Scoreboard {
   /// idle clusters, ready queues, border sets) onto `new_partition`,
   /// which must have the same strip count. Not safe to call concurrently
   /// with anything: a caller that shares the board holds it exclusively
-  /// (the engine repartitions under its topology writer lock).
+  /// (MetroController repartitions inside a cross commit, which the
+  /// engine runs under its topology writer lock).
   /// Dispatched-but-uncommitted clusters are tolerated — their running
   /// members carry no cluster record and simply re-home with the rest of
   /// the live set. Per-strip stats rows stay attached to their strip

@@ -4,6 +4,14 @@
 // they differ only in when agent call-chains are allowed to start — which
 // is exactly the paper's experimental isolation: the schedulers only
 // change available parallelism, never the work itself.
+//
+// Metropolis mode drives core::MetroController — the object the threaded
+// engine drives under its locks — single-threaded: every commit is
+// classified, then committed on the interior (floor-bounded, one strip's
+// pops) or cross path, and reshard boundaries fire inside cross commits.
+// Interior commits release clusters only in their own strip and the DES
+// reports zero commit wait, so the schedule is the one a whole-board
+// commit and pop would give.
 #include <algorithm>
 #include <map>
 #include <memory>
@@ -12,6 +20,7 @@
 #include "common/check.h"
 #include "common/strings.h"
 #include "core/critical_path.h"
+#include "core/metro_controller.h"
 #include "core/oracle.h"
 #include "des/event_loop.h"
 #include "replay/experiment.h"
@@ -128,12 +137,13 @@ class Executor {
                   "not all requests completed: " << cluster_.completed());
     r.des_events = loop_.processed();
     r.prefix_cache_hits = cluster_.total_prefix_cache_hits();
-    if (scoreboard_) {
-      r.scoreboard = scoreboard_->stats();
-      r.mean_blockers = scoreboard_->mean_blockers();
+    if (controller_) {
+      const core::Scoreboard& board = controller_->scoreboard();
+      r.scoreboard = board.stats();
+      r.mean_blockers = board.mean_blockers();
+      r.shards = board.shards();
       for (AgentId a = 0; a < trace_.n_agents; ++a) {
-        r.final_agent_states.emplace_back(scoreboard_->step_of(a),
-                                          scoreboard_->pos_of(a));
+        r.final_agent_states.emplace_back(board.step_of(a), board.pos_of(a));
       }
     }
     r.gantt = std::move(gantt_);
@@ -216,59 +226,30 @@ class Executor {
     for (AgentId a = 0; a < trace_.n_agents; ++a) {
       initial.push_back(trace_.position_at(a, trace_.start_step).center());
     }
-    core::DependencyParams params{trace_.radius_p, trace_.max_vel};
     // Graph traces measure distance in hops over the trace's social graph;
-    // grid traces keep the historical Euclidean model.
-    std::shared_ptr<const core::Metric> metric =
-        trace_.world_kind == trace::WorldKind::kGraph
-            ? std::make_shared<core::GraphMetric>(trace_.graph_adjacency)
-            : core::make_euclidean();
-    scoreboard_ = std::make_unique<core::Scoreboard>(
-        params, std::move(metric), std::move(initial), trace_.n_steps,
-        cfg_.scan_mode, cfg_.shards, cfg_.partition);
-    reshard_base_.assign(static_cast<std::size_t>(scoreboard_->shards()), 0);
-    metropolis_dispatch();
+    // grid traces keep the historical Euclidean model (null metric).
+    std::shared_ptr<const core::Metric> metric;
+    if (trace_.world_kind == trace::WorldKind::kGraph) {
+      metric = std::make_shared<core::GraphMetric>(trace_.graph_adjacency);
+    }
+    controller_ = std::make_unique<core::MetroController>(
+        core::DependencyParams{trace_.radius_p, trace_.max_vel},
+        std::move(metric), std::move(initial), trace_.n_steps, cfg_.scan_mode,
+        cfg_.shards, cfg_.partition, cfg_.reshard_at);
+    metropolis_dispatch(controller_->pop_ready());
   }
 
-  /// DES mirror of the engine's episode rebalance: once min_step() clears
-  /// the next cfg_.reshard_at boundary, re-quantile the partition by each
-  /// strip's commit count since the previous rebalance. The DES is
-  /// single-threaded, so no locking (and no forced-cross protocol) is
-  /// needed — just a call between a commit and the next dispatch. The
-  /// weights differ from the engine's (no wait-time term here): partition
-  /// placement is digest-invariant, so the two backends may rebalance to
-  /// different boundaries and still replay identically.
-  void maybe_reshard() {
-    if (reshard_idx_ >= cfg_.reshard_at.size()) return;
-    const Step now = scoreboard_->min_step();
-    if (now < cfg_.reshard_at[reshard_idx_]) return;
-    while (reshard_idx_ < cfg_.reshard_at.size() &&
-           cfg_.reshard_at[reshard_idx_] <= now) {
-      ++reshard_idx_;
-    }
-    const std::int32_t shards = scoreboard_->shards();
-    if (shards <= 1) return;
-    std::vector<double> weights(static_cast<std::size_t>(shards), 0.0);
-    for (std::int32_t s = 0; s < shards; ++s) {
-      const std::uint64_t commits = scoreboard_->shard_stats(s).commits;
-      weights[static_cast<std::size_t>(s)] = static_cast<double>(
-          commits - reshard_base_[static_cast<std::size_t>(s)]);
-      reshard_base_[static_cast<std::size_t>(s)] = commits;
-    }
-    scoreboard_->repartition(scoreboard_->partition().rebalanced(weights));
-    if (cfg_.validate_invariants) scoreboard_->check_invariants();
-  }
-
-  void metropolis_dispatch() {
+  void metropolis_dispatch(
+      std::vector<core::MetroController::Routed> released) {
     // Controller: collect newly ready clusters into the ready queue
     // (a priority queue keyed by step, §3.5 — plain FIFO when priority
     // scheduling is disabled, the Table 1 ablation), then hand clusters to
     // free workers.
-    for (core::AgentCluster& cluster : scoreboard_->pop_ready_clusters()) {
+    for (core::MetroController::Routed& r : released) {
       const Step priority =
-          cfg_.cluster.priority_scheduling ? cluster.step : 0;
+          cfg_.cluster.priority_scheduling ? r.cluster.step : 0;
       ready_queue_.push(ReadyEntry{priority, ready_seq_++,
-                                   std::move(cluster)});
+                                   std::move(r.cluster)});
     }
     while (!ready_queue_.empty() &&
            (cfg_.max_concurrent_clusters == 0 ||
@@ -297,11 +278,16 @@ class Executor {
               m, trace_.position_at(m, trace_.start_step + cluster.step + 1)
                      .center());
         }
-        scoreboard_->commit(moves);
-        if (cfg_.validate_invariants) scoreboard_->check_invariants();
-        maybe_reshard();
+        const core::MetroController::Path path =
+            controller_->classify(cluster.step, moves);
+        auto released = path.interior()
+                            ? controller_->commit_interior(path, moves, 0)
+                            : controller_->commit_cross(moves);
+        if (cfg_.validate_invariants) {
+          controller_->scoreboard().check_invariants();
+        }
         --in_flight_clusters_;
-        metropolis_dispatch();
+        metropolis_dispatch(std::move(released));
       });
     };
     const Step abs_step = trace_.start_step + cluster.step;
@@ -452,7 +438,7 @@ class Executor {
   std::uint64_t submitted_expected_ = 0;
 
   // metropolis state
-  std::unique_ptr<core::Scoreboard> scoreboard_;
+  std::unique_ptr<core::MetroController> controller_;
   struct ReadyEntry {
     Step step;
     std::uint64_t seq;
@@ -466,10 +452,6 @@ class Executor {
       ready_queue_;
   std::uint64_t ready_seq_ = 0;
   std::int32_t in_flight_clusters_ = 0;
-  /// Next unapplied cfg_.reshard_at boundary / per-strip commit counts at
-  /// the last rebalance (see maybe_reshard).
-  std::size_t reshard_idx_ = 0;
-  std::vector<std::uint64_t> reshard_base_;
 
   // oracle state
   core::OracleDependencies oracle_deps_;

@@ -61,10 +61,11 @@ struct ExperimentConfig {
   /// quantiles); replay certifies digest-invariance for the engine here
   /// too.
   world::PartitionKind partition = world::PartitionKind::kEqualWidth;
-  /// Trace-relative steps (sorted ascending, each > 0) at which the
-  /// scoreboard is repartitioned once min_step() clears them — the DES
-  /// mirror of EngineConfig::reshard_at, weighted by per-strip commit
-  /// counts since the previous rebalance. Empty = never.
+  /// Trace-relative steps (sorted ascending, each > 0; check-fails
+  /// otherwise) at which the scoreboard is repartitioned once min_step()
+  /// clears them — the same core::MetroController trigger and weights as
+  /// EngineConfig::reshard_at (the DES reports no commit wait). Empty =
+  /// never.
   std::vector<Step> reshard_at;
   bool record_gantt = false;
   /// Run O(n^2) scoreboard invariant checks after every commit (tests).
@@ -86,6 +87,8 @@ struct ExperimentResult {
   // Metropolis-only scheduler statistics.
   core::ScoreboardStats scoreboard;
   double mean_blockers = 0.0;
+  /// Effective strip count (after the scoreboard's collapse rules).
+  std::int32_t shards = 1;
   /// Per-agent (step, position) at completion, indexed by AgentId —
   /// the final scoreboard state (Metropolis mode only). Lets callers check
   /// that independent executions of one workload converged to one state.

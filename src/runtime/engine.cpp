@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <thread>
 #include <utility>
 
@@ -21,9 +20,6 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point from,
           .count());
 }
 
-/// Sentinel for "no reshard boundary left".
-constexpr Step kNoReshard = std::numeric_limits<Step>::max();
-
 void check_unbounded(const TaskPool& pool) {
   // Workers dispatch the clusters their own commits release: a bounded
   // queue's backpressure would block a submitting worker on queue space
@@ -41,32 +37,19 @@ Engine::Engine(world::WorldState* world, EngineConfig config, StepFn step_fn)
   AIM_CHECK(world_ != nullptr);
   AIM_CHECK(step_fn_ != nullptr);
   AIM_CHECK(config_.n_workers >= 1);
-  AIM_CHECK_MSG(config_.shards >= 1 && config_.shards <= core::kMaxShards,
-                "EngineConfig::shards out of range");
   std::vector<Pos> initial;
   initial.reserve(world_->agent_count());
   for (std::size_t i = 0; i < world_->agent_count(); ++i) {
     initial.push_back(world_->pos_of(static_cast<AgentId>(i)));
   }
-  for (std::size_t i = 0; i < config_.reshard_at.size(); ++i) {
-    AIM_CHECK_MSG(config_.reshard_at[i] > 0 &&
-                      (i == 0 || config_.reshard_at[i - 1] < config_.reshard_at[i]),
-                  "EngineConfig::reshard_at must be positive and strictly "
-                  "ascending");
-  }
-  next_reshard_step_.store(
-      config_.reshard_at.empty() ? kNoReshard : config_.reshard_at.front(),
-      std::memory_order_release);
-  scoreboard_ = std::make_unique<core::Scoreboard>(
-      config_.params,
-      config_.metric ? config_.metric : core::make_euclidean(),
-      std::move(initial), config_.target_step, config_.scan_mode,
-      config_.shards, config_.partition);
+  controller_ = std::make_unique<core::MetroController>(
+      config_.params, config_.metric, std::move(initial), config_.target_step,
+      config_.scan_mode, config_.shards, config_.partition,
+      config_.reshard_at);
   // The scoreboard may collapse the partition (graph metrics, brute
   // scans); size everything to what it actually runs.
-  shards_ = scoreboard_->shards();
+  shards_ = controller_->shards();
   shard_rows_.assign(static_cast<std::size_t>(shards_) + 1, EngineStats{});
-  reshard_base_ = shard_rows_;
   shard_mutexes_.reserve(static_cast<std::size_t>(shards_));
   for (std::int32_t s = 0; s < shards_; ++s) {
     shard_mutexes_.push_back(std::make_unique<common::Mutex>("engine.shard"));
@@ -136,32 +119,15 @@ Engine::~Engine() {
   }
 }
 
-std::vector<Engine::RoutedCluster> Engine::route_clusters(
-    std::vector<core::AgentCluster> ready) {
-  // Home strip of a cluster = strip of its first (smallest-id) member.
-  // Members are running between pop and commit, so the position is
-  // stable; the partition itself may move at reshard points, which is why
-  // the caller resolves routing here, still under the topology lock.
-  std::vector<RoutedCluster> routed;
-  routed.reserve(ready.size());
-  for (core::AgentCluster& cluster : ready) {
-    const std::int32_t s =
-        shards_ == 1 ? 0
-                     : scoreboard_->shard_of_pos(
-                           scoreboard_->pos_of(cluster.members.front()));
-    routed.push_back(RoutedCluster{s, std::move(cluster)});
-  }
-  return routed;
-}
-
-void Engine::submit_clusters(std::vector<RoutedCluster> ready) {
+void Engine::submit_clusters(
+    std::vector<core::MetroController::Routed> ready) {
   // Ready clusters become pool tasks at their step as the submission
   // priority, so a backlogged pool still hands the earliest step to the
   // next free worker (§3.5). The caller already popped and routed them
   // under the topology lock, so this needs no engine lock: inflight
   // accounting is atomic, and the submitting task's own inflight count
   // keeps run() from observing a premature zero.
-  for (RoutedCluster& rc : ready) {
+  for (core::MetroController::Routed& rc : ready) {
     const Step step = rc.cluster.step;
     TaskPool* pool = shard_pools_[static_cast<std::size_t>(rc.strip)];
     inflight_clusters_.fetch_add(1, std::memory_order_acq_rel);
@@ -169,42 +135,6 @@ void Engine::submit_clusters(std::vector<RoutedCluster> ready) {
       execute_cluster(std::move(cluster));
     });
   }
-}
-
-void Engine::maybe_reshard() {
-  if (next_reshard_idx_ >= config_.reshard_at.size()) return;
-  const Step now = scoreboard_->min_step();
-  if (now < config_.reshard_at[next_reshard_idx_]) return;
-  // Consume every boundary the minimum has cleared (several can fall in
-  // one commit when boundaries are close together), but rebalance once.
-  while (next_reshard_idx_ < config_.reshard_at.size() &&
-         config_.reshard_at[next_reshard_idx_] <= now) {
-    ++next_reshard_idx_;
-  }
-  next_reshard_step_.store(next_reshard_idx_ < config_.reshard_at.size()
-                               ? config_.reshard_at[next_reshard_idx_]
-                               : kNoReshard,
-                           std::memory_order_release);
-  if (shards_ <= 1) return;
-  // Weigh each strip by the contention it accumulated since the last
-  // rebalance: commits carry the load, and every millisecond a worker
-  // waited on the strip's lock counts like one more commit, so a strip
-  // that serializes gets split even if its commit count looks modest.
-  std::vector<double> weights(static_cast<std::size_t>(shards_), 0.0);
-  {
-    common::MutexLock slock(stats_mutex_);
-    for (std::int32_t s = 0; s < shards_; ++s) {
-      const EngineStats& row = shard_rows_[static_cast<std::size_t>(s)];
-      const EngineStats& base = reshard_base_[static_cast<std::size_t>(s)];
-      weights[static_cast<std::size_t>(s)] =
-          static_cast<double>(row.commits - base.commits) +
-          static_cast<double>(row.commit_wait_us - base.commit_wait_us) /
-              1000.0;
-    }
-    reshard_base_ = shard_rows_;
-    ++stats_.reshards;
-  }
-  scoreboard_->repartition(scoreboard_->partition().rebalanced(weights));
 }
 
 void Engine::execute_cluster(core::AgentCluster cluster) {
@@ -254,7 +184,8 @@ void Engine::execute_cluster(core::AgentCluster cluster) {
           const std::string log_key =
               shards_ > 1 && !moves.empty()
                   ? strformat("log:commits:%d",
-                              scoreboard_->shard_of_pos(moves.front().second))
+                              controller_->scoreboard().shard_of_pos(
+                                  moves.front().second))
                   : std::string("log:commits");
           txn.rpush(log_key, strformat("step=%d size=%zu", cluster.step,
                                        cluster.members.size()));
@@ -267,61 +198,38 @@ void Engine::execute_cluster(core::AgentCluster cluster) {
         }
       }
 
-      // Graph maintenance — the boundary-lag commit protocol. Timed so
-      // EngineStats can show whether commits serialize the pipeline
-      // (wait) and what the maintenance itself costs (hold).
+      // Graph maintenance — the controller's commit phases under the
+      // boundary-lag locks. Timed so EngineStats can show whether commits
+      // serialize the pipeline (wait) and what the maintenance itself
+      // costs (hold).
       const auto wait_begin = std::chrono::steady_clock::now();
       std::uint64_t wait_us = 0;
       std::uint64_t hold_us = 0;
-      std::int32_t strip = -1;
-      std::vector<RoutedCluster> released;
-      // Near an unapplied reshard boundary B, commits that could raise
-      // min_step() past B (cluster.step + 1 >= B) are forced cross-shard:
-      // the raising commit then holds the topology lock exclusively, which
-      // is exactly where the rebalance may run. The atomic only ever
-      // advances, so a stale read is merely conservative (extra cross
-      // commits, never a missed trigger).
-      const Step reshard_boundary =
-          next_reshard_step_.load(std::memory_order_acquire);
+      core::MetroController::Path path;
+      std::vector<core::MetroController::Routed> released;
       {
-        // Interior path: prove the commit is confined to one strip, then
-        // take that strip's lock under a shared topology hold. The floor
-        // is sampled before classification so classification and commit
-        // bound their probe radii identically; it can only lag the true
-        // minimum, which merely widens the (exactly filtered) probes.
         common::ReaderLock tlock(topology_mutex_);
-        const Step floor = min_floor_.load(std::memory_order_acquire);
-        strip = cluster.step + 1 >= reshard_boundary
-                    ? -1
-                    : scoreboard_->local_commit_shard(moves, floor);
-        if (strip >= 0) {
+        path = controller_->classify(cluster.step, moves);
+        if (path.interior()) {
           common::MutexLock slock(
-              *shard_mutexes_[static_cast<std::size_t>(strip)]);
+              *shard_mutexes_[static_cast<std::size_t>(path.strip)]);
           const auto acquired = std::chrono::steady_clock::now();
           wait_us = elapsed_us(wait_begin, acquired);
           if (!failed_.load(std::memory_order_acquire)) {
-            scoreboard_->commit(moves, floor);
-            released =
-                route_clusters(scoreboard_->pop_ready_clusters_in_shard(strip));
+            released = controller_->commit_interior(path, moves, wait_us);
           }
           hold_us = elapsed_us(acquired, std::chrono::steady_clock::now());
         }
       }
-      if (strip < 0) {
-        // Cross-shard path: exclusive over the whole board (identical to
-        // the old global commit lock; with shards=1 every commit lands
-        // here). The exclusive hold is the only place the global minimum
-        // may be recomputed and published — and therefore the only place
-        // a reshard boundary can be observed crossed and acted on.
+      if (!path.interior()) {
+        // Exclusive over the whole board (with shards=1 every commit
+        // lands here) — the only hold under which the controller may
+        // read every strip, refresh the floor and reshard.
         common::WriterLock tlock(topology_mutex_);
         const auto acquired = std::chrono::steady_clock::now();
         wait_us = elapsed_us(wait_begin, acquired);
         if (!failed_.load(std::memory_order_acquire)) {
-          scoreboard_->commit(moves);
-          min_floor_.store(scoreboard_->min_step(),
-                           std::memory_order_release);
-          maybe_reshard();
-          released = route_clusters(scoreboard_->pop_ready_clusters());
+          released = controller_->commit_cross(moves);
         }
         hold_us = elapsed_us(acquired, std::chrono::steady_clock::now());
       }
@@ -333,7 +241,7 @@ void Engine::execute_cluster(core::AgentCluster cluster) {
         ++stats_.clusters_executed;
         stats_.agent_steps += cluster.members.size();
         EngineStats& row = shard_rows_[static_cast<std::size_t>(
-            strip >= 0 ? strip : shards_)];
+            path.interior() ? path.strip : shards_)];
         ++row.commits;
         row.commit_wait_us += wait_us;
         row.commit_hold_us += hold_us;
@@ -361,8 +269,8 @@ void Engine::execute_cluster(core::AgentCluster cluster) {
 EngineStats Engine::run() {
   {
     common::WriterLock tlock(topology_mutex_);
-    std::vector<RoutedCluster> ready =
-        route_clusters(scoreboard_->pop_ready_clusters());
+    std::vector<core::MetroController::Routed> ready =
+        controller_->pop_ready();
     tlock.unlock();
     submit_clusters(std::move(ready));
   }
@@ -370,7 +278,7 @@ EngineStats Engine::run() {
     // Controller: wait until every agent has reached the target (or a
     // task failed) and all in-flight cluster tasks have drained.
     common::MutexLock lock(control_mutex_);
-    while (!((scoreboard_->all_done() || error_ != nullptr) &&
+    while (!((controller_->scoreboard().all_done() || error_ != nullptr) &&
              inflight_clusters_.load(std::memory_order_acquire) == 0)) {
       done_cv_.wait(control_mutex_);
     }
@@ -378,6 +286,7 @@ EngineStats Engine::run() {
   }
   common::MutexLock slock(stats_mutex_);
   EngineStats out = stats_;
+  out.reshards = controller_->reshards();
   for (const EngineStats& row : shard_rows_) {
     out.commits += row.commits;
     out.commit_wait_us += row.commit_wait_us;

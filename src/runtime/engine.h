@@ -13,37 +13,34 @@
 // keeps it in Redis) — agent rows are updated transactionally at each
 // commit and an instrumentation log records every cluster dispatch.
 //
-// Locking discipline (boundary-lag commit protocol): there is no single
-// engine-wide state lock. World writes serialize on the world's own
-// shared_mutex and the kv mirror uses the store's internal shard locks,
-// both outside any engine lock. Scoreboard graph maintenance uses a
-// two-mode protocol over the region partition (config.shards):
+// Every scheduling decision — scoreboard, interior/cross classification,
+// probe floor, reshard trigger and weights, home-strip routing — belongs
+// to core::MetroController, the same object the DES replay drives
+// single-threaded. The engine adds only locks, timing, pools and stats
+// around the controller's phases (boundary-lag commit protocol):
 //
-//   interior commit — the scoreboard proves the commit's influence region
-//     sits inside one strip s with no cross-strip couplings
-//     (Scoreboard::local_commit_shard); the worker then holds
-//     topology_mutex_ SHARED plus shard_mutexes_[s] and commits, popping
-//     released clusters from strip s only. Interior commits in different
-//     strips run fully concurrently — this is the hot path that removes
-//     the global commit lock.
-//   cross-shard commit — anything near a strip border (or with shards=1,
-//     everything) holds topology_mutex_ EXCLUSIVE, which excludes every
-//     interior commit: exactly the old global-commit-lock behavior. It
-//     also refreshes min_floor_, the monotonic lower bound on min_step()
-//     that interior commits use to bound their probe radii without
-//     reading other strips' live-step tables.
+//   interior commit — classify() proved the commit confined to strip s;
+//     the worker holds topology_mutex_ SHARED plus shard_mutexes_[s] and
+//     calls commit_interior(), which pops strip s only. Interior commits
+//     in different strips run fully concurrently — the hot path that
+//     removes the global commit lock.
+//   cross-shard commit — anything near a strip border or a reshard
+//     boundary (or with shards=1, everything) holds topology_mutex_
+//     EXCLUSIVE, which excludes every interior commit: exactly the old
+//     global-commit-lock behavior. commit_cross() refreshes the probe
+//     floor and may repartition the board.
 //
-// Lock order: engine.topology -> engine.shard -> task_pool ->
+// World writes serialize on the world's own shared_mutex and the kv
+// mirror uses the store's internal shard locks, both outside any engine
+// lock. Lock order: engine.topology -> engine.shard -> task_pool ->
 // engine.stats -> engine.control (see docs/ARCHITECTURE.md, "Sharded
-// world", for the full inventory). The scoreboard object itself carries
-// no capability annotation: its guard is the protocol above, which Clang
-// TSA cannot express (shared-mode writers striped by a runtime index);
-// the runtime lock-order validator and the TSan suite check it instead.
+// world", for the full inventory). The controller carries no capability
+// annotation: its guard is the protocol above, which Clang TSA cannot
+// express (shared-mode writers striped by a runtime index); the runtime
+// lock-order validator and the TSan suite check it instead.
 //
 // The paper uses processes to dodge the Python GIL; C++ threads carry no
-// such penalty, so workers are pool threads here. The scheduling policy
-// objects (Scoreboard, clustering, priorities) are the same code the
-// discrete-event benchmarks use.
+// such penalty, so workers are pool threads here.
 #pragma once
 
 #include <atomic>
@@ -54,7 +51,7 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "core/scoreboard.h"
+#include "core/metro_controller.h"
 #include "kv/store.h"
 #include "runtime/task_pool.h"
 #include "world/world_state.h"
@@ -102,12 +99,9 @@ struct EngineConfig {
   world::PartitionKind partition = world::PartitionKind::kEqualWidth;
   /// Rebalance points (sorted ascending, each > 0): engine-relative steps
   /// — in practice the episode (midnight) boundaries between `days` —
-  /// at which the partition is re-quantiled against the per-strip
-  /// contention rows accumulated since the previous rebalance. Near a
-  /// boundary B, commits of clusters at step B-1 or later are forced onto
-  /// the cross-shard (exclusive) path; the cross commit that raises
-  /// min_step() past B then repartitions the scoreboard in place while
-  /// still holding the topology lock exclusively. Empty = never reshard.
+  /// at which the partition is re-quantiled against per-strip commits
+  /// and commit-wait time since the previous rebalance (see
+  /// core::MetroController for the trigger). Empty = never reshard.
   std::vector<Step> reshard_at;
   /// Pin each privately spawned per-strip pool to a contiguous CPU core
   /// group (strip s gets cores [s*C/shards, (s+1)*C/shards)), keeping a
@@ -162,7 +156,9 @@ class Engine {
 
   /// Post-run inspection only: callers read the scoreboard after run()
   /// returned (or before it started), when no worker can be mutating it.
-  const core::Scoreboard& scoreboard() const { return *scoreboard_; }
+  const core::Scoreboard& scoreboard() const {
+    return controller_->scoreboard();
+  }
   kv::Store& store() { return store_; }
   /// The first cluster pool (the only one with shards=1).
   const TaskPool& pool() const { return *pool_; }
@@ -174,36 +170,18 @@ class Engine {
   std::vector<EngineStats> shard_commit_stats() const;
 
  private:
-  /// A popped cluster plus its home strip, resolved while the popping
-  /// thread still held the topology lock — the partition may move at
-  /// reshard points, so routing must never read it unlocked.
-  struct RoutedCluster {
-    std::int32_t strip = 0;
-    core::AgentCluster cluster;
-  };
-
   void execute_cluster(core::AgentCluster cluster);
-  /// Resolve each cluster's home strip under the current partition.
-  /// Caller must hold topology_mutex_ (shared suffices: routing only
-  /// reads) — a guard TSA cannot express for either-mode holds.
-  std::vector<RoutedCluster> route_clusters(
-      std::vector<core::AgentCluster> ready);
   /// Queue released clusters on their home strips' pools (step priority).
-  void submit_clusters(std::vector<RoutedCluster> ready);
-  /// Fire the next reshard boundary if min_step() has cleared it:
-  /// re-quantile the partition against the contention deltas since the
-  /// last rebalance and repartition the scoreboard in place. Caller must
-  /// hold topology_mutex_ exclusively (the cross-shard commit path).
-  void maybe_reshard();
+  void submit_clusters(std::vector<core::MetroController::Routed> ready);
 
   world::WorldState* world_;
   EngineConfig config_;
   StepFn step_fn_;
-  /// Set once in the constructor. The pointed-to graph is mutated under
-  /// the boundary-lag protocol described in the header comment (shared
-  /// topology + one strip lock, or exclusive topology) — a guard Clang
-  /// TSA cannot express, so the pointer is deliberately unannotated.
-  std::unique_ptr<core::Scoreboard> scoreboard_;
+  /// Set once in the constructor. Its phases run under the boundary-lag
+  /// protocol described in the header comment (shared topology + one
+  /// strip lock, or exclusive topology) — a guard Clang TSA cannot
+  /// express, so the pointer is deliberately unannotated.
+  std::unique_ptr<core::MetroController> controller_;
   kv::Store store_;
 
   std::unique_ptr<TaskPool> owned_pool_;
@@ -217,18 +195,6 @@ class Engine {
   /// shared plus one shard mutex. Acquired before any other engine lock.
   common::SharedMutex topology_mutex_{"engine.topology"};
   std::vector<std::unique_ptr<common::Mutex>> shard_mutexes_;
-  /// Monotonic lower bound on scoreboard min_step(); refreshed only by
-  /// cross-shard commits (the only ones that may read every strip's
-  /// live-step table). Bounds interior commits' probe radii.
-  std::atomic<Step> min_floor_{0};
-  /// The next unapplied config.reshard_at boundary (max() when none
-  /// remain). Read lock-free by every commit to force the near-boundary
-  /// commits cross-shard; advanced only under topology-exclusive. Only
-  /// ever advances, so a stale read is merely conservative.
-  std::atomic<Step> next_reshard_step_;
-  /// Index into config_.reshard_at of the boundary above. Mutated and
-  /// read only under topology-exclusive (maybe_reshard).
-  std::size_t next_reshard_idx_ = 0;
 
   /// Control plane: run()/~Engine() wait here for in-flight cluster
   /// tasks to drain. Never held while acquiring topology/shard locks.
@@ -244,9 +210,6 @@ class Engine {
   EngineStats stats_ GUARDED_BY(stats_mutex_);
   /// Commit contention per strip + the cross-shard row (size shards+1).
   std::vector<EngineStats> shard_rows_ GUARDED_BY(stats_mutex_);
-  /// Snapshot of shard_rows_ at the last rebalance; maybe_reshard weighs
-  /// strips by the delta against it.
-  std::vector<EngineStats> reshard_base_ GUARDED_BY(stats_mutex_);
 };
 
 }  // namespace aimetro::runtime

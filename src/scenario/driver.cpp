@@ -105,36 +105,35 @@ trace::GeneratorConfig generator_config(
   return cfg;
 }
 
+/// Index of `abs_step`'s day among the days `tr`'s window overlaps.
+std::size_t day_index(const trace::SimulationTrace& tr,
+                      std::int32_t steps_per_day, Step abs_step) {
+  return static_cast<std::size_t>(abs_step / steps_per_day -
+                                  tr.start_step / steps_per_day);
+}
+
 /// Trace-side day rows (workload columns) for every day the window
-/// overlaps; finish_seconds is filled in by the backend afterwards.
+/// overlaps; finish_seconds is filled in from the backend's run.
 std::vector<ScenarioReport::DayRow> day_rows_from_trace(
     const trace::SimulationTrace& tr, std::int32_t steps_per_day) {
   AIM_CHECK(steps_per_day >= 1);
   const std::int32_t first_day = tr.start_step / steps_per_day;
-  const std::int32_t last_day =
-      (tr.start_step + tr.n_steps - 1) / steps_per_day;
-  std::vector<ScenarioReport::DayRow> rows;
-  for (std::int32_t d = first_day; d <= last_day; ++d) {
-    ScenarioReport::DayRow row;
-    row.day = d;
-    rows.push_back(row);
+  std::vector<ScenarioReport::DayRow> rows(
+      day_index(tr, steps_per_day, tr.start_step + tr.n_steps - 1) + 1);
+  for (std::size_t d = 0; d < rows.size(); ++d) {
+    rows[d].day = first_day + static_cast<std::int32_t>(d);
   }
-  auto row_of = [&](Step step) -> ScenarioReport::DayRow& {
-    return rows[static_cast<std::size_t>(step / steps_per_day - first_day)];
-  };
   // Distinct conversations per day (ids are day-unique by construction,
   // so a per-day id set counts whole conversations, not turns).
   std::vector<std::set<std::int32_t>> day_conversations(rows.size());
   for (const trace::AgentTrace& a : tr.agents) {
     for (const trace::LlmCall& c : a.calls) {
-      ScenarioReport::DayRow& row = row_of(c.step);
-      row.calls += 1;
-      row.input_tokens += c.input_tokens;
-      row.output_tokens += c.output_tokens;
+      const std::size_t d = day_index(tr, steps_per_day, c.step);
+      rows[d].calls += 1;
+      rows[d].input_tokens += c.input_tokens;
+      rows[d].output_tokens += c.output_tokens;
       if (c.conversation_id >= 0) {
-        day_conversations[static_cast<std::size_t>(
-                              c.step / steps_per_day - first_day)]
-            .insert(c.conversation_id);
+        day_conversations[d].insert(c.conversation_id);
       }
     }
   }
@@ -506,89 +505,84 @@ std::vector<Tile> plan_gym_starts(const world::GridMap& map, std::int32_t n) {
   return starts;
 }
 
-ScenarioReport ScenarioDriver::run(bool serial_baseline) const {
-  switch (spec_.backend) {
-    case Backend::kDes:
-      return run_des(serial_baseline);
-    case Backend::kEngine:
-      return spec_.map == MapKind::kArena
-                 ? run_engine_gym(serial_baseline)
-                 : run_engine_trace(serial_baseline);
-  }
-  AIM_CHECK_MSG(false, "unreachable backend");
-  return ScenarioReport{};
-}
+namespace {
 
-ScenarioReport ScenarioDriver::run_des(bool serial_baseline) const {
-  const trace::SimulationTrace tr = build_trace();
-  replay::ExperimentConfig cfg = experiment_config();
-  const bool multi_day = spec_.days > 1;
+/// One execution on either backend — the serial baseline or the
+/// metropolis run — in the units ScenarioReport needs.
+struct RunOutcome {
+  double completion_seconds = 0.0;  // virtual or wall, per backend/clock
+  std::uint64_t calls = 0;
+  std::uint64_t agent_steps = 0;
+  std::uint64_t digest = 0;
+  std::uint64_t world_hash = 0;  // engine backend only
+  core::ScoreboardStats scoreboard;
+  double mean_blockers = 0.0;
+  double avg_parallelism = 0.0;  // DES only
+  std::int32_t shards = 1;
+  /// Engine trace runs: per-strip commit rows, then the cross row.
+  std::vector<runtime::EngineStats> shard_rows;
+  /// Member-chain pool diagnostics (zero for the serial baseline, which
+  /// runs chains inline, and on the DES).
+  std::int32_t pool_workers = 0;
+  std::uint64_t peak_inflight_tasks = 0;
+  /// Multi-day trace runs: seconds at which the last call of each day the
+  /// window overlaps finished, in day_rows order.
+  std::vector<double> day_finish;
+};
 
-  replay::ExperimentResult serial;
+/// What every backend returns: the serial baseline (all zero when
+/// skipped) and the metropolis run, plus the DES's lock-step run.
+struct RunPair {
+  RunOutcome serial;
+  RunOutcome metro;
+  double sync_seconds = 0.0;  // DES only
+};
+
+RunPair run_des(const ScenarioDriver& driver, const trace::SimulationTrace& tr,
+                bool serial_baseline) {
+  const ScenarioSpec& spec = driver.spec();
+  replay::ExperimentConfig cfg = driver.experiment_config();
+  auto run_mode = [&](replay::Mode mode) {
+    cfg.mode = mode;
+    // Per-call finish times feed the per-day breakdown of multi-day runs.
+    cfg.record_gantt = mode == replay::Mode::kMetropolis && spec.days > 1;
+    return replay::run_experiment(tr, cfg);
+  };
+  RunPair runs;
   if (serial_baseline) {
-    cfg.mode = replay::Mode::kSingleThread;
-    serial = replay::run_experiment(tr, cfg);
+    runs.serial.completion_seconds =
+        run_mode(replay::Mode::kSingleThread).completion_seconds;
   }
-  cfg.mode = replay::Mode::kParallelSync;
-  const auto sync = replay::run_experiment(tr, cfg);
-  cfg.mode = replay::Mode::kMetropolis;
-  // Per-call finish times feed the per-day breakdown of multi-day runs.
-  cfg.record_gantt = multi_day;
-  const auto metro = replay::run_experiment(tr, cfg);
-
-  ScenarioReport r;
-  r.scenario = spec_.name;
-  r.backend = Backend::kDes;
-  r.agents = tr.n_agents;
-  r.steps = tr.n_steps;
-  r.days = spec_.days;
-  r.steps_per_day = spec_.steps_per_day;
-  r.population = population_summary(spec_, assigned_profiles_);
-  if (multi_day) {
-    r.day_rows = day_rows_from_trace(tr, spec_.steps_per_day);
-    for (const replay::GanttRecord& rec : metro.gantt) {
-      const std::size_t d = static_cast<std::size_t>(
-          rec.step / spec_.steps_per_day - r.day_rows.front().day);
-      r.day_rows[d].finish_seconds = std::max(
-          r.day_rows[d].finish_seconds, sim_time_to_seconds(rec.finish));
-    }
-  }
-  r.total_calls = metro.total_calls;
-  r.agent_steps = static_cast<std::uint64_t>(
+  runs.sync_seconds = run_mode(replay::Mode::kParallelSync).completion_seconds;
+  const replay::ExperimentResult metro = run_mode(replay::Mode::kMetropolis);
+  RunOutcome& out = runs.metro;
+  out.completion_seconds = metro.completion_seconds;
+  out.calls = metro.total_calls;
+  out.agent_steps = static_cast<std::uint64_t>(
       std::llround(metro.scoreboard.sum_cluster_sizes));
-  r.has_serial = serial_baseline;
-  r.virtual_time = true;  // the DES backend always reports virtual time
-  r.serial_seconds = serial.completion_seconds;
-  r.sync_seconds = sync.completion_seconds;
-  r.metro_seconds = metro.completion_seconds;
-  if (r.metro_seconds > 0.0) {
-    if (serial_baseline) {
-      r.speedup_vs_serial = r.serial_seconds / r.metro_seconds;
-    }
-    r.speedup_vs_sync = r.sync_seconds / r.metro_seconds;
+  out.digest = digest_states(metro.final_agent_states);
+  out.scoreboard = metro.scoreboard;
+  out.mean_blockers = metro.mean_blockers;
+  out.avg_parallelism = metro.avg_parallelism;
+  out.shards = metro.shards;
+  for (const replay::GanttRecord& rec : metro.gantt) {
+    const std::size_t d = day_index(tr, spec.steps_per_day, rec.step);
+    if (d >= out.day_finish.size()) out.day_finish.resize(d + 1, 0.0);
+    out.day_finish[d] =
+        std::max(out.day_finish[d], sim_time_to_seconds(rec.finish));
   }
-  r.avg_parallelism = metro.avg_parallelism;
-  r.mean_cluster_size = metro.scoreboard.mean_cluster_size();
-  r.mean_blockers = metro.mean_blockers;
-  r.clusters_dispatched = metro.scoreboard.clusters_dispatched;
-  // Mirror the scoreboard's collapse rules (brute scans and hop metrics
-  // run unsharded) so the report never claims a partition that was not
-  // actually in effect.
-  r.shards = spec_.scoreboard == ScoreboardKind::kBrute ||
-                     spec_.world == WorldKind::kGraph
-                 ? 1
-                 : spec_.resolved_shards();
-  r.scoreboard_digest = digest_states(metro.final_agent_states);
-  return r;
+  return runs;
 }
 
-ScenarioReport ScenarioDriver::run_engine_trace(bool serial_baseline) const {
-  const bool graph = spec_.world == WorldKind::kGraph;
+RunPair run_engine_trace(const ScenarioDriver& driver,
+                         const trace::SimulationTrace& tr,
+                         bool serial_baseline) {
+  const ScenarioSpec& spec = driver.spec();
+  const bool graph = spec.world == WorldKind::kGraph;
   // Graph worlds stand on a node-count-by-1 substrate map (bounds checks
   // only); the dependency metric measures hops over the trace's graph.
   const world::GridMap map =
-      graph ? world::GridMap(spec_.graph_nodes, 1) : build_map();
-  const trace::SimulationTrace tr = build_trace();
+      graph ? world::GridMap(spec.graph_nodes, 1) : driver.build_map();
   const std::shared_ptr<const core::Metric> metric =
       graph ? std::make_shared<core::GraphMetric>(tr.graph_adjacency)
             : nullptr;
@@ -599,31 +593,12 @@ ScenarioReport ScenarioDriver::run_engine_trace(bool serial_baseline) const {
     chains[i] = trace::group_calls_by_step(tr.agents[i]);
   }
 
-  struct RunOutcome {
-    double completion_seconds = 0.0;  // virtual or wall, per spec clock
-    runtime::EngineStats stats;
-    std::uint64_t calls = 0;
-    std::uint64_t digest = 0;
-    std::uint64_t world_hash = 0;
-    core::ScoreboardStats scoreboard;
-    double mean_blockers = 0.0;
-    std::int32_t shards = 1;
-    std::vector<runtime::EngineStats> shard_rows;
-    /// Member-chain pool diagnostics (zero for the serial baseline,
-    /// which runs chains inline).
-    std::int32_t pool_workers = 0;
-    std::uint64_t peak_inflight_tasks = 0;
-    /// Multi-day runs: elapsed (virtual or wall) seconds when the last
-    /// chain belonging to each episode day finished, indexed by day.
-    std::vector<double> day_finish;
-  };
-
   // Replay the generated trace through the live threaded engine: movement
   // follows the trace (one step toward the trace position, so a move lost
   // to a conflict just lags and retries), and every traced LLM call is
   // issued through the blocking client shim from the worker threads.
   auto run_once = [&](std::int32_t workers) {
-    EngineLlmStack llm_stack = make_engine_llm(spec_);
+    EngineLlmStack llm_stack = make_engine_llm(spec);
     llm::LlmClient& client = llm_stack.client();
     std::vector<Tile> starts;
     starts.reserve(static_cast<std::size_t>(tr.n_agents));
@@ -634,16 +609,16 @@ ScenarioReport ScenarioDriver::run_engine_trace(bool serial_baseline) const {
                             graph ? &tr.graph_adjacency : nullptr);
 
     runtime::EngineConfig ecfg;
-    ecfg.params = core::DependencyParams{spec_.radius_p, spec_.max_vel};
+    ecfg.params = core::DependencyParams{spec.radius_p, spec.max_vel};
     ecfg.target_step = tr.n_steps;
     ecfg.n_workers = workers;
-    ecfg.scan_mode = scan_mode_of(spec_);
+    ecfg.scan_mode = scan_mode_of(spec);
     ecfg.kv_instrumentation = false;
     ecfg.metric = metric;  // null = Euclidean
-    ecfg.shards = spec_.resolved_shards();
-    ecfg.partition = partition_kind_of(spec_);
-    ecfg.reshard_at = reshard_boundaries(spec_);
-    ecfg.pin_cores = spec_.pin == PinMode::kCores;
+    ecfg.shards = spec.resolved_shards();
+    ecfg.partition = partition_kind_of(spec);
+    ecfg.reshard_at = reshard_boundaries(spec);
+    ecfg.pin_cores = spec.pin == PinMode::kCores;
 
     // One agent's traced calls for a step, issued in chain order (calls
     // within a chain are serial by definition).
@@ -664,16 +639,15 @@ ScenarioReport ScenarioDriver::run_engine_trace(bool serial_baseline) const {
 
     // Multi-day runs: track when each episode day's last chain finished
     // (workers race on this; the mutex is cold next to an LLM call).
-    const std::int32_t first_day = tr.start_step / spec_.steps_per_day;
-    const std::int32_t n_days =
-        (tr.start_step + tr.n_steps - 1) / spec_.steps_per_day - first_day + 1;
-    std::vector<double> day_finish(static_cast<std::size_t>(n_days), 0.0);
+    std::vector<double> day_finish(
+        day_index(tr, spec.steps_per_day, tr.start_step + tr.n_steps - 1) +
+            1,
+        0.0);
     common::Mutex day_finish_mutex{"scenario.day_finish"};
     auto note_chain_done = [&](Step abs_step) {
-      if (spec_.days <= 1) return;
+      if (spec.days <= 1) return;
       const double elapsed = llm_stack.completion_seconds();
-      const auto d =
-          static_cast<std::size_t>(abs_step / spec_.steps_per_day - first_day);
+      const std::size_t d = day_index(tr, spec.steps_per_day, abs_step);
       common::MutexLock lock(day_finish_mutex);
       day_finish[d] = std::max(day_finish[d], elapsed);
     };
@@ -689,7 +663,7 @@ ScenarioReport ScenarioDriver::run_engine_trace(bool serial_baseline) const {
     std::unique_ptr<runtime::TaskPool> chain_pool;
     if (parallel_chains) {
       chain_pool = std::make_unique<runtime::TaskPool>(
-          spec_.resolved_pool_workers());
+          spec.resolved_pool_workers());
     }
     auto step_fn = [&, parallel_chains](const core::AgentCluster& cluster,
                                         const world::WorldState& w) {
@@ -736,7 +710,7 @@ ScenarioReport ScenarioDriver::run_engine_trace(bool serial_baseline) const {
     RunOutcome out;
     runtime::Engine engine(&world, ecfg, step_fn);
     llm_stack.start_timing();
-    out.stats = engine.run();
+    out.agent_steps = engine.run().agent_steps;
     out.completion_seconds = llm_stack.completion_seconds();
     out.calls = llm_stack.calls();
     if (chain_pool != nullptr) {
@@ -744,11 +718,11 @@ ScenarioReport ScenarioDriver::run_engine_trace(bool serial_baseline) const {
       out.peak_inflight_tasks = chain_pool->stats().peak_in_flight;
     }
     out.day_finish = std::move(day_finish);
-    AIM_CHECK(engine.scoreboard().all_done());
+    const core::Scoreboard& board = engine.scoreboard();
+    AIM_CHECK(board.all_done());
     std::vector<std::pair<Step, Pos>> states;
     for (AgentId a = 0; a < tr.n_agents; ++a) {
-      states.emplace_back(engine.scoreboard().step_of(a),
-                          engine.scoreboard().pos_of(a));
+      states.emplace_back(board.step_of(a), board.pos_of(a));
     }
     out.digest = digest_states(states);
     {
@@ -757,40 +731,118 @@ ScenarioReport ScenarioDriver::run_engine_trace(bool serial_baseline) const {
       common::ReaderLock lock(world.mutex());
       out.world_hash = world.state_hash();
     }
-    out.scoreboard = engine.scoreboard().stats();
-    out.mean_blockers = engine.scoreboard().mean_blockers();
+    out.scoreboard = board.stats();
+    out.mean_blockers = board.mean_blockers();
     out.shards = engine.shards();
     out.shard_rows = engine.shard_commit_stats();
     return out;
   };
 
-  const RunOutcome serial = serial_baseline ? run_once(1) : RunOutcome{};
-  const RunOutcome metro = run_once(spec_.workers);
+  RunPair runs;
+  if (serial_baseline) runs.serial = run_once(1);
+  runs.metro = run_once(spec.workers);
+  return runs;
+}
 
+RunPair run_engine_gym(const ScenarioDriver& driver, bool serial_baseline) {
+  const ScenarioSpec& spec = driver.spec();
+  const world::GridMap map = driver.build_map();
+  const std::int32_t n = spec.agents;
+  const std::vector<Tile> starts = plan_gym_starts(map, n);
+
+  auto make_agents = [&] {
+    std::vector<std::unique_ptr<gym::Agent>> agents;
+    for (std::int32_t i = 0; i < n; ++i) {
+      agents.push_back(std::make_unique<gym::WandererAgent>(
+          spec.seed + static_cast<std::uint64_t>(i) * 1000));
+    }
+    return agents;
+  };
+
+  gym::EnvConfig cfg;
+  cfg.params = core::DependencyParams{spec.radius_p, spec.max_vel};
+  cfg.target_step = spec.sim_steps();
+  cfg.n_workers = spec.workers;
+  cfg.pool_workers = spec.resolved_pool_workers();
+  cfg.scan_mode = scan_mode_of(spec);
+
+  RunPair runs;
+  if (serial_baseline) {
+    // Baseline: lock-step execution (Algorithm 1), same LLM pricing.
+    cfg.out_of_order = false;
+    EngineLlmStack llm_serial = make_engine_llm(spec);
+    gym::Env lockstep(&map, starts, make_agents(), &llm_serial.client(), cfg);
+    llm_serial.start_timing();
+    lockstep.run();
+    runs.serial.completion_seconds = llm_serial.completion_seconds();
+    runs.serial.world_hash = lockstep.state_hash();
+  }
+
+  // Out-of-order on the AI Metropolis engine (Algorithm 3). Dependency
+  // statistics come from its scoreboard, as on the trace paths.
+  cfg.out_of_order = true;
+  EngineLlmStack llm_metro = make_engine_llm(spec);
+  gym::Env metro(&map, starts, make_agents(), &llm_metro.client(), cfg);
+  llm_metro.start_timing();
+  RunOutcome& out = runs.metro;
+  out.agent_steps = metro.run().agent_steps;
+  out.completion_seconds = llm_metro.completion_seconds();
+  out.calls = llm_metro.calls();
+  out.scoreboard = metro.scoreboard_stats();
+  out.mean_blockers = metro.mean_blockers();
+  out.pool_workers = metro.chain_pool().workers();
+  out.peak_inflight_tasks = metro.chain_pool().stats().peak_in_flight;
+  out.world_hash = metro.state_hash();
+  out.digest = out.world_hash;
+  return runs;
+}
+
+}  // namespace
+
+ScenarioReport ScenarioDriver::run(bool serial_baseline) const {
   ScenarioReport r;
+  RunPair runs;
+  if (spec_.map == MapKind::kArena) {
+    runs = run_engine_gym(*this, serial_baseline);
+    r.agents = spec_.agents;
+    r.steps = spec_.sim_steps();
+  } else {
+    const trace::SimulationTrace tr = build_trace();
+    runs = spec_.backend == Backend::kDes
+               ? run_des(*this, tr, serial_baseline)
+               : run_engine_trace(*this, tr, serial_baseline);
+    r.agents = tr.n_agents;
+    r.steps = tr.n_steps;
+    if (spec_.days > 1) {
+      r.day_rows = day_rows_from_trace(tr, spec_.steps_per_day);
+    }
+  }
+  const RunOutcome& metro = runs.metro;
+  const bool des = spec_.backend == Backend::kDes;
   r.scenario = spec_.name;
-  r.backend = Backend::kEngine;
-  r.agents = tr.n_agents;
-  r.steps = tr.n_steps;
+  r.backend = spec_.backend;
   r.days = spec_.days;
   r.steps_per_day = spec_.steps_per_day;
   r.population = population_summary(spec_, assigned_profiles_);
-  if (spec_.days > 1) {
-    r.day_rows = day_rows_from_trace(tr, spec_.steps_per_day);
-    for (std::size_t d = 0;
-         d < r.day_rows.size() && d < metro.day_finish.size(); ++d) {
-      r.day_rows[d].finish_seconds = metro.day_finish[d];
-    }
+  for (std::size_t d = 0;
+       d < r.day_rows.size() && d < metro.day_finish.size(); ++d) {
+    r.day_rows[d].finish_seconds = metro.day_finish[d];
   }
   r.total_calls = metro.calls;
-  r.agent_steps = metro.stats.agent_steps;
+  r.agent_steps = metro.agent_steps;
   r.has_serial = serial_baseline;
-  r.virtual_time = spec_.clock == ClockKind::kVirtual;
-  r.serial_seconds = serial.completion_seconds;
+  // The DES backend always reports virtual time.
+  r.virtual_time = des || spec_.clock == ClockKind::kVirtual;
+  r.serial_seconds = runs.serial.completion_seconds;
+  r.sync_seconds = runs.sync_seconds;
   r.metro_seconds = metro.completion_seconds;
-  if (serial_baseline && r.metro_seconds > 0.0) {
-    r.speedup_vs_serial = r.serial_seconds / r.metro_seconds;
+  if (r.metro_seconds > 0.0) {
+    if (serial_baseline) {
+      r.speedup_vs_serial = r.serial_seconds / r.metro_seconds;
+    }
+    if (des) r.speedup_vs_sync = r.sync_seconds / r.metro_seconds;
   }
+  r.avg_parallelism = metro.avg_parallelism;
   r.mean_cluster_size = metro.scoreboard.mean_cluster_size();
   r.mean_blockers = metro.mean_blockers;
   r.clusters_dispatched = metro.scoreboard.clusters_dispatched;
@@ -812,80 +864,8 @@ ScenarioReport ScenarioDriver::run_engine_trace(bool serial_baseline) const {
     }
   }
   r.scoreboard_digest = metro.digest;
-  r.world_hash_serial = serial.world_hash;
+  r.world_hash_serial = runs.serial.world_hash;
   r.world_hash_metro = metro.world_hash;
-  return r;
-}
-
-ScenarioReport ScenarioDriver::run_engine_gym(bool serial_baseline) const {
-  const world::GridMap map = build_map();
-  const std::int32_t n = spec_.agents;
-  const std::vector<Tile> starts = plan_gym_starts(map, n);
-
-  auto make_agents = [&] {
-    std::vector<std::unique_ptr<gym::Agent>> agents;
-    for (std::int32_t i = 0; i < n; ++i) {
-      agents.push_back(std::make_unique<gym::WandererAgent>(
-          spec_.seed + static_cast<std::uint64_t>(i) * 1000));
-    }
-    return agents;
-  };
-
-  gym::EnvConfig cfg;
-  cfg.params = core::DependencyParams{spec_.radius_p, spec_.max_vel};
-  cfg.target_step = spec_.sim_steps();
-  cfg.n_workers = spec_.workers;
-  cfg.pool_workers = spec_.resolved_pool_workers();
-  cfg.scan_mode = scan_mode_of(spec_);
-
-  // Baseline: lock-step execution (Algorithm 1), same LLM pricing.
-  double serial_secs = 0.0;
-  std::uint64_t serial_hash = 0;
-  if (serial_baseline) {
-    cfg.out_of_order = false;
-    EngineLlmStack llm_serial = make_engine_llm(spec_);
-    gym::Env lockstep(&map, starts, make_agents(), &llm_serial.client(), cfg);
-    llm_serial.start_timing();
-    lockstep.run();
-    serial_secs = llm_serial.completion_seconds();
-    serial_hash = lockstep.state_hash();
-  }
-
-  // Out-of-order on the AI Metropolis engine (Algorithm 3).
-  cfg.out_of_order = true;
-  EngineLlmStack llm_metro = make_engine_llm(spec_);
-  gym::Env metro(&map, starts, make_agents(), &llm_metro.client(), cfg);
-  llm_metro.start_timing();
-  const auto metro_stats = metro.run();
-  const double metro_secs = llm_metro.completion_seconds();
-
-  ScenarioReport r;
-  r.scenario = spec_.name;
-  r.backend = Backend::kEngine;
-  r.agents = n;
-  r.steps = spec_.sim_steps();
-  r.days = spec_.days;
-  r.steps_per_day = spec_.steps_per_day;
-  r.total_calls = llm_metro.calls();
-  r.agent_steps = metro_stats.agent_steps;
-  r.has_serial = serial_baseline;
-  r.virtual_time = spec_.clock == ClockKind::kVirtual;
-  r.serial_seconds = serial_secs;
-  r.metro_seconds = metro_secs;
-  if (serial_baseline && metro_secs > 0.0) {
-    r.speedup_vs_serial = serial_secs / metro_secs;
-  }
-  // Dependency statistics come from the OOO engine's scoreboard, the
-  // same source as the trace paths — so gym runs report the paper's
-  // sparsity measure too.
-  r.clusters_dispatched = metro.scoreboard_stats().clusters_dispatched;
-  r.mean_cluster_size = metro.scoreboard_stats().mean_cluster_size();
-  r.mean_blockers = metro.mean_blockers();
-  r.pool_workers = metro.chain_pool().workers();
-  r.peak_inflight_tasks = metro.chain_pool().stats().peak_in_flight;
-  r.world_hash_serial = serial_hash;
-  r.world_hash_metro = metro.state_hash();
-  r.scoreboard_digest = r.world_hash_metro;
   return r;
 }
 

@@ -17,9 +17,10 @@
 //     DES cost model (CostModelLlmClient on a SimClock) and times are
 //     virtual seconds directly comparable to the DES backend.
 //
-// Either way the result is one ScenarioReport — speedup over serial,
-// achieved parallelism, mean cluster size, mean blockers — so scheduler
-// behavior is comparable across scenarios and backends.
+// Every path returns the same serial/metropolis pair of run outcomes, and
+// run() fills one ScenarioReport from it — speedup over serial, achieved
+// parallelism, mean cluster size, mean blockers — so scheduler behavior
+// is comparable across scenarios and backends.
 #pragma once
 
 #include <string>
@@ -148,10 +149,6 @@ class ScenarioDriver {
   ScenarioReport run(bool serial_baseline = true) const;
 
  private:
-  ScenarioReport run_des(bool serial_baseline) const;
-  ScenarioReport run_engine_trace(bool serial_baseline) const;
-  ScenarioReport run_engine_gym(bool serial_baseline) const;
-
   ScenarioSpec spec_;
   /// Per-agent profile names for heterogeneous specs, derived once at
   /// construction (trace::assign_profiles over the population mix) —

@@ -145,15 +145,6 @@ TEST(RunningStat, MergeEqualsSequential) {
   EXPECT_NEAR(a.variance(), both.variance(), 1e-9);
 }
 
-TEST(PercentileTracker, ExactQuantiles) {
-  PercentileTracker t;
-  for (int i = 1; i <= 100; ++i) t.add(i);
-  EXPECT_DOUBLE_EQ(t.percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(t.percentile(1.0), 100.0);
-  EXPECT_NEAR(t.percentile(0.5), 50.5, 1e-9);
-  EXPECT_NEAR(t.mean(), 50.5, 1e-9);
-}
-
 TEST(TimeWeightedStat, PiecewiseConstantAverage) {
   TimeWeightedStat s;
   s.set(0, 2.0);     // 2 for [0, 10)
@@ -161,21 +152,6 @@ TEST(TimeWeightedStat, PiecewiseConstantAverage) {
   EXPECT_DOUBLE_EQ(s.average_until(20), 3.0);
   EXPECT_DOUBLE_EQ(s.current(), 4.0);
   EXPECT_THROW(s.set(5, 1.0), CheckError);  // time went backwards
-}
-
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-1);
-  h.add(0.5);
-  h.add(9.99);
-  h.add(10.0);
-  h.add(25.0);
-  EXPECT_DOUBLE_EQ(h.underflow(), 1.0);
-  EXPECT_DOUBLE_EQ(h.overflow(), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_count(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.bucket_count(9), 1.0);
-  EXPECT_DOUBLE_EQ(h.total(), 5.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(3), 3.0);
 }
 
 TEST(Strings, Format) {

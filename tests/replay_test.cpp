@@ -1,8 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "common/check.h"
+#include "core/metro_controller.h"
 #include "replay/experiment.h"
+#include "runtime/engine.h"
+#include "scenario/driver.h"
+#include "scenario/registry.h"
 #include "trace/generator.h"
 #include "world/grid_map.h"
+#include "world/world_state.h"
 
 namespace aimetro::replay {
 namespace {
@@ -184,6 +195,173 @@ TEST(Replay, SummaryStringsAreReadable) {
   EXPECT_NE(s.find("metropolis"), std::string::npos);
   EXPECT_NE(s.find("completion"), std::string::npos);
   EXPECT_STREQ(mode_name(Mode::kNoDependency), "no-dependency");
+}
+
+// ---- The metropolis controller both backends drive ----
+
+/// Six agents on a 4001-wide strip of tiles: two at the x extremes (which
+/// fix a 1000-wide equal-width strip each at shards = 4) and one deep
+/// inside every strip, far beyond any blocking radius from each other.
+std::vector<Tile> far_apart_tiles() {
+  return {{0, 4}, {500, 4}, {1500, 4}, {2500, 4}, {3500, 4}, {4000, 4}};
+}
+
+core::MetroController far_apart_controller(std::vector<Step> reshard_at) {
+  std::vector<Pos> initial;
+  for (const Tile& t : far_apart_tiles()) initial.push_back(t.center());
+  return core::MetroController(core::DependencyParams{4.0, 1.0}, nullptr,
+                               std::move(initial), /*target_step=*/10,
+                               core::ScanMode::kIndexed, /*shards=*/4,
+                               world::PartitionKind::kEqualWidth,
+                               std::move(reshard_at));
+}
+
+struct PathCounts {
+  std::uint64_t interior = 0;
+  std::uint64_t cross = 0;
+};
+
+/// Runs `ctl` to completion single-threaded, calling its phases as the DES
+/// does: pop, then per commit classify and commit_interior (zero wait) or
+/// commit_cross, queueing what each commit releases. The earliest-step
+/// ready cluster commits next; members move to `pos_after(member, step)`.
+PathCounts drive_single_threaded(
+    core::MetroController& ctl,
+    const std::function<Pos(AgentId, Step)>& pos_after) {
+  std::map<std::pair<Step, AgentId>, core::AgentCluster> ready;
+  auto push = [&](std::vector<core::MetroController::Routed> released) {
+    for (core::MetroController::Routed& r : released) {
+      const auto key = std::make_pair(r.cluster.step, r.cluster.members[0]);
+      ready.emplace(key, std::move(r.cluster));
+    }
+  };
+  PathCounts counts;
+  push(ctl.pop_ready());
+  while (!ready.empty()) {
+    const core::AgentCluster cluster = std::move(ready.begin()->second);
+    ready.erase(ready.begin());
+    core::MetroController::Moves moves;
+    for (AgentId m : cluster.members) {
+      moves.emplace_back(m, pos_after(m, cluster.step));
+    }
+    const core::MetroController::Path path = ctl.classify(cluster.step, moves);
+    if (path.interior()) {
+      ++counts.interior;
+      push(ctl.commit_interior(path, moves, /*wait_us=*/0));
+    } else {
+      ++counts.cross;
+      push(ctl.commit_cross(moves));
+    }
+  }
+  EXPECT_TRUE(ctl.scoreboard().all_done());
+  return counts;
+}
+
+TEST(MetroController, ClassifyForcesTheCrossPathAtTheReshardBoundary) {
+  auto ctl = far_apart_controller({6});
+  ASSERT_EQ(ctl.shards(), 4);
+  // Agent 2 sits mid-strip 1 ([1000, 2000)): confined, so interior, with
+  // the initial probe floor — until the commit could reach the boundary.
+  const core::MetroController::Moves stay = {{2, Tile{1500, 4}.center()}};
+  for (Step step : {0, 3, 4}) {
+    const auto path = ctl.classify(step, stay);
+    EXPECT_TRUE(path.interior()) << "step " << step;
+    EXPECT_EQ(path.strip, 1) << "step " << step;
+    EXPECT_EQ(path.floor, 0) << "step " << step;
+  }
+  for (Step step : {5, 6, 9}) {  // step + 1 >= 6
+    EXPECT_FALSE(ctl.classify(step, stay).interior()) << "step " << step;
+  }
+}
+
+TEST(MetroController, ABoundaryFiresExactlyOncePerBackend) {
+  // The DES calling pattern: one boundary inside the run, one past its
+  // end (never reached), both validated up front.
+  auto ctl = far_apart_controller({5, 50});
+  const auto stay = [](AgentId a, Step) {
+    return far_apart_tiles()[static_cast<std::size_t>(a)].center();
+  };
+  const PathCounts counts = drive_single_threaded(ctl, stay);
+  EXPECT_EQ(ctl.reshards(), 1u);
+  EXPECT_GT(counts.interior, 0u);
+  EXPECT_GT(counts.cross, 0u);
+
+  // The threaded engine over the same world and schedule.
+  const world::GridMap map(4001, 8);
+  world::WorldState world(&map, far_apart_tiles());
+  runtime::EngineConfig cfg;
+  cfg.params = core::DependencyParams{4.0, 1.0};
+  cfg.target_step = 10;
+  cfg.n_workers = 4;
+  cfg.shards = 4;
+  cfg.reshard_at = {5, 50};
+  cfg.kv_instrumentation = false;
+  runtime::Engine engine(&world, cfg,
+                         [](const core::AgentCluster& cluster,
+                            const world::WorldState&) {
+                           std::vector<world::StepIntent> intents;
+                           for (AgentId m : cluster.members) {
+                             world::StepIntent intent;
+                             intent.agent = m;
+                             intents.push_back(intent);
+                           }
+                           return intents;
+                         });
+  const runtime::EngineStats stats = engine.run();
+  EXPECT_EQ(stats.reshards, 1u);
+  EXPECT_EQ(stats.agent_steps, 6u * 10u);
+}
+
+TEST(MetroController, DesRejectsAnInvalidReshardSchedule) {
+  for (const std::vector<Step>& bad :
+       {std::vector<Step>{5, 3}, std::vector<Step>{0}}) {
+    auto cfg = base_config(Mode::kMetropolis);
+    cfg.reshard_at = bad;
+    EXPECT_THROW(run_experiment(small_busy_trace(), cfg), CheckError);
+  }
+}
+
+TEST(MetroController, ShardedDesTakesInteriorCommitsAndKeepsTheSchedule) {
+  // metro_ville1000 over a 20-step busy window: at shards = 8 the DES
+  // replays the boundary-lag protocol (interior commits with
+  // floor-bounded probes and strip pops) and must still reach the
+  // shards = 1 state at the identical virtual completion time.
+  std::string error;
+  auto spec = scenario::find_scenario("metro_ville1000", &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  spec->window_begin = 4320;
+  spec->window_end = 4340;
+  const scenario::ScenarioDriver driver(*spec);
+  const trace::SimulationTrace tr = driver.build_trace();
+  ExperimentConfig cfg = driver.experiment_config();
+  cfg.mode = Mode::kMetropolis;
+  cfg.shards = 1;
+  const ExperimentResult single = run_experiment(tr, cfg);
+  cfg.shards = 8;
+  const ExperimentResult sharded = run_experiment(tr, cfg);
+  EXPECT_EQ(single.shards, 1);
+  EXPECT_EQ(sharded.shards, 8);
+  EXPECT_EQ(sharded.final_agent_states, single.final_agent_states);
+  EXPECT_EQ(sharded.completion_seconds, single.completion_seconds);
+  EXPECT_EQ(sharded.scoreboard.clusters_dispatched,
+            single.scoreboard.clusters_dispatched);
+
+  // The same controller settings, driven through the DES's calling
+  // pattern, do take the interior path on this trace.
+  std::vector<Pos> initial;
+  for (AgentId a = 0; a < tr.n_agents; ++a) {
+    initial.push_back(tr.position_at(a, tr.start_step).center());
+  }
+  core::MetroController ctl(core::DependencyParams{tr.radius_p, tr.max_vel},
+                            nullptr, std::move(initial), tr.n_steps,
+                            cfg.scan_mode, cfg.shards, cfg.partition,
+                            cfg.reshard_at);
+  const PathCounts counts =
+      drive_single_threaded(ctl, [&tr](AgentId a, Step step) {
+        return tr.position_at(a, tr.start_step + step + 1).center();
+      });
+  EXPECT_GT(counts.interior, 0u);
+  EXPECT_GT(counts.cross, 0u);
 }
 
 }  // namespace

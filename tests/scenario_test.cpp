@@ -854,123 +854,139 @@ TEST(ScanModes, SpecKeyParsesRendersAndRejects) {
   EXPECT_EQ(validate_spec(spec), "");
 }
 
-TEST(ScanModes, BruteAndIndexedDigestsAgreeOnEveryRegistryScenario) {
-  // The differential guarantee at the workload level: for every shipped
-  // registry scenario, on both backends, the spatial-index scoreboard
-  // must reach the same final state (digest), dispatch the same clusters,
-  // and measure the same sparsity as the brute-force reference. Windows
-  // are shrunk so the whole sweep stays unit-test-sized; the Release CI
-  // smoke runs metro_ville1000 at full window.
+// The registry-wide sweeps below are value-parameterized by scenario (and
+// the midnight check by backend), so ctest runs each case as its own test
+// and `ctest -j` spreads them across cores.
+
+/// Registry scenario names; trace-bearing ones only without `arena`.
+std::vector<std::string> registry_names(bool arena) {
+  std::vector<std::string> names;
   for (const auto& entry : registry_entries()) {
     std::string error;
-    auto spec = find_scenario(entry.name, &error);
-    ASSERT_TRUE(spec.has_value()) << error;
-    if (spec->map == MapKind::kArena) {
-      spec->steps_per_day = 20;  // live gym run: 20 target steps
-    } else {
-      spec->window_begin = 4320;
-      spec->window_end = 4340;
-      if (spec->agents > 200) {
-        spec->agents = 200;
-        spec->segments = std::min(spec->segments, 8);
-      }
-    }
-    spec->call_latency_us = 0;
-    ASSERT_EQ(validate_spec(*spec), "") << entry.name;
-
-    for (Backend backend : {Backend::kDes, Backend::kEngine}) {
-      if (spec->map == MapKind::kArena && backend == Backend::kDes) {
-        continue;  // arena maps are engine-only
-      }
-      spec->backend = backend;
-      spec->scoreboard = ScoreboardKind::kIndexed;
-      const auto indexed = ScenarioDriver(*spec).run(/*serial_baseline=*/false);
-      spec->scoreboard = ScoreboardKind::kBrute;
-      const auto brute = ScenarioDriver(*spec).run(/*serial_baseline=*/false);
-
-      EXPECT_EQ(indexed.scoreboard_digest, brute.scoreboard_digest)
-          << entry.name << " on " << backend_name(backend);
-      EXPECT_EQ(indexed.total_calls, brute.total_calls) << entry.name;
-      EXPECT_EQ(indexed.agent_steps, brute.agent_steps) << entry.name;
-      if (backend == Backend::kDes) {
-        // Virtual time makes the whole schedule deterministic, so the
-        // scheduler statistics must match bit for bit. (Engine runs
-        // reach the same final state, but cluster formation there
-        // depends on real thread interleaving either way.)
-        EXPECT_EQ(indexed.clusters_dispatched, brute.clusters_dispatched)
-            << entry.name;
-        EXPECT_EQ(indexed.mean_cluster_size, brute.mean_cluster_size)
-            << entry.name;
-        EXPECT_EQ(indexed.mean_blockers, brute.mean_blockers) << entry.name;
-        EXPECT_EQ(indexed.metro_seconds, brute.metro_seconds) << entry.name;
-      }
-    }
+    const auto spec = find_scenario(entry.name, &error);
+    if (arena || spec->map != MapKind::kArena) names.push_back(entry.name);
   }
+  return names;
 }
 
-TEST(ScanModes, ShardedAndUnshardedDigestsAgreeOnEveryRegistryScenario) {
-  // The sharding guarantee at the workload level: on every shipped
-  // scenario, on both backends, the region-partitioned scoreboard must
-  // reach the same final state, issue the same calls, and (in virtual
-  // time) measure the same schedule as the single-strip reference —
-  // sharding changes which locks are taken, never what is computed.
-  // Arena maps are skipped: the gym loop is unsharded by construction.
-  for (const auto& entry : registry_entries()) {
-    std::string error;
-    auto spec = find_scenario(entry.name, &error);
-    ASSERT_TRUE(spec.has_value()) << error;
-    if (spec->map == MapKind::kArena) continue;
+/// `name` shrunk to a unit-test-sized run with zero LLM latency: a 20-step
+/// window (20 target steps for arena maps) and at most 200 agents. The
+/// Release CI smoke runs metro_ville1000 at full window.
+ScenarioSpec sweep_spec(const std::string& name) {
+  std::string error;
+  auto spec = find_scenario(name, &error);
+  EXPECT_TRUE(spec.has_value()) << error;
+  if (spec->map == MapKind::kArena) {
+    spec->steps_per_day = 20;  // live gym run: 20 target steps
+  } else {
     spec->window_begin = 4320;
     spec->window_end = 4340;
     if (spec->agents > 200) {
       spec->agents = 200;
       spec->segments = std::min(spec->segments, 8);
     }
-    spec->call_latency_us = 0;
-    ASSERT_EQ(validate_spec(*spec), "") << entry.name;
+  }
+  spec->call_latency_us = 0;
+  EXPECT_EQ(validate_spec(*spec), "") << name;
+  return *spec;
+}
 
-    for (Backend backend : {Backend::kDes, Backend::kEngine}) {
-      spec->backend = backend;
-      spec->shards = 1;
-      const auto single = ScenarioDriver(*spec).run(/*serial_baseline=*/false);
-      spec->shards = 8;
-      const auto sharded = ScenarioDriver(*spec).run(/*serial_baseline=*/false);
+std::string param_name(const ::testing::TestParamInfo<std::string>& info) {
+  return info.param;
+}
 
-      EXPECT_EQ(sharded.scoreboard_digest, single.scoreboard_digest)
-          << entry.name << " on " << backend_name(backend);
-      EXPECT_EQ(sharded.total_calls, single.total_calls) << entry.name;
-      EXPECT_EQ(sharded.agent_steps, single.agent_steps) << entry.name;
-      // Graph worlds measure hops, which the strip partition cannot
-      // cover: the board collapses to one strip and must say so.
-      if (spec->world == WorldKind::kGraph) {
-        EXPECT_EQ(sharded.shards, 1) << entry.name;
-      } else {
-        EXPECT_EQ(sharded.shards, 8) << entry.name;
-      }
-      if (backend == Backend::kDes) {
-        EXPECT_EQ(sharded.clusters_dispatched, single.clusters_dispatched)
-            << entry.name;
-        EXPECT_EQ(sharded.mean_cluster_size, single.mean_cluster_size)
-            << entry.name;
-        EXPECT_EQ(sharded.mean_blockers, single.mean_blockers) << entry.name;
-        EXPECT_EQ(sharded.metro_seconds, single.metro_seconds) << entry.name;
-      }
+class RegistryScenario : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RegistryScenario, BruteAndIndexedDigestsAgree) {
+  // The differential guarantee at the workload level: for every shipped
+  // registry scenario, on both backends, the spatial-index scoreboard
+  // must reach the same final state (digest), dispatch the same clusters,
+  // and measure the same sparsity as the brute-force reference.
+  ScenarioSpec spec = sweep_spec(GetParam());
+  for (Backend backend : {Backend::kDes, Backend::kEngine}) {
+    if (spec.map == MapKind::kArena && backend == Backend::kDes) {
+      continue;  // arena maps are engine-only
+    }
+    spec.backend = backend;
+    spec.scoreboard = ScoreboardKind::kIndexed;
+    const auto indexed = ScenarioDriver(spec).run(/*serial_baseline=*/false);
+    spec.scoreboard = ScoreboardKind::kBrute;
+    const auto brute = ScenarioDriver(spec).run(/*serial_baseline=*/false);
+
+    EXPECT_EQ(indexed.scoreboard_digest, brute.scoreboard_digest)
+        << backend_name(backend);
+    EXPECT_EQ(indexed.total_calls, brute.total_calls);
+    EXPECT_EQ(indexed.agent_steps, brute.agent_steps);
+    if (backend == Backend::kDes) {
+      // Virtual time makes the whole schedule deterministic, so the
+      // scheduler statistics must match bit for bit. (Engine runs
+      // reach the same final state, but cluster formation there
+      // depends on real thread interleaving either way.)
+      EXPECT_EQ(indexed.clusters_dispatched, brute.clusters_dispatched);
+      EXPECT_EQ(indexed.mean_cluster_size, brute.mean_cluster_size);
+      EXPECT_EQ(indexed.mean_blockers, brute.mean_blockers);
+      EXPECT_EQ(indexed.metro_seconds, brute.metro_seconds);
     }
   }
 }
 
-TEST(ScanModes, EpisodeReshardKeepsDigestsAcrossTheMidnightBoundary) {
+INSTANTIATE_TEST_SUITE_P(ScanModes, RegistryScenario,
+                         ::testing::ValuesIn(registry_names(/*arena=*/true)),
+                         param_name);
+
+class RegistryTraceScenario : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RegistryTraceScenario, ShardedAndUnshardedDigestsAgree) {
+  // The sharding guarantee at the workload level: on every shipped
+  // scenario, on both backends, the region-partitioned scoreboard must
+  // reach the same final state, issue the same calls, and (in virtual
+  // time) measure the same schedule as the single-strip reference —
+  // sharding changes which locks are taken, never what is computed.
+  // Arena maps are not instantiated: the gym loop is unsharded by
+  // construction.
+  ScenarioSpec spec = sweep_spec(GetParam());
+  for (Backend backend : {Backend::kDes, Backend::kEngine}) {
+    spec.backend = backend;
+    spec.shards = 1;
+    const auto single = ScenarioDriver(spec).run(/*serial_baseline=*/false);
+    spec.shards = 8;
+    const auto sharded = ScenarioDriver(spec).run(/*serial_baseline=*/false);
+
+    EXPECT_EQ(sharded.scoreboard_digest, single.scoreboard_digest)
+        << backend_name(backend);
+    EXPECT_EQ(sharded.total_calls, single.total_calls);
+    EXPECT_EQ(sharded.agent_steps, single.agent_steps);
+    // Graph worlds measure hops, which the strip partition cannot
+    // cover: the board collapses to one strip and must say so.
+    EXPECT_EQ(sharded.shards, spec.world == WorldKind::kGraph ? 1 : 8);
+    if (backend == Backend::kDes) {
+      EXPECT_EQ(sharded.clusters_dispatched, single.clusters_dispatched);
+      EXPECT_EQ(sharded.mean_cluster_size, single.mean_cluster_size);
+      EXPECT_EQ(sharded.mean_blockers, single.mean_blockers);
+      EXPECT_EQ(sharded.metro_seconds, single.metro_seconds);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ScanModes, RegistryTraceScenario,
+                         ::testing::ValuesIn(registry_names(/*arena=*/false)),
+                         param_name);
+
+class MidnightReshard : public ::testing::TestWithParam<Backend> {};
+
+TEST_P(MidnightReshard, KeepsDigestsAcrossTheBoundary) {
   // The adaptive-partitioning guarantee end to end: a hotspot scenario
   // replayed across its day-0/day-1 midnight — where reshard = episode
   // moves the strip boundaries mid-run — must reach the same final state
   // as the unsharded board, the static equal-width partition, and the
-  // pinned-pool configuration, on both backends.
+  // pinned-pool configuration.
   std::string error;
   auto spec = find_scenario("skewed_ville100", &error);
   ASSERT_TRUE(spec.has_value()) << error;
   spec->window_begin = 8630;  // straddles midnight at step 8640
   spec->window_end = 8652;
   spec->call_latency_us = 0;
+  spec->backend = GetParam();
   ASSERT_EQ(validate_spec(*spec), "");
 
   struct Variant {
@@ -985,25 +1001,28 @@ TEST(ScanModes, EpisodeReshardKeepsDigestsAcrossTheMidnightBoundary) {
       {4, PartitionChoice::kPopulation, ReshardMode::kEpisode, PinMode::kNone},
       {4, PartitionChoice::kWidth, ReshardMode::kEpisode, PinMode::kCores},
   };
-  for (Backend backend : {Backend::kDes, Backend::kEngine}) {
-    spec->backend = backend;
-    std::uint64_t reference = 0;
-    for (std::size_t v = 0; v < std::size(variants); ++v) {
-      spec->shards = variants[v].shards;
-      spec->partition = variants[v].partition;
-      spec->reshard = variants[v].reshard;
-      spec->pin = variants[v].pin;
-      const auto report = ScenarioDriver(*spec).run(/*serial_baseline=*/false);
-      if (v == 0) {
-        reference = report.scoreboard_digest;
-      } else {
-        EXPECT_EQ(report.scoreboard_digest, reference)
-            << "variant " << v << " on " << backend_name(backend);
-      }
-      EXPECT_EQ(report.days, 2);
+  std::uint64_t reference = 0;
+  for (std::size_t v = 0; v < std::size(variants); ++v) {
+    spec->shards = variants[v].shards;
+    spec->partition = variants[v].partition;
+    spec->reshard = variants[v].reshard;
+    spec->pin = variants[v].pin;
+    const auto report = ScenarioDriver(*spec).run(/*serial_baseline=*/false);
+    if (v == 0) {
+      reference = report.scoreboard_digest;
+    } else {
+      EXPECT_EQ(report.scoreboard_digest, reference) << "variant " << v;
     }
+    EXPECT_EQ(report.days, 2);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    ScanModes, MidnightReshard,
+    ::testing::Values(Backend::kDes, Backend::kEngine),
+    [](const ::testing::TestParamInfo<Backend>& info) {
+      return std::string(backend_name(info.param));
+    });
 
 TEST(ScanModes, GymReportCarriesDependencySparsity) {
   // The arena/gym path reports mean blockers and mean cluster size from
