@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -195,6 +196,78 @@ TEST(Replay, SummaryStringsAreReadable) {
   EXPECT_NE(s.find("metropolis"), std::string::npos);
   EXPECT_NE(s.find("completion"), std::string::npos);
   EXPECT_STREQ(mode_name(Mode::kNoDependency), "no-dependency");
+}
+
+// ---- Golden outputs ----
+
+/// One registry DES cell with every number it reports pinned exactly.
+/// `shards` = 0 keeps the registry's resolution.
+struct GoldenCell {
+  const char* scenario;
+  std::int32_t shards;
+  Mode mode;
+  double completion_seconds;
+  std::uint64_t des_events;
+  double avg_parallelism;
+  double avg_utilization;
+  std::uint64_t commits;
+  std::uint64_t edges_added;
+  double mean_blockers;
+};
+
+TEST(Replay, GoldenOutputsAreBitExact) {
+  // Host-side optimizations of the DES (event queue, serving model,
+  // scoreboard probes) must not move a single simulated event: the
+  // scoreboard digest sees only final states, so these pin the event
+  // count and every time-weighted aggregate too. Values are exact
+  // (%.17g round-trips a double).
+  const GoldenCell cells[] = {
+      {"smallville_day", 0, Mode::kSingleThread, 9031.5414540000002, 129441,
+       0.99990317266959716, 0.2499757793283556, 0, 0, 0.0},
+      {"smallville_day", 0, Mode::kParallelSync, 4979.7105320000001, 119004,
+       1.8645067629693133, 0.41889221137362287, 0, 0, 0.0},
+      {"smallville_day", 0, Mode::kMetropolis, 4156.2904669999998, 121629,
+       2.2364712037737919, 0.49512957548065423, 2328, 1720,
+       0.19164345403899721},
+      {"smallville_day", 0, Mode::kOracle, 3275.9140519999996, 115367,
+       2.8454966857440445, 0.60390591704998742, 0, 0, 0.0},
+      {"smallville_day", 0, Mode::kNoDependency, 267.10375599999998, 2093,
+       2693.6962621708699, 0.9933985737362675, 0, 0, 0.0},
+      {"smallville_day", 0, Mode::kCritical, 3074.8431, 42429, 1.0, 0.25, 0, 0,
+       0.0},
+      {"social_net100", 0, Mode::kMetropolis, 588.18981199999996, 27016,
+       2.5763784866726205, 0.32018282645806861, 2745, 5820,
+       0.98644067796610169},
+      {"metro_ville100", 2, Mode::kMetropolis, 240.240996, 23118,
+       5.9524081862042264, 0.65061355410797583, 2342, 1396,
+       0.23661016949152541},
+  };
+  std::map<std::pair<std::string, std::int32_t>, trace::SimulationTrace>
+      traces;
+  for (const GoldenCell& cell : cells) {
+    std::string error;
+    auto spec = scenario::find_scenario(cell.scenario, &error);
+    ASSERT_TRUE(spec.has_value()) << error;
+    if (cell.shards > 0) spec->shards = cell.shards;
+    const scenario::ScenarioDriver driver(*spec);
+    const auto key = std::make_pair(std::string(cell.scenario), cell.shards);
+    if (!traces.count(key)) traces.emplace(key, driver.build_trace());
+    ExperimentConfig cfg = driver.experiment_config();
+    cfg.mode = cell.mode;
+    const ExperimentResult r = run_experiment(traces.at(key), cfg);
+    const std::string where =
+        std::string(cell.scenario) + " " + mode_name(cell.mode);
+    EXPECT_EQ(r.completion_seconds, cell.completion_seconds) << where;
+    EXPECT_EQ(r.des_events, cell.des_events) << where;
+    EXPECT_EQ(r.avg_parallelism, cell.avg_parallelism) << where;
+    EXPECT_EQ(r.avg_utilization, cell.avg_utilization) << where;
+    EXPECT_EQ(r.scoreboard.commits, cell.commits) << where;
+    EXPECT_EQ(r.scoreboard.edges_added, cell.edges_added) << where;
+    EXPECT_EQ(r.mean_blockers, cell.mean_blockers) << where;
+    if (cell.shards > 0) {
+      EXPECT_EQ(r.shards, cell.shards) << where;
+    }
+  }
 }
 
 // ---- The metropolis controller both backends drive ----
