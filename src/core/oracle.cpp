@@ -68,6 +68,9 @@ OracleDependencies mine_oracle(const trace::SimulationTrace& trace) {
   const bool graph = trace.world_kind == trace::WorldKind::kGraph;
   const auto n = static_cast<std::size_t>(trace.n_agents);
   std::vector<AgentId> ball;
+  // Grid worlds move every agent in one index from step to step, so the
+  // index's grid is laid out once rather than per step.
+  world::SpatialIndex grid_index(std::max(4.0, trace.radius_p));
   for (Step rel = 0; rel < trace.n_steps; ++rel) {
     UnionFind uf(n);
     // Observation proximity at the start of the step: Euclidean tile
@@ -91,17 +94,16 @@ OracleDependencies mine_oracle(const trace::SimulationTrace& trace) {
         }
       }
     } else {
-      world::SpatialIndex index(std::max(4.0, trace.radius_p));
       for (std::size_t i = 0; i < n; ++i) {
-        index.insert(static_cast<AgentId>(i),
-                     trace.agents[i]
-                         .positions[static_cast<std::size_t>(rel)]
-                         .center());
+        grid_index.update(static_cast<AgentId>(i),
+                          trace.agents[i]
+                              .positions[static_cast<std::size_t>(rel)]
+                              .center());
       }
       for (std::size_t i = 0; i < n; ++i) {
         const Pos p =
             trace.agents[i].positions[static_cast<std::size_t>(rel)].center();
-        for (AgentId j : index.query_radius(p, trace.radius_p)) {
+        for (AgentId j : grid_index.query_radius(p, trace.radius_p)) {
           if (static_cast<std::size_t>(j) > i) {
             uf.unite(i, static_cast<std::size_t>(j));
           }

@@ -1,5 +1,7 @@
 #include "des/event_loop.h"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -10,8 +12,8 @@ EventId EventLoop::schedule_at(SimTime t, Callback cb) {
   AIM_CHECK_MSG(t >= now_, "schedule_at: t=" << t << " < now=" << now_);
   AIM_CHECK(cb != nullptr);
   const EventId id = next_id_++;
-  heap_.push(Event{t, id, std::move(cb)});
-  live_.insert(id);
+  heap_.push_back(Event{t, id, std::move(cb)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   return id;
 }
 
@@ -21,42 +23,48 @@ EventId EventLoop::schedule_after(SimTime delay, Callback cb) {
 }
 
 bool EventLoop::cancel(EventId id) {
-  // An event is cancellable iff it is still pending; erase marks it so the
-  // heap entry is skipped when popped (lazy deletion).
-  return live_.erase(id) > 0;
+  // Lazy deletion: the event stays in the heap and is discarded when it
+  // reaches the top.
+  const bool pending =
+      std::any_of(heap_.begin(), heap_.end(),
+                  [id](const Event& ev) { return ev.id == id; });
+  return pending && cancelled_.insert(id).second;
 }
 
-bool EventLoop::pop_and_run() {
-  while (!heap_.empty()) {
-    Event ev = std::move(const_cast<Event&>(heap_.top()));
-    heap_.pop();
-    auto it = live_.find(ev.id);
-    if (it == live_.end()) continue;  // cancelled
-    live_.erase(it);
+void EventLoop::drop_cancelled_top() {
+  while (!cancelled_.empty() && !heap_.empty() &&
+         cancelled_.erase(heap_.front().id) > 0) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+  }
+}
+
+std::uint64_t EventLoop::run_due(SimTime deadline) {
+  stopped_ = false;
+  std::uint64_t count = 0;
+  while (!stopped_) {
+    // Cancelled events go first: the deadline applies to the earliest
+    // live event, not to a tombstone.
+    drop_cancelled_top();
+    if (heap_.empty() || heap_.front().time > deadline) break;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Event ev = std::move(heap_.back());
+    heap_.pop_back();
     AIM_CHECK(ev.time >= now_);
     now_ = ev.time;
     ++processed_;
+    ++count;
     ev.cb();
-    return true;
-  }
-  return false;
-}
-
-std::uint64_t EventLoop::run() {
-  stopped_ = false;
-  std::uint64_t count = 0;
-  while (!stopped_ && !live_.empty()) {
-    if (pop_and_run()) ++count;
   }
   return count;
 }
 
+std::uint64_t EventLoop::run() {
+  return run_due(std::numeric_limits<SimTime>::max());
+}
+
 std::uint64_t EventLoop::run_until(SimTime deadline) {
-  stopped_ = false;
-  std::uint64_t count = 0;
-  while (!stopped_ && !heap_.empty() && heap_.top().time <= deadline) {
-    if (pop_and_run()) ++count;
-  }
+  const std::uint64_t count = run_due(deadline);
   if (now_ < deadline && !stopped_) now_ = deadline;
   return count;
 }

@@ -1,7 +1,6 @@
 #include "llm/replica.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/check.h"
 
@@ -78,69 +77,62 @@ void Replica::run_iteration() {
 
   // Compose this iteration: one decode token per fully-prefilled request,
   // plus a bounded chunk of prefill work (FIFO over admission order).
-  // Membership is captured by request id: requests finishing prefill in
-  // this iteration begin decoding only in the next one.
-  std::vector<RequestId> decode_ids;
+  // Each request's share is stored on its entry: requests finishing
+  // prefill in this iteration begin decoding only in the next one.
+  std::int32_t decode_count = 0;
   std::int64_t kv_resident = 0;
-  for (const Running& r : running_) {
-    if (r.prefill_remaining == 0) {
-      decode_ids.push_back(r.req.id);
+  std::int64_t prefill_budget = cfg_.max_prefill_tokens_per_iter;
+  std::int64_t prefill_total = 0;
+  for (Running& r : running_) {
+    r.decoding = r.prefill_remaining == 0;
+    if (r.decoding) {
+      ++decode_count;
       kv_resident += r.req.prompt_tokens + r.generated;
     }
-  }
-  std::int64_t prefill_budget = cfg_.max_prefill_tokens_per_iter;
-  std::unordered_map<RequestId, std::int64_t> prefill_chunks;
-  std::int64_t prefill_total = 0;
-  for (const Running& r : running_) {
-    if (prefill_budget <= 0) break;
-    if (r.prefill_remaining > 0) {
-      const std::int64_t chunk = std::min(r.prefill_remaining, prefill_budget);
-      prefill_chunks.emplace(r.req.id, chunk);
-      prefill_budget -= chunk;
-      prefill_total += chunk;
+    r.prefill_chunk = std::min(r.prefill_remaining, prefill_budget);
+    if (r.prefill_chunk > 0) {
+      prefill_budget -= r.prefill_chunk;
+      prefill_total += r.prefill_chunk;
     }
   }
 
-  const SimTime duration = cost_->iteration_time(
-      static_cast<std::int32_t>(decode_ids.size()), prefill_total, kv_resident);
+  const SimTime duration =
+      cost_->iteration_time(decode_count, prefill_total, kv_resident);
   AIM_CHECK(duration > 0);
   busy_time_ += duration;
   ++iterations_;
+  loop_->schedule_after(duration, [this] { finish_iteration(); });
+}
 
-  loop_->schedule_after(
-      duration, [this, decode_ids = std::move(decode_ids),
-                 prefill_chunks = std::move(prefill_chunks)] {
-        std::unordered_set<RequestId> decoding(decode_ids.begin(),
-                                               decode_ids.end());
-        std::vector<Running> finished;
-        for (auto it = running_.begin(); it != running_.end();) {
-          Running& r = *it;
-          if (auto pit = prefill_chunks.find(r.req.id);
-              pit != prefill_chunks.end()) {
-            r.prefill_remaining -= pit->second;
-            prefill_tokens_ += pit->second;
-            AIM_CHECK(r.prefill_remaining >= 0);
-          }
-          if (decoding.count(r.req.id)) {
-            ++r.generated;
-            ++decode_tokens_;
-            if (r.generated >= r.req.output_tokens) {
-              kv_used_ -= r.kv_tokens;
-              finished.push_back(std::move(r));
-              it = running_.erase(it);
-              continue;
-            }
-          }
-          ++it;
-        }
-        // Fire completions after state is consistent; callbacks may submit
-        // follow-up requests (agent call chains) and re-enter kick().
-        for (Running& r : finished) {
-          r.outcome.finish_time = loop_->now();
-          if (r.req.on_complete) r.req.on_complete(r.outcome);
-        }
-        run_iteration();
-      });
+void Replica::finish_iteration() {
+  // Apply each request's share in admission order, compacting the
+  // survivors in place.
+  auto kept = running_.begin();
+  for (Running& r : running_) {
+    r.prefill_remaining -= r.prefill_chunk;
+    prefill_tokens_ += r.prefill_chunk;
+    AIM_CHECK(r.prefill_remaining >= 0);
+    if (r.decoding) {
+      ++r.generated;
+      ++decode_tokens_;
+      if (r.generated >= r.req.output_tokens) {
+        kv_used_ -= r.kv_tokens;
+        finished_.push_back(std::move(r));
+        continue;
+      }
+    }
+    if (&*kept != &r) *kept = std::move(r);
+    ++kept;
+  }
+  running_.erase(kept, running_.end());
+  // Fire completions after state is consistent; callbacks may submit
+  // follow-up requests (agent call chains) and re-enter kick().
+  for (Running& r : finished_) {
+    r.outcome.finish_time = loop_->now();
+    if (r.req.on_complete) r.req.on_complete(r.outcome);
+  }
+  finished_.clear();
+  run_iteration();
 }
 
 }  // namespace aimetro::llm

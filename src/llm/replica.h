@@ -66,9 +66,17 @@ class Replica {
     std::int64_t prefill_remaining = 0;
     std::int64_t generated = 0;
     std::int64_t kv_tokens = 0;  // reserved KV footprint
+    // This request's share of the iteration in flight, fixed when the
+    // iteration is composed: one decode token and/or a prefill chunk.
+    bool decoding = false;
+    std::int64_t prefill_chunk = 0;
   };
 
+  /// Compose the next iteration over running_ and schedule its end.
   void run_iteration();
+  /// End of an iteration: apply every request's share, complete the
+  /// finished ones, start the next iteration.
+  void finish_iteration();
   void admit();
   bool lookup_prefix_cache(std::uint64_t hash);
 
@@ -77,7 +85,12 @@ class Replica {
   const CostModel* cost_;
   ReplicaConfig cfg_;
   PullFn pull_;
+  /// Admission order. Fixed while an iteration is in flight: admit()
+  /// runs only when an iteration is composed.
   std::vector<Running> running_;
+  /// Requests completed by the iteration being finished (kept for its
+  /// capacity).
+  std::vector<Running> finished_;
   std::int64_t kv_used_ = 0;
   std::int64_t kv_capacity_ = 0;
   bool iteration_scheduled_ = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -26,11 +27,14 @@ WorldState::WorldState(
                   "graph substrate map must be node_count x 1");
   }
   agent_count_ = tiles_.size();
+  std::vector<std::pair<AgentId, Pos>> items;
+  items.reserve(tiles_.size());
   for (std::size_t i = 0; i < tiles_.size(); ++i) {
     AIM_CHECK_MSG(map_->in_bounds(tiles_[i]),
                   "agent " << i << " starts out of bounds");
-    index_.insert(static_cast<AgentId>(i), tiles_[i].center());
+    items.emplace_back(static_cast<AgentId>(i), tiles_[i].center());
   }
+  index_.bulk_insert(items);
 }
 
 Tile WorldState::tile_of(AgentId id) const {

@@ -290,7 +290,6 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Scoreboard, GraphMetricWorld) {
   // Social-network world (§6 extension): distance is hop count.
   // 0-1-2-3-4 chain; radius_p=1, max_vel=0 (agents do not move socially).
-  GraphMetric::kDisconnected;
   auto metric = std::make_shared<GraphMetric>(
       std::vector<std::vector<std::int32_t>>{{1}, {0, 2}, {1, 3}, {2, 4}, {3}});
   DependencyParams params{1.0, 0.0};

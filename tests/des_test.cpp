@@ -78,6 +78,23 @@ TEST(EventLoop, RunUntilStopsAtDeadline) {
   EXPECT_EQ(seen.back(), 30);
 }
 
+TEST(EventLoop, RunUntilDoesNotOverrunPastACancelledTop) {
+  // A cancelled event at the top of the queue must not let run_until fire
+  // the next live event when that one lies past the deadline.
+  EventLoop loop;
+  std::vector<int> seen;
+  const EventId cancelled = loop.schedule_at(10, [&] { seen.push_back(10); });
+  loop.schedule_at(50, [&] { seen.push_back(50); });
+  ASSERT_TRUE(loop.cancel(cancelled));
+  EXPECT_EQ(loop.run_until(20), 0u);
+  EXPECT_TRUE(seen.empty());
+  EXPECT_EQ(loop.now(), 20);
+  EXPECT_EQ(loop.pending(), 1u);
+  EXPECT_EQ(loop.run(), 1u);
+  EXPECT_EQ(seen, (std::vector<int>{50}));
+  EXPECT_EQ(loop.now(), 50);
+}
+
 TEST(EventLoop, RunUntilAdvancesClockWhenIdle) {
   EventLoop loop;
   loop.run_until(500);

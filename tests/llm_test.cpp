@@ -277,7 +277,9 @@ TEST(Cluster, PrefixCacheAcceleratesRepeatedPrompts) {
     chain(10);
     h.loop.run();
     *out = last;
-    if (out == &warm) EXPECT_GE(h.cluster->total_prefix_cache_hits(), 8u);
+    if (out == &warm) {
+      EXPECT_GE(h.cluster->total_prefix_cache_hits(), 8u);
+    }
   }
   EXPECT_LT(static_cast<double>(warm), 0.85 * static_cast<double>(cold));
 }

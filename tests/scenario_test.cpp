@@ -1065,7 +1065,9 @@ TEST(SegmentSplit, GeometricSkewPilesAgentsOnTheFirstSegments) {
   for (std::size_t k = 0; k < counts.size(); ++k) {
     total += counts[k];
     EXPECT_GE(counts[k], 1) << "segment " << k;
-    if (k > 0) EXPECT_LE(counts[k], counts[k - 1]) << "segment " << k;
+    if (k > 0) {
+      EXPECT_LE(counts[k], counts[k - 1]) << "segment " << k;
+    }
   }
   EXPECT_EQ(total, 1000);
   // The hotspot is real: the first segment carries several times the

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -159,6 +162,119 @@ TEST(SpatialIndex, QueryIntoBufferReusesCapacityAndSorts) {
   idx.update(0, Pos{1.0, 1.0});
   idx.query_box_into(Pos{0, 0}, 0.5, &buf);
   EXPECT_TRUE(buf.empty());
+}
+
+TEST(SpatialIndex, DenseGridMatchesBruteForceUnderRandomMutations) {
+  // Differential check of the grid layout, its growth and the probe clamp:
+  // after every mutation, box probes of every size — from a point up to
+  // far past the occupied extent — must return exactly the live agents a
+  // brute-force filter finds. Moves reach negative and far-positive cells
+  // so the grid re-lays out on every side.
+  constexpr double kCell = 3.0;
+  SpatialIndex idx(kCell);
+  std::map<AgentId, Pos> live;
+  Rng rng(20261017);
+  auto random_pos = [&rng]() {
+    const double roll = rng.uniform();
+    if (roll < 0.1) {
+      return Pos{rng.uniform(-150.0, 0.0), rng.uniform(-90.0, 30.0)};
+    }
+    if (roll < 0.2) {
+      return Pos{rng.uniform(300.0, 600.0), rng.uniform(0.0, 400.0)};
+    }
+    if (roll < 0.5) {  // exact multiples of the cell size sit on cell edges
+      return Pos{kCell * static_cast<double>(rng.uniform_int(-3, 20)),
+                 kCell * static_cast<double>(rng.uniform_int(-3, 20))};
+    }
+    return Pos{rng.uniform(0.0, 60.0), rng.uniform(0.0, 60.0)};
+  };
+  auto pick_live = [&]() {
+    auto it = live.begin();
+    std::advance(it, rng.uniform_int(
+                         0, static_cast<std::int64_t>(live.size()) - 1));
+    return it;
+  };
+  auto check_all_probes = [&](const std::string& after) {
+    std::vector<Pos> centers = {Pos{0.0, 0.0}, Pos{-1000.0, 2500.0},
+                                random_pos()};
+    if (!live.empty()) centers.push_back(pick_live()->second);
+    std::vector<AgentId> got;
+    for (const Pos& c : centers) {
+      for (double h : {0.0, 0.5, kCell, 7.25, 40.0, 200.0, 800.0, 5000.0}) {
+        std::vector<AgentId> want;
+        for (const auto& [id, p] : live) {
+          if (std::abs(p.x - c.x) <= h && std::abs(p.y - c.y) <= h) {
+            want.push_back(id);
+          }
+        }
+        idx.query_box_into(c, h, &got);
+        ASSERT_EQ(got, want) << after << "; probe at (" << c.x << ", " << c.y
+                             << ") half-extent " << h;
+      }
+    }
+    ASSERT_EQ(idx.size(), live.size()) << after;
+  };
+
+  AgentId next_id = 0;
+  for (int op = 0; op < 400; ++op) {
+    const double roll = rng.uniform();
+    std::string after;
+    if (op % 100 == 50) {
+      std::vector<std::pair<AgentId, Pos>> batch;
+      for (int k = 0; k < 20; ++k) {
+        batch.emplace_back(next_id, random_pos());
+        live[next_id++] = batch.back().second;
+      }
+      idx.bulk_insert(batch);
+      after = "bulk_insert";
+    } else if (live.empty() || roll < 0.3) {
+      const Pos p = random_pos();
+      idx.insert(next_id, p);
+      live[next_id] = p;
+      after = "insert " + std::to_string(next_id++);
+    } else {
+      const auto it = pick_live();
+      const AgentId id = it->first;
+      if (roll < 0.45) {
+        idx.remove(id);
+        live.erase(it);
+        after = "remove " + std::to_string(id);
+      } else {
+        // Half the moves are small steps (often within one cell).
+        const Pos p = roll < 0.7 ? Pos{it->second.x + rng.uniform(-2.0, 2.0),
+                                       it->second.y + rng.uniform(-2.0, 2.0)}
+                                 : random_pos();
+        idx.update(id, p);
+        it->second = p;
+        after = "update " + std::to_string(id);
+      }
+    }
+    check_all_probes(after);
+    for (const auto& [id, p] : live) ASSERT_EQ(idx.position(id), p);
+  }
+}
+
+TEST(SpatialIndex, GrowthPastTheCellCapCheckFails) {
+  // 1-unit cells: a 4000 x 4000-unit extent needs 16M cells, past the cap.
+  SpatialIndex idx(1.0);
+  idx.insert(0, Pos{0, 0});
+  idx.insert(1, Pos{1000, 0});
+  try {
+    idx.insert(2, Pos{3999, 3999});
+    FAIL() << "growth past kMaxCells must check-fail";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("x in [0, 3999], y in [0, 3999]"), std::string::npos)
+        << what;
+  }
+  // The failed insert changed nothing; the same extent is refused on the
+  // move and bulk paths too.
+  EXPECT_FALSE(idx.contains(2));
+  EXPECT_EQ(idx.query_box(Pos{0, 0}, 1e6), (std::vector<AgentId>{0, 1}));
+  EXPECT_THROW(idx.update(1, Pos{3999, 3999}), CheckError);
+  EXPECT_EQ(idx.position(1), (Pos{1000, 0}));
+  EXPECT_THROW(idx.bulk_insert({{2, Pos{-3999, -3999}}}), CheckError);
+  EXPECT_EQ(idx.size(), 2u);
 }
 
 TEST(SocialGraph, NewmanWattsIsConnectedSortedAndDeterministic) {
