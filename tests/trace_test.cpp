@@ -4,6 +4,8 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "scenario/driver.h"
+#include "scenario/registry.h"
 #include "trace/generator.h"
 #include "trace/schema.h"
 #include "trace/serialize.h"
@@ -165,6 +167,52 @@ TEST(Serialize, BinaryRoundTripIsExact) {
     EXPECT_EQ(loaded.agents[i].calls, trace.agents[i].calls);
   }
   EXPECT_EQ(loaded.interactions, trace.interactions);
+}
+
+/// FNV-1a over the trace's binary serialization: every position, call and
+/// interaction, in file order.
+std::uint64_t trace_bytes_hash(const SimulationTrace& trace) {
+  std::ostringstream os;
+  save_binary(trace, os);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : os.str()) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Trace, GoldenBytesAreBitExact) {
+  // Host-side optimizations of trace generation (pathfinding, windowing,
+  // segment scheduling) must not move a byte of the trace the driver
+  // builds. One cell per generation path: the full single-segment day,
+  // equal segments, skewed two-day segments across midnight,
+  // heterogeneous profiles split over segments, and the graph generator.
+  const struct {
+    const char* scenario;
+    const char* overrides;
+    std::uint64_t hash;
+  } cells[] = {
+      {"smallville_day", "window_begin=-1 window_end=-1", 0xbe5bca36a084271bULL},
+      {"metro_ville100", "", 0xb39f11bbab960b64ULL},
+      {"skewed_ville100", "", 0xd5856e7be4e748caULL},
+      {"mixed_ville100", "segments=4", 0xd88985a75222eb2bULL},
+      {"social_net100", "", 0x3206b573157f0984ULL},
+  };
+  for (const auto& cell : cells) {
+    std::string error;
+    auto spec = scenario::find_scenario(cell.scenario, &error);
+    ASSERT_TRUE(spec.has_value()) << error;
+    std::istringstream overrides(cell.overrides);
+    std::string assignment;
+    while (overrides >> assignment) {
+      ASSERT_TRUE(scenario::apply_override(&*spec, assignment, &error))
+          << error;
+    }
+    const SimulationTrace trace = scenario::ScenarioDriver(*spec).build_trace();
+    EXPECT_EQ(trace_bytes_hash(trace), cell.hash)
+        << cell.scenario << " " << cell.overrides << ": 0x" << std::hex
+        << trace_bytes_hash(trace);
+  }
 }
 
 TEST(Serialize, RejectsGarbage) {
