@@ -368,26 +368,26 @@ trace::SimulationTrace ScenarioDriver::build_trace() const {
   AIM_CHECK_MSG(spec_.map != MapKind::kArena,
                 "arena maps have no generated trace");
   const trace::GeneratorConfig cfg = generator_config(spec_, assigned_profiles_);
-  trace::SimulationTrace full;
+  trace::SimulationTrace trace;
   if (spec_.world == WorldKind::kGraph) {
-    full = trace::generate_social_graph(
+    trace = trace::generate_social_graph(
         world::newman_watts_graph(spec_.graph_nodes, spec_.graph_degree,
                                   spec_.graph_rewire, spec_.seed),
         cfg);
+    if (spec_.window_begin >= 0) {
+      trace = trace::slice(trace, spec_.window_begin, spec_.window_end);
+    }
   } else {
-    const world::GridMap segment = segment_map(spec_);
-    full = trace::generate_concatenated(
-        segment,
+    // Windowed per segment, so full-length segment traces never pile up.
+    trace = trace::generate_concatenated(
+        segment_map(spec_),
         segment_agent_counts(spec_.agents, spec_.segments, spec_.segment_skew),
-        cfg);
+        cfg, spec_.window_begin, spec_.window_end);
   }
-  AIM_CHECK_MSG(full.n_agents == spec_.agents,
-                "segment split lost agents: " << full.n_agents << " vs "
+  AIM_CHECK_MSG(trace.n_agents == spec_.agents,
+                "segment split lost agents: " << trace.n_agents << " vs "
                                               << spec_.agents);
-  if (spec_.window_begin >= 0) {
-    return trace::slice(full, spec_.window_begin, spec_.window_end);
-  }
-  return full;
+  return trace;
 }
 
 replay::ExperimentConfig ScenarioDriver::experiment_config() const {

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
+#include <exception>
 #include <map>
 #include <numeric>
 #include <set>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -650,34 +654,66 @@ SimulationTrace generate_concatenated(const GridMap& segment,
 
 SimulationTrace generate_concatenated(
     const GridMap& segment, const std::vector<std::int32_t>& agents_per_segment,
-    const GeneratorConfig& base) {
+    const GeneratorConfig& base, Step window_begin, Step window_end) {
   AIM_CHECK(!agents_per_segment.empty());
-  const std::int32_t total = std::accumulate(agents_per_segment.begin(),
-                                             agents_per_segment.end(), 0);
+  const std::size_t n_segments = agents_per_segment.size();
+  std::vector<std::int32_t> agent_offsets(n_segments, 0);
+  std::exclusive_scan(agents_per_segment.begin(), agents_per_segment.end(),
+                      agent_offsets.begin(), 0);
+  const std::int32_t total = agent_offsets.back() + agents_per_segment.back();
   AIM_CHECK_MSG(base.agent_profiles.empty() ||
                     base.agent_profiles.size() ==
                         static_cast<std::size_t>(total),
                 "agent_profiles must cover the combined segment population");
-  if (agents_per_segment.size() == 1) {
-    GeneratorConfig cfg = base;
-    cfg.n_agents = agents_per_segment.front();
-    return generate_episode(segment, cfg);
-  }
-  std::vector<SimulationTrace> segments;
-  segments.reserve(agents_per_segment.size());
-  std::int32_t agent_offset = 0;
-  for (std::size_t k = 0; k < agents_per_segment.size(); ++k) {
+  // Segment k's episode, windowed as soon as it exists so the full-length
+  // trace is freed before the next segment is claimed.
+  auto generate_segment = [&](std::size_t k) {
     GeneratorConfig cfg = base;
     cfg.n_agents = agents_per_segment[k];
     cfg.seed = base.seed + static_cast<std::uint64_t>(k) * 0x9e3779b9ULL;
     if (!base.agent_profiles.empty()) {
       // Split the heterogeneous assignment across segments in id order.
-      const auto begin =
-          base.agent_profiles.begin() + agent_offset;
+      const auto begin = base.agent_profiles.begin() + agent_offsets[k];
       cfg.agent_profiles.assign(begin, begin + agents_per_segment[k]);
     }
-    agent_offset += agents_per_segment[k];
-    segments.push_back(generate_episode(segment, cfg));
+    SimulationTrace episode = generate_episode(segment, cfg);
+    if (window_begin < 0) return episode;
+    return slice(episode, window_begin, window_end);
+  };
+  if (n_segments == 1) return generate_segment(0);
+
+  // Workers claim segment indexes in increasing order and run every
+  // segment they claim, so each segment below a failing one runs to
+  // completion: the lowest failing index does not depend on the thread
+  // count or timing. After a failure, no new segment is claimed.
+  std::vector<SimulationTrace> segments(n_segments);
+  std::vector<std::exception_ptr> errors(n_segments);
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  auto work = [&] {
+    while (!failed.load()) {
+      const std::size_t k = next.fetch_add(1);
+      if (k >= n_segments) return;
+      try {
+        segments[k] = generate_segment(k);
+      } catch (...) {
+        errors[k] = std::current_exception();
+        failed.store(true);
+      }
+    }
+  };
+  const std::size_t n_workers = std::min<std::size_t>(
+      n_segments, std::max(1u, std::thread::hardware_concurrency()));
+  std::vector<std::thread> helpers;
+  try {
+    for (std::size_t i = 1; i < n_workers; ++i) helpers.emplace_back(work);
+  } catch (const std::system_error&) {
+    // Fewer helpers only lowers parallelism: the caller works too.
+  }
+  work();
+  for (std::thread& t : helpers) t.join();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
   return concatenate_segments(segments, segment.width() + 1);
 }

@@ -91,10 +91,33 @@ SimulationTrace generate_concatenated(const world::GridMap& segment,
 /// total that does not divide evenly loses no agents. A heterogeneous
 /// base.agent_profiles (sized to the segment totals) is split across the
 /// segments in agent-id order.
+///
+/// Window: with window_begin >= 0 the result is exactly
+/// slice(<unwindowed result>, window_begin, window_end), byte for byte.
+/// Each segment's episode is still generated in full (one RNG stream
+/// drives every step of it), then validated and sliced before its thread
+/// claims the next segment, so at most one full-length segment trace per
+/// thread is alive. window_begin < 0 keeps the whole episode.
+///
+/// Concurrency: segments are generated on min(segments,
+/// std::thread::hardware_concurrency()) threads, the caller plus plain
+/// std::threads, which claim segment indexes from a shared counter. Each
+/// segment is written to its own slot, and the slots are concatenated in
+/// segment order.
+///
+/// Determinism: a segment depends only on (segment map, base, its index),
+/// never on which thread ran it or when, so the bytes are the same on any
+/// thread count.
+///
+/// Failure: a segment that throws (e.g. a check failure on a zero-agent
+/// segment) stops new segments from being claimed. Once every thread has
+/// joined, the exception of the lowest failing segment index is rethrown
+/// on the caller.
 SimulationTrace generate_concatenated(
     const world::GridMap& segment,
     const std::vector<std::int32_t>& agents_per_segment,
-    const GeneratorConfig& base);
+    const GeneratorConfig& base, Step window_begin = -1,
+    Step window_end = -1);
 
 /// Convenience: generate_concatenated on the SmallVille segment map —
 /// the paper's scaling workload with n_segments*25 agents.

@@ -15,10 +15,6 @@ GridMap::GridMap(std::int32_t width, std::int32_t height)
   AIM_CHECK(width > 0 && height > 0);
 }
 
-bool GridMap::walkable(Tile t) const {
-  return in_bounds(t) && walkable_[idx(t)];
-}
-
 void GridMap::set_walkable(Tile t, bool walkable) {
   AIM_CHECK(in_bounds(t));
   walkable_[idx(t)] = walkable;

@@ -56,7 +56,7 @@ class GridMap {
   bool in_bounds(Tile t) const {
     return t.x >= 0 && t.x < width_ && t.y >= 0 && t.y < height_;
   }
-  bool walkable(Tile t) const;
+  bool walkable(Tile t) const { return in_bounds(t) && walkable_[idx(t)]; }
   void set_walkable(Tile t, bool walkable);
   /// Marks every tile in `r` unwalkable (a building block / wall).
   void block_rect(const Rect& r);

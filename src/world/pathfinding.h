@@ -1,6 +1,6 @@
 // A* pathfinding on the grid map (4-connected, Manhattan heuristic).
-// Used by the trace generator to produce realistic agent movement and by
-// the live gym environment for navigation actions.
+// Used by the trace generator to route agents between arenas; the live
+// gym agents step to a neighbor tile and never call it.
 #pragma once
 
 #include <vector>
@@ -12,7 +12,11 @@ namespace aimetro::world {
 
 /// Shortest walkable path from `start` to `goal`, inclusive of both
 /// endpoints. Returns an empty vector when no path exists. If
-/// start == goal, returns {start}. Deterministic tie-breaking.
+/// start == goal, returns {start}. Deterministic tie-breaking: the open
+/// list pops by lowest f, then highest g, then earliest insertion, with
+/// neighbors inserted in +x, -x, +y, -y order. Search state lives in
+/// per-thread arrays indexed by tile and reused across calls, so
+/// concurrent calls from different threads are safe.
 std::vector<Tile> find_path(const GridMap& map, Tile start, Tile goal);
 
 /// Nearest walkable tile to `t` (BFS ring search); returns `t` itself when

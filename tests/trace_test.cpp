@@ -215,6 +215,62 @@ TEST(Trace, GoldenBytesAreBitExact) {
   }
 }
 
+TEST(Concatenate, WindowedEqualsSliceOfFull) {
+  // Windowing each segment before concatenation must reproduce slicing the
+  // whole concatenation byte for byte: skewed segment counts (and the
+  // single-segment path), heterogeneous profiles split across segments,
+  // and a two-day episode so a window can straddle midnight.
+  const auto segment = world::GridMap::smallville(6);
+  GeneratorConfig cfg;
+  cfg.seed = 11;
+  cfg.days = 2;
+  const char* names[] = {"townsfolk", "socialite", "commuter", "hermit"};
+  for (int i = 0; i < 8; ++i) {
+    cfg.agent_profiles.push_back(*BehaviorProfile::find(names[i % 4]));
+  }
+  const Step day = cfg.steps_per_day;
+  const Step last = cfg.days * day;
+  const std::pair<Step, Step> windows[] = {
+      {0, 90},                 // at step 0
+      {last - 1, last},        // the last step, one step long
+      {4320, 4321},            // a 1-step window inside a day
+      {day - 120, day + 120},  // across midnight
+  };
+  for (const std::vector<std::int32_t>& counts :
+       {std::vector<std::int32_t>{5, 2, 1}, std::vector<std::int32_t>{8}}) {
+    const SimulationTrace full = generate_concatenated(segment, counts, cfg);
+    ASSERT_EQ(full.n_steps, last);
+    for (const auto& [begin, end] : windows) {
+      const SimulationTrace windowed =
+          generate_concatenated(segment, counts, cfg, begin, end);
+      EXPECT_EQ(trace_bytes_hash(windowed),
+                trace_bytes_hash(slice(full, begin, end)))
+          << counts.size() << " segments, window [" << begin << ", " << end
+          << ")";
+    }
+  }
+}
+
+TEST(Concatenate, SegmentCheckFailureThrowsOnCaller) {
+  // The zero-agent middle segment fails generate's n_agents check on
+  // whichever thread claims it; the caller must get that CheckError after
+  // the other segments' threads have joined, never std::terminate.
+  const auto segment = world::GridMap::smallville(3);
+  const std::vector<std::int32_t> counts = {3, 0, 2};
+  GeneratorConfig cfg;
+  const std::pair<Step, Step> windows[] = {{-1, -1}, {4320, 4380}};
+  for (const auto& [begin, end] : windows) {
+    try {
+      generate_concatenated(segment, counts, cfg, begin, end);
+      ADD_FAILURE() << "a zero-agent segment must fail";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("cfg.n_agents > 0"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Serialize, RejectsGarbage) {
   std::stringstream ss;
   ss << "definitely not a trace";

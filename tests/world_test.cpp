@@ -11,6 +11,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/metric.h"
+#include "support/reference_pathfinding.h"
 #include "world/graph_index.h"
 #include "world/grid_map.h"
 #include "world/pathfinding.h"
@@ -429,6 +430,83 @@ TEST(Pathfinding, UnreachableReturnsEmpty) {
   map.block_rect(Rect{4, 0, 4, 9});
   EXPECT_TRUE(find_path(map, Tile{0, 0}, Tile{9, 9}).empty());
   EXPECT_EQ(find_path(map, Tile{2, 2}, Tile{2, 2}).size(), 1u);
+}
+
+TEST(Pathfinding, MatchesReferenceExactly) {
+  // The dense-array search must return the hash-map reference's path
+  // vector exactly, tie-breaking included, on every kind of map the
+  // generator and the edge cases can produce.
+  std::size_t found = 0;
+  std::size_t unreachable = 0;
+  auto expect_same = [&](const GridMap& map, Tile a, Tile b,
+                         const std::string& where) {
+    const std::vector<Tile> path = find_path(map, a, b);
+    EXPECT_EQ(path, test_support::reference_find_path(map, a, b))
+        << where << " (" << a.x << "," << a.y << ") -> (" << b.x << ","
+        << b.y << ")";
+    ++(path.empty() ? unreachable : found);
+  };
+  auto random_tile = [](const GridMap& map, Rng& rng) {
+    return Tile{static_cast<std::int32_t>(rng.uniform_int(0, map.width() - 1)),
+                static_cast<std::int32_t>(
+                    rng.uniform_int(0, map.height() - 1))};
+  };
+
+  // Seeded random wall maps. Every third map adds a full wall with a
+  // 1-wide gap (a corridor every crossing path must thread); on every
+  // fifteenth the gap stays sealed, so goals past the wall are
+  // unreachable.
+  Rng rng(20261017);
+  for (int round = 0; round < 80; ++round) {
+    GridMap map(static_cast<std::int32_t>(rng.uniform_int(1, 36)),
+                static_cast<std::int32_t>(rng.uniform_int(1, 36)));
+    const double density = rng.uniform(0.0, 0.4);
+    for (std::int32_t y = 0; y < map.height(); ++y) {
+      for (std::int32_t x = 0; x < map.width(); ++x) {
+        if (rng.bernoulli(density)) map.set_walkable(Tile{x, y}, false);
+      }
+    }
+    if (round % 3 == 0 && map.width() >= 3) {
+      const auto wall_x =
+          static_cast<std::int32_t>(rng.uniform_int(1, map.width() - 2));
+      map.block_rect(Rect{wall_x, 0, wall_x, map.height() - 1});
+      if (round % 5 != 0) {
+        map.set_walkable(
+            Tile{wall_x, static_cast<std::int32_t>(
+                             rng.uniform_int(0, map.height() - 1))},
+            true);
+      }
+    }
+    const std::string where = "random map " + std::to_string(round);
+    for (int q = 0; q < 30; ++q) {
+      // Endpoints are drawn from all tiles, walls included.
+      const Tile a = random_tile(map, rng);
+      expect_same(map, a, q == 0 ? a : random_tile(map, rng), where);
+    }
+    // Off-map endpoints.
+    expect_same(map, Tile{-1, 0}, Tile{0, 0}, where);
+    expect_same(map, Tile{0, 0}, Tile{map.width(), map.height()}, where);
+  }
+  EXPECT_GT(found, 500u);
+  EXPECT_GT(unreachable, 500u);
+
+  // The generator's own maps: the SmallVille segment and a two-segment
+  // concatenation (whose divider makes cross-segment goals unreachable).
+  const GridMap segment = GridMap::smallville(25);
+  const GridMap pair = GridMap::concatenate(segment, 2);
+  for (const GridMap* map : {&segment, &pair}) {
+    const std::string where = "smallville x" + std::to_string(
+        map->width() / map->segment_stride());
+    for (int q = 0; q < 40; ++q) {
+      expect_same(*map, nearest_walkable(*map, random_tile(*map, rng)),
+                  nearest_walkable(*map, random_tile(*map, rng)), where);
+    }
+    for (const Arena& from : map->arenas()) {
+      expect_same(*map, nearest_walkable(*map, from.rect.center()),
+                  nearest_walkable(*map, map->arenas().front().rect.center()),
+                  where);
+    }
+  }
 }
 
 TEST(Pathfinding, NearestWalkable) {
