@@ -13,7 +13,6 @@
 #include "core/metric.h"
 #include "core/scoreboard.h"
 #include "des/event_loop.h"
-#include "kv/store.h"
 #include "llm/cost_model.h"
 #include "runtime/engine.h"
 #include "runtime/task_pool.h"
@@ -41,29 +40,6 @@ void BM_EventLoopScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EventLoopScheduleRun)->Arg(1000)->Arg(100000);
-
-void BM_KvIncr(benchmark::State& state) {
-  kv::Store store;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(store.incr_by("counter", 1));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_KvIncr);
-
-void BM_KvTransaction(benchmark::State& state) {
-  kv::Store store;
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    kv::Transaction txn = store.transaction();
-    txn.watch("agent:1");
-    txn.hset("agent:1", "step", std::to_string(i++));
-    txn.rpush("log", "commit");
-    benchmark::DoNotOptimize(txn.exec());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_KvTransaction);
 
 void BM_SpatialIndexQuery(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
@@ -226,7 +202,6 @@ void BM_ShardedCommit(benchmark::State& state) {
     cfg.target_step = kTarget;
     cfg.n_workers = 8;
     cfg.shards = shards;
-    cfg.kv_instrumentation = false;
     runtime::Engine engine(&world, cfg, step_fn);
     state.ResumeTiming();
     const auto stats = engine.run();
@@ -301,7 +276,6 @@ void BM_ShardedCommitSkewed(benchmark::State& state,
     cfg.shards = shards;
     cfg.partition = partition;
     if (episode) cfg.reshard_at = {1};
-    cfg.kv_instrumentation = false;
     runtime::Engine engine(&world, cfg, step_fn);
     state.ResumeTiming();
     const auto stats = engine.run();

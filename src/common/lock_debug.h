@@ -1,11 +1,11 @@
 // Runtime lock-order validator (the dynamic half of the lock discipline).
 //
 // Clang's -Wthread-safety proves that guarded state is touched only under
-// its lock, but the *ordering* half of the discipline — world → commit →
-// kv-shard in the engine, route → replica in the cost-model client, index
-// order across kv shards — involves locks indexed at runtime (a replica
-// picked by least-loaded routing, a shard picked by key hash), which static
-// capability expressions cannot name. This validator enforces ordering at
+// its lock, but the *ordering* half of the discipline — topology → strip
+// in the engine, route → replica in the cost-model client — involves
+// locks indexed at runtime (a strip picked by the commit's position, a
+// replica picked by least-loaded routing), which static capability
+// expressions cannot name. This validator enforces ordering at
 // runtime instead, lockdep-style: every common::Mutex / common::SharedMutex
 // acquisition is recorded on a per-thread stack, each (held, acquired) pair
 // becomes an edge in a global lock-order graph, and the first acquisition

@@ -2,8 +2,8 @@
 //
 // These wrap std::mutex / std::shared_mutex with Clang Thread Safety
 // capability annotations (common/thread_annotations.h), so every guarded
-// member and every REQUIRES contract across the engine, kv store, world,
-// task pool, and cost-model client is machine-checked by the
+// member and every REQUIRES contract across the engine, world, task
+// pool, and cost-model client is machine-checked by the
 // -Wthread-safety CI job. With AIMETRO_LOCK_DEBUG defined (CMake option),
 // every acquisition additionally feeds the runtime lock-order validator
 // (common/lock_debug.h), which aborts with both stacks on the first

@@ -1,9 +1,11 @@
-// Thread-safe queues used by the real (threaded) runtime: a blocking
-// priority queue for ready/ack cluster traffic (Algorithm 3 keeps both as
-// priority queues ordered by step) and a plain blocking FIFO. Internal
-// state is guarded by an annotated common::Mutex, so -Wthread-safety
-// checks the discipline and AIMETRO_LOCK_DEBUG builds order-check every
-// acquisition.
+// The blocking priority queue behind runtime::TaskPool's backlog, its
+// only user. Algorithm 3 keeps ready clusters in a priority queue ordered
+// by step; the engine submits each ready cluster to a TaskPool at its
+// step, so this queue hands the earliest step to the next free worker.
+// The engine has no ack queue: a condition variable tells its controller
+// the run is done. Internal state is guarded by an annotated
+// common::Mutex, so -Wthread-safety checks the discipline and
+// AIMETRO_LOCK_DEBUG builds order-check every acquisition.
 #pragma once
 
 #include <optional>
@@ -83,47 +85,6 @@ class SyncPriorityQueue {
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_
       GUARDED_BY(mutex_);
   std::uint64_t seq_ GUARDED_BY(mutex_) = 0;
-  bool closed_ GUARDED_BY(mutex_) = false;
-};
-
-/// Simple blocking FIFO queue.
-template <typename T>
-class SyncQueue {
- public:
-  void push(T value) {
-    {
-      common::MutexLock lock(mutex_);
-      queue_.push(std::move(value));
-    }
-    cv_.notify_one();
-  }
-
-  std::optional<T> pop() {
-    common::MutexLock lock(mutex_);
-    while (queue_.empty() && !closed_) cv_.wait(mutex_);
-    if (queue_.empty()) return std::nullopt;
-    T out = std::move(queue_.front());
-    queue_.pop();
-    return out;
-  }
-
-  std::size_t size() const {
-    common::MutexLock lock(mutex_);
-    return queue_.size();
-  }
-
-  void close() {
-    {
-      common::MutexLock lock(mutex_);
-      closed_ = true;
-    }
-    cv_.notify_all();
-  }
-
- private:
-  mutable common::Mutex mutex_{"sync_queue"};
-  common::CondVar cv_;
-  std::queue<T> queue_ GUARDED_BY(mutex_);
   bool closed_ GUARDED_BY(mutex_) = false;
 };
 

@@ -1,7 +1,7 @@
 // Clang Thread Safety Analysis annotation macros.
 //
 // The lock discipline the engine depends on — GUARDED_BY comments, the
-// world → commit → kv-shard commit hierarchy, "route before replica" in the
+// topology → strip commit hierarchy, "route before replica" in the
 // cost-model client — used to live in prose. These macros turn that prose
 // into attributes Clang's -Wthread-safety checks at compile time: a
 // function that touches guarded state without holding the right capability

@@ -87,7 +87,6 @@ runtime::EngineStats Env::run() {
     ec.target_step = config_.target_step;
     ec.n_workers = config_.n_workers;
     ec.scan_mode = config_.scan_mode;
-    ec.kv_instrumentation = config_.kv_instrumentation;
     runtime::Engine engine(
         &world_, ec,
         [this](const core::AgentCluster& cluster,

@@ -61,7 +61,6 @@ struct EnvConfig {
   bool out_of_order = true;
   /// Scoreboard neighbor-scan implementation for the OOO engine.
   core::ScanMode scan_mode = core::ScanMode::kIndexed;
-  bool kv_instrumentation = false;
 };
 
 class Env {

@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "common/mutex.h"
-#include "common/strings.h"
 
 namespace aimetro::runtime {
 
@@ -18,16 +17,6 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point from,
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(to - from)
           .count());
-}
-
-void check_unbounded(const TaskPool& pool) {
-  // Workers dispatch the clusters their own commits release: a bounded
-  // queue's backpressure would block a submitting worker on queue space
-  // that only workers (possibly all blocked the same way) can free.
-  // Refuse loudly.
-  AIM_CHECK_MSG(pool.max_queued() == 0,
-                "Engine requires unbounded TaskPools (workers dispatch "
-                "released clusters; backpressure would deadlock)");
 }
 
 }  // namespace
@@ -55,64 +44,34 @@ Engine::Engine(world::WorldState* world, EngineConfig config, StepFn step_fn)
     shard_mutexes_.push_back(std::make_unique<common::Mutex>("engine.shard"));
   }
 
-  if (!config_.shard_pools.empty()) {
-    AIM_CHECK_MSG(config_.shard_pools.size() >=
-                      static_cast<std::size_t>(shards_),
-                  "EngineConfig::shard_pools must cover every shard");
-    for (std::int32_t s = 0; s < shards_; ++s) {
-      TaskPool* p = config_.shard_pools[static_cast<std::size_t>(s)];
-      AIM_CHECK(p != nullptr);
-      check_unbounded(*p);
-      shard_pools_.push_back(p);
+  // One private pool per strip, each of max(1, ceil(n_workers / shards))
+  // workers: with shards = 1 that is one pool of n_workers, and the total
+  // equals n_workers only when shards divides it. With pin_cores and more
+  // than one strip, strip s's workers are pinned to the s-th contiguous
+  // core group so its scoreboard slice stays in one cache/NUMA domain
+  // (wrapping when there are more strips than cores).
+  const std::int32_t per_shard =
+      std::max<std::int32_t>(1, (config_.n_workers + shards_ - 1) / shards_);
+  const std::int32_t n_cpus =
+      static_cast<std::int32_t>(std::thread::hardware_concurrency());
+  const std::int32_t group = config_.pin_cores && shards_ > 1 && n_cpus > 0
+                                 ? std::max<std::int32_t>(1, n_cpus / shards_)
+                                 : 0;
+  pools_.reserve(static_cast<std::size_t>(shards_));
+  for (std::int32_t s = 0; s < shards_; ++s) {
+    TaskPoolConfig pool_cfg;
+    pool_cfg.n_workers = per_shard;
+    for (std::int32_t c = 0; c < group; ++c) {
+      pool_cfg.cpus.push_back((s * group + c) % n_cpus);
     }
-  } else if (config_.pool != nullptr) {
-    check_unbounded(*config_.pool);
-    shard_pools_.assign(static_cast<std::size_t>(shards_), config_.pool);
-  } else if (shards_ > 1) {
-    // Private pool per strip, splitting n_workers between them so the
-    // total thread budget matches the unsharded configuration. With
-    // pin_cores, strip s's workers are pinned to the s-th contiguous
-    // core group so its scoreboard slice stays in one cache/NUMA domain
-    // (wrapping when there are more strips than cores).
-    const std::int32_t per_shard =
-        std::max<std::int32_t>(1, (config_.n_workers + shards_ - 1) / shards_);
-    const std::int32_t n_cpus =
-        static_cast<std::int32_t>(std::thread::hardware_concurrency());
-    const std::int32_t group =
-        n_cpus > 0 ? std::max<std::int32_t>(1, n_cpus / shards_) : 0;
-    for (std::int32_t s = 0; s < shards_; ++s) {
-      TaskPoolConfig pool_cfg;
-      pool_cfg.n_workers = per_shard;
-      if (config_.pin_cores && n_cpus > 0) {
-        pool_cfg.cpus.reserve(static_cast<std::size_t>(group));
-        for (std::int32_t c = 0; c < group; ++c) {
-          pool_cfg.cpus.push_back((s * group + c) % n_cpus);
-        }
-      }
-      owned_shard_pools_.push_back(std::make_unique<TaskPool>(pool_cfg));
-      shard_pools_.push_back(owned_shard_pools_.back().get());
-    }
-  } else {
-    owned_pool_ = std::make_unique<TaskPool>(config_.n_workers);
-    shard_pools_.assign(1, owned_pool_.get());
-  }
-  pool_ = shard_pools_.front();
-
-  if (config_.kv_instrumentation) {
-    for (std::size_t i = 0; i < world_->agent_count(); ++i) {
-      const Tile t = world_->tile_of(static_cast<AgentId>(i));
-      const std::string key = strformat("agent:%zu", i);
-      store_.hset(key, "step", "0");
-      store_.hset(key, "x", std::to_string(t.x));
-      store_.hset(key, "y", std::to_string(t.y));
-    }
+    pools_.push_back(std::make_unique<TaskPool>(pool_cfg));
   }
 }
 
 Engine::~Engine() {
-  // In-flight cluster tasks reference this engine; when the pools are
-  // external we cannot rely on the pool destructors to join them, so
-  // drain explicitly either way.
+  // In-flight cluster tasks use this engine's locks, and pools_ is
+  // destroyed after them, so the pool destructors' join comes too late:
+  // drain explicitly first.
   common::MutexLock lock(control_mutex_);
   while (inflight_clusters_.load(std::memory_order_acquire) != 0) {
     done_cv_.wait(control_mutex_);
@@ -129,9 +88,8 @@ void Engine::submit_clusters(
   // keeps run() from observing a premature zero.
   for (core::MetroController::Routed& rc : ready) {
     const Step step = rc.cluster.step;
-    TaskPool* pool = shard_pools_[static_cast<std::size_t>(rc.strip)];
     inflight_clusters_.fetch_add(1, std::memory_order_acq_rel);
-    pool->submit(step, [this, cluster = std::move(rc.cluster)]() mutable {
+    pools_[static_cast<std::size_t>(rc.strip)]->submit(step, [this, cluster = std::move(rc.cluster)]() mutable {
       execute_cluster(std::move(cluster));
     });
   }
@@ -167,34 +125,6 @@ void Engine::execute_cluster(core::AgentCluster cluster) {
         moves.reserve(outcomes.size());
         for (const auto& out : outcomes) {
           moves.emplace_back(out.agent, out.tile.center());
-        }
-        if (config_.kv_instrumentation) {
-          // Transactional mirror of the committed agent rows, as the
-          // paper keeps all simulation state in the in-memory database.
-          // The store's shard locks make this safe outside the commit
-          // locks. Sharded runs log per strip so the instrumentation
-          // stream shows the shard-local traffic split.
-          kv::Transaction txn = store_.transaction();
-          for (const auto& out : outcomes) {
-            const std::string key = strformat("agent:%d", out.agent);
-            txn.hset(key, "step", std::to_string(cluster.step + 1));
-            txn.hset(key, "x", std::to_string(out.tile.x));
-            txn.hset(key, "y", std::to_string(out.tile.y));
-          }
-          const std::string log_key =
-              shards_ > 1 && !moves.empty()
-                  ? strformat("log:commits:%d",
-                              controller_->scoreboard().shard_of_pos(
-                                  moves.front().second))
-                  : std::string("log:commits");
-          txn.rpush(log_key, strformat("step=%d size=%zu", cluster.step,
-                                       cluster.members.size()));
-          txn.incr_by("stats:agent_steps",
-                      static_cast<std::int64_t>(cluster.members.size()));
-          const auto result = txn.exec();
-          common::MutexLock slock(stats_mutex_);
-          ++stats_.kv_transactions;
-          if (result == kv::TxnResult::kConflict) ++stats_.kv_conflicts;
         }
       }
 

@@ -8,10 +8,7 @@
 // shim, commit writes to the world and the dependency scoreboard, and
 // submit whatever clusters the commit released — so dispatch is a queue
 // push, never a thread spawn, and nothing heavier than a condition
-// variable sits on the controller's critical path. All shared simulation
-// state is additionally mirrored into the in-memory kv store (the paper
-// keeps it in Redis) — agent rows are updated transactionally at each
-// commit and an instrumentation log records every cluster dispatch.
+// variable sits on the controller's critical path.
 //
 // Every scheduling decision — scoreboard, interior/cross classification,
 // probe floor, reshard trigger and weights, home-strip routing — belongs
@@ -30,17 +27,19 @@
 //     global-commit-lock behavior. commit_cross() refreshes the probe
 //     floor and may repartition the board.
 //
-// World writes serialize on the world's own shared_mutex and the kv
-// mirror uses the store's internal shard locks, both outside any engine
-// lock. Lock order: engine.topology -> engine.shard -> task_pool ->
+// World writes serialize on the world's own shared_mutex, outside any
+// engine lock. Lock order: engine.topology -> engine.shard -> task_pool ->
 // engine.stats -> engine.control (see docs/ARCHITECTURE.md, "Sharded
 // world", for the full inventory). The controller carries no capability
 // annotation: its guard is the protocol above, which Clang TSA cannot
 // express (shared-mode writers striped by a runtime index); the runtime
 // lock-order validator and the TSan suite check it instead.
 //
-// The paper uses processes to dodge the Python GIL; C++ threads carry no
-// such penalty, so workers are pool threads here.
+// The paper uses processes to dodge the Python GIL and keeps shared
+// simulation state in Redis so those processes can reach it. C++ threads
+// carry no such penalty: workers are pool threads here, and they share
+// the WorldState and the scoreboard directly, so the engine keeps no
+// mirror of either.
 #pragma once
 
 #include <atomic>
@@ -52,7 +51,6 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "core/metro_controller.h"
-#include "kv/store.h"
 #include "runtime/task_pool.h"
 #include "world/world_state.h"
 
@@ -61,6 +59,9 @@ namespace aimetro::runtime {
 struct EngineConfig {
   core::DependencyParams params;
   Step target_step = 100;
+  /// Cluster workers. Each strip's pool gets max(1, ceil(n_workers /
+  /// shards())) of them, so the total equals n_workers only when the
+  /// strip count divides it.
   std::int32_t n_workers = 4;
   /// Scoreboard neighbor-scan implementation (spatial-index probes by
   /// default; kBruteForce is the full-scan reference path for
@@ -70,28 +71,16 @@ struct EngineConfig {
   /// historical default). Graph worlds pass a core::GraphMetric here so
   /// the scoreboard measures hops; must outlive the engine.
   std::shared_ptr<const core::Metric> metric;
-  /// Mirror agent state and an instrumentation stream into the kv store.
-  bool kv_instrumentation = true;
-  /// Run cluster tasks on an externally owned pool instead of a private
-  /// one (the pool must outlive the engine and have no queue bound —
-  /// workers dispatch the clusters their own commits release, so
-  /// backpressure would deadlock them against each other; checked at
-  /// construction). Cluster concurrency is then bounded by that pool's
-  /// worker count, not n_workers — share a pool only when that is what
-  /// you mean. Ignored when shard_pools is set.
-  TaskPool* pool = nullptr;
+  /// Ignored: the engine keeps no state mirror. The field remains only
+  /// because metro_bench/metro_bench.cpp assigns it; drop it together
+  /// with that assignment.
+  bool kv_instrumentation = false;
   /// Region partition of the world (1..core::kMaxShards). Values > 1
   /// activate the boundary-lag commit protocol; the scoreboard may still
   /// collapse to one strip (graph metrics, brute-force scans), in which
   /// case every commit takes the cross-shard path and behavior matches
   /// shards=1 exactly.
   std::int32_t shards = 1;
-  /// Pool-per-shard seam: clusters homed in strip s run on
-  /// shard_pools[s]. Must be empty or hold at least `shards` pools, all
-  /// unbounded and outliving the engine. When empty and shards > 1, the
-  /// engine spawns one private pool per strip, splitting n_workers
-  /// between them.
-  std::vector<TaskPool*> shard_pools;
   /// Initial strip-boundary placement, passed through to the scoreboard:
   /// equal-width strips, or boundaries at population quantiles of the
   /// initial agent positions. Affects only which commits classify as
@@ -103,19 +92,15 @@ struct EngineConfig {
   /// and commit-wait time since the previous rebalance (see
   /// core::MetroController for the trigger). Empty = never reshard.
   std::vector<Step> reshard_at;
-  /// Pin each privately spawned per-strip pool to a contiguous CPU core
-  /// group (strip s gets cores [s*C/shards, (s+1)*C/shards)), keeping a
-  /// strip's scoreboard slice in one cache/NUMA domain. Linux only;
-  /// ignored for external pools (pin those where they are constructed)
-  /// and with shards = 1.
+  /// Pin each strip's pool to a contiguous CPU core group (strip s gets
+  /// cores [s*C/shards, (s+1)*C/shards)), keeping a strip's scoreboard
+  /// slice in one cache/NUMA domain. Linux only; ignored with shards = 1.
   bool pin_cores = false;
 };
 
 struct EngineStats {
   std::uint64_t clusters_executed = 0;
   std::uint64_t agent_steps = 0;
-  std::uint64_t kv_transactions = 0;
-  std::uint64_t kv_conflicts = 0;
   /// Commit-lock contention: total scoreboard commits, total microseconds
   /// workers spent waiting to acquire the commit locks, total
   /// microseconds spent holding them (graph maintenance + dispatch), and
@@ -140,9 +125,8 @@ class Engine {
   using StepFn = std::function<std::vector<world::StepIntent>(
       const core::AgentCluster& cluster, const world::WorldState& world)>;
 
-  /// Spawns the private worker pool(s) (when config.pool / shard_pools
-  /// are unset) here, so a caller timing run() never measures thread
-  /// creation.
+  /// Spawns one worker pool per strip here, so a caller timing run()
+  /// never measures thread creation.
   Engine(world::WorldState* world, EngineConfig config, StepFn step_fn);
   ~Engine();
 
@@ -159,14 +143,11 @@ class Engine {
   const core::Scoreboard& scoreboard() const {
     return controller_->scoreboard();
   }
-  kv::Store& store() { return store_; }
-  /// The first cluster pool (the only one with shards=1).
-  const TaskPool& pool() const { return *pool_; }
   /// Effective strip count (after the scoreboard's collapse rules).
   std::int32_t shards() const { return shards_; }
   /// Per-strip commit contention rows, index shards() = the cross-shard
   /// (boundary-reconciliation) row. Only the commit* fields are
-  /// populated; kv/cluster totals live in the aggregate. Post-run only.
+  /// populated; cluster totals live in the aggregate. Post-run only.
   std::vector<EngineStats> shard_commit_stats() const;
 
  private:
@@ -182,13 +163,11 @@ class Engine {
   /// strip lock, or exclusive topology) — a guard Clang TSA cannot
   /// express, so the pointer is deliberately unannotated.
   std::unique_ptr<core::MetroController> controller_;
-  kv::Store store_;
 
-  std::unique_ptr<TaskPool> owned_pool_;
-  std::vector<std::unique_ptr<TaskPool>> owned_shard_pools_;
-  TaskPool* pool_ = nullptr;
-  /// Routing table, size shards(): per-strip pools or aliases of pool_.
-  std::vector<TaskPool*> shard_pools_;
+  /// One private pool per strip (size shards()); clusters homed in strip
+  /// s run on pools_[s]. Declared before the locks below, so it is
+  /// destroyed after them: ~Engine drains in-flight tasks first.
+  std::vector<std::unique_ptr<TaskPool>> pools_;
 
   std::int32_t shards_ = 1;
   /// Cross-shard commits hold this exclusively; interior commits hold it

@@ -16,21 +16,6 @@
 namespace aimetro::runtime {
 
 namespace {
-/// The pool (if any) the current thread is executing a task for. Lets
-/// submit() recognize recursive submissions and bypass the queue bound.
-thread_local const TaskPool* t_current_pool = nullptr;
-
-class CurrentPoolScope {
- public:
-  explicit CurrentPoolScope(const TaskPool* pool) : saved_(t_current_pool) {
-    t_current_pool = pool;
-  }
-  ~CurrentPoolScope() { t_current_pool = saved_; }
-
- private:
-  const TaskPool* saved_;
-};
-
 /// Best-effort affinity pin (see TaskPoolConfig::cpus). Out-of-range or
 /// rejected cpus are ignored: the OS scheduler keeps working either way.
 void pin_thread(std::thread& thread, std::int32_t cpu) {
@@ -66,7 +51,7 @@ void TaskPool::Handle::wait() const {
   if (state_->error) std::rethrow_exception(state_->error);
 }
 
-TaskPool::TaskPool(TaskPoolConfig config) : max_queued_(config.max_queued) {
+TaskPool::TaskPool(TaskPoolConfig config) {
   AIM_CHECK(config.n_workers >= 1);
   threads_.reserve(static_cast<std::size_t>(config.n_workers));
   for (std::int32_t i = 0; i < config.n_workers; ++i) {
@@ -87,11 +72,6 @@ TaskPool::Handle TaskPool::submit(std::int64_t priority, Task fn) {
   {
     common::MutexLock lock(mutex_);
     AIM_CHECK_MSG(!shut_down_, "submit() on a shut-down TaskPool");
-    if (max_queued_ > 0 && t_current_pool != this) {
-      while (queued_ >= max_queued_ && !shut_down_) space_cv_.wait(mutex_);
-      AIM_CHECK_MSG(!shut_down_, "TaskPool shut down while submit() blocked");
-    }
-    ++queued_;
     ++in_flight_;
     if (in_flight_ > stats_.peak_in_flight) stats_.peak_in_flight = in_flight_;
     // Push while still holding mutex_: a shutdown() racing this submit
@@ -106,9 +86,6 @@ TaskPool::Handle TaskPool::submit(std::int64_t priority, Task fn) {
 
 void TaskPool::submit_and_wait(std::vector<Task> tasks,
                                std::int64_t priority) {
-  // Marking the whole batch as pool-internal bypasses the queue bound:
-  // the caller is about to help drain whatever it enqueues.
-  CurrentPoolScope scope(this);
   std::vector<Handle> handles;
   handles.reserve(tasks.size());
   for (Task& task : tasks) {
@@ -140,7 +117,6 @@ void TaskPool::shutdown() {
     common::MutexLock lock(mutex_);
     shut_down_ = true;
   }
-  space_cv_.notify_all();
   queue_.close();  // workers drain the backlog, then exit
   for (std::thread& t : threads_) {
     if (t.joinable()) t.join();
@@ -153,13 +129,7 @@ TaskPoolStats TaskPool::stats() const {
 }
 
 void TaskPool::worker_loop() {
-  CurrentPoolScope scope(this);
   while (std::optional<StatePtr> state = queue_.pop()) {
-    {
-      common::MutexLock lock(mutex_);
-      --queued_;
-    }
-    space_cv_.notify_one();
     try_execute(*state, /*inline_run=*/false);
   }
 }
@@ -173,13 +143,15 @@ bool TaskPool::try_execute(const StatePtr& state, bool inline_run) {
   } catch (...) {
     error = std::current_exception();
   }
+  // Count the task before publishing it done, so stats() read after
+  // Handle::wait() returns already includes it.
+  finish_one(inline_run);
   {
     common::MutexLock lock(state->m);
     state->done = true;
     state->error = error;
   }
   state->cv.notify_all();
-  finish_one(inline_run);
   return true;
 }
 

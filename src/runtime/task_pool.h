@@ -24,9 +24,9 @@
 //     instead of deadlocking, which makes nested waits — a pool task
 //     waiting on a batch it submitted to the same pool — safe by
 //     construction.
-//   - an optional queue bound applies backpressure to external submitters;
-//     pool workers and submit_and_wait batches bypass it so the pool can
-//     never wedge itself.
+//   - submit() never blocks: the backlog is unbounded, so an engine worker
+//     submitting the clusters its own commit released cannot wait on
+//     queue space that only workers can free.
 //   - shutdown() (and the destructor) drains queued tasks before joining:
 //     work accepted is work executed.
 #pragma once
@@ -46,11 +46,6 @@ namespace aimetro::runtime {
 struct TaskPoolConfig {
   /// Persistent worker threads, spawned in the constructor.
   std::int32_t n_workers = 4;
-  /// Backpressure bound on tasks waiting for a worker; 0 = unbounded.
-  /// submit() from outside the pool blocks while the backlog is full.
-  /// Submissions from a pool worker or inside submit_and_wait bypass the
-  /// bound (blocking them could deadlock the pool against itself).
-  std::size_t max_queued = 0;
   /// CPU-affinity pinning: worker i is pinned to cpus[i % cpus.size()]
   /// (empty = no pinning, the default). Linux only
   /// (pthread_setaffinity_np); silently a no-op elsewhere, and pin
@@ -94,17 +89,17 @@ class TaskPool {
   };
 
   explicit TaskPool(TaskPoolConfig config);
-  /// Convenience: a pool of `n_workers` with an unbounded queue.
+  /// Convenience: an unpinned pool of `n_workers`.
   explicit TaskPool(std::int32_t n_workers)
-      : TaskPool(TaskPoolConfig{n_workers, 0, {}}) {}
+      : TaskPool(TaskPoolConfig{n_workers, {}}) {}
   ~TaskPool();
 
   TaskPool(const TaskPool&) = delete;
   TaskPool& operator=(const TaskPool&) = delete;
 
   /// Enqueue `fn` at the given priority (smaller runs first, FIFO within
-  /// equal priority; plain submit() uses priority 0). Blocks only when a
-  /// queue bound is configured and the caller is outside the pool.
+  /// equal priority; plain submit() uses priority 0). Never waits for
+  /// queue space: the backlog is unbounded.
   Handle submit(std::int64_t priority, Task fn);
   Handle submit(Task fn) { return submit(0, std::move(fn)); }
 
@@ -126,10 +121,6 @@ class TaskPool {
   std::int32_t workers() const {
     return static_cast<std::int32_t>(threads_.size());
   }
-  /// The configured queue bound (0 = unbounded). Lets a borrower that
-  /// submits while holding its own locks (e.g. runtime::Engine) refuse
-  /// bounded pools up front instead of deadlocking against backpressure.
-  std::size_t max_queued() const { return max_queued_; }
   TaskPoolStats stats() const;
 
  private:
@@ -148,10 +139,6 @@ class TaskPool {
 
   mutable common::Mutex mutex_{"task_pool"};
   mutable common::CondVar idle_cv_;
-  common::CondVar space_cv_;
-  std::size_t max_queued_ = 0;  // immutable after construction
-  /// Submitted, not yet popped by a worker.
-  std::size_t queued_ GUARDED_BY(mutex_) = 0;
   /// Submitted, not yet finished.
   std::uint64_t in_flight_ GUARDED_BY(mutex_) = 0;
   TaskPoolStats stats_ GUARDED_BY(mutex_);

@@ -613,7 +613,6 @@ RunPair run_engine_trace(const ScenarioDriver& driver,
     ecfg.target_step = tr.n_steps;
     ecfg.n_workers = workers;
     ecfg.scan_mode = scan_mode_of(spec);
-    ecfg.kv_instrumentation = false;
     ecfg.metric = metric;  // null = Euclidean
     ecfg.shards = spec.resolved_shards();
     ecfg.partition = partition_kind_of(spec);

@@ -641,17 +641,6 @@ SimulationTrace generate_episode(const world::GridMap& map,
   return concatenate_days(day_traces);
 }
 
-SimulationTrace generate_concatenated(const GridMap& segment,
-                                      std::int32_t n_segments,
-                                      const GeneratorConfig& base) {
-  AIM_CHECK(n_segments >= 1);
-  return generate_concatenated(
-      segment,
-      std::vector<std::int32_t>(static_cast<std::size_t>(n_segments),
-                                base.n_agents),
-      base);
-}
-
 SimulationTrace generate_concatenated(
     const GridMap& segment, const std::vector<std::int32_t>& agents_per_segment,
     const GeneratorConfig& base, Step window_begin, Step window_end) {
@@ -716,13 +705,6 @@ SimulationTrace generate_concatenated(
     if (error) std::rethrow_exception(error);
   }
   return concatenate_segments(segments, segment.width() + 1);
-}
-
-SimulationTrace generate_large_ville(std::int32_t n_segments,
-                                     const GeneratorConfig& base) {
-  const GridMap segment_map =
-      GridMap::smallville(std::min<std::int32_t>(base.n_agents, 26));
-  return generate_concatenated(segment_map, n_segments, base);
 }
 
 SimulationTrace generate_social_graph(

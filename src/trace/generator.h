@@ -78,19 +78,14 @@ SimulationTrace generate(const world::GridMap& map, const GeneratorConfig& cfg);
 SimulationTrace generate_episode(const world::GridMap& map,
                                  const GeneratorConfig& cfg);
 
-/// Generate `n_segments` independent episode traces of `segment` (derived
-/// seeds base.seed + k * 0x9e3779b9) and place them side by side with a
-/// one-tile divider stride — the paper's large-ville construction (§4.3).
-/// `base.n_agents` is the per-segment population. Honors base.days.
-SimulationTrace generate_concatenated(const world::GridMap& segment,
-                                      std::int32_t n_segments,
-                                      const GeneratorConfig& base);
-
-/// As above, but with an explicit per-segment population (all counts >= 1,
-/// base.n_agents ignored) — segment populations need not be equal, so a
-/// total that does not divide evenly loses no agents. A heterogeneous
-/// base.agent_profiles (sized to the segment totals) is split across the
-/// segments in agent-id order.
+/// Generate one independent episode trace of `segment` per entry of
+/// `agents_per_segment` (derived seeds base.seed + k * 0x9e3779b9) and
+/// place them side by side with a one-tile divider stride — the paper's
+/// large-ville construction (§4.3). Honors base.days. Segment k holds
+/// agents_per_segment[k] agents (all counts >= 1, base.n_agents ignored);
+/// populations need not be equal, so a total that does not divide evenly
+/// loses no agents. A heterogeneous base.agent_profiles (sized to the
+/// segment totals) is split across the segments in agent-id order.
 ///
 /// Window: with window_begin >= 0 the result is exactly
 /// slice(<unwindowed result>, window_begin, window_end), byte for byte.
@@ -118,11 +113,6 @@ SimulationTrace generate_concatenated(
     const std::vector<std::int32_t>& agents_per_segment,
     const GeneratorConfig& base, Step window_begin = -1,
     Step window_end = -1);
-
-/// Convenience: generate_concatenated on the SmallVille segment map —
-/// the paper's scaling workload with n_segments*25 agents.
-SimulationTrace generate_large_ville(std::int32_t n_segments,
-                                     const GeneratorConfig& base);
 
 /// Graph-world (social-network) generator: agents live on the nodes of a
 /// fixed undirected graph (e.g. world::newman_watts_graph), positions

@@ -264,35 +264,5 @@ TEST(SyncPriorityQueue, CloseWakesManyConsumersBlockedInPop) {
   EXPECT_EQ(woke_empty.load(), 4);
 }
 
-TEST(SyncQueue, FifoAndClose) {
-  SyncQueue<int> q;
-  q.push(1);
-  q.push(2);
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  q.close();
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(SyncQueue, CloseWakesBlockedConsumersAndDrainsBacklog) {
-  SyncQueue<int> q;
-  std::atomic<int> consumed{0};
-  std::atomic<int> finished{0};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 3; ++c) {
-    consumers.emplace_back([&] {
-      while (q.pop().has_value()) consumed.fetch_add(1);
-      finished.fetch_add(1);
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.push(1);
-  q.push(2);
-  q.close();  // wakes blocked consumers; backlog is still delivered
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(consumed.load(), 2);
-  EXPECT_EQ(finished.load(), 3);
-}
-
 }  // namespace
 }  // namespace aimetro

@@ -8,9 +8,9 @@
 //
 //  2. Wrapper-level: with AIMETRO_LOCK_DEBUG on (the lock-debug CI job),
 //     common::Mutex / MutexLock acquisitions feed the registry, so the
-//     production orderings — llm route -> replica, kv ascending shard
-//     order — are exercised end to end, including a deliberately inverted
-//     acquisition that must be reported. With it off, the wrappers must
+//     production orderings — llm route -> replica, engine topology ->
+//     strip — are exercised end to end, including deliberately inverted
+//     acquisitions that must be reported. With it off, the wrappers must
 //     cost nothing: same size as the std types they wrap.
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 
 #include "common/lock_debug.h"
 #include "common/mutex.h"
-#include "kv/store.h"
 
 namespace aimetro {
 namespace {
@@ -265,23 +264,6 @@ TEST_F(LockDebugTest, SharedMutexReaderWriterInversionIsReported) {
   ASSERT_EQ(violations_.size(), 1u);
   EXPECT_EQ(violations_[0].held_name, "engine.shard");
   EXPECT_EQ(violations_[0].acquiring_name, "engine.topology");
-}
-
-TEST_F(LockDebugTest, KvTransactionAscendingShardOrderIsClean) {
-  // Transaction::exec locks every shard in index order; under the
-  // validator a whole store workload (including all-shard commits and
-  // single-shard traffic) must produce zero violations.
-  kv::Store store(8);
-  for (int i = 0; i < 32; ++i) {
-    store.set("k" + std::to_string(i), std::to_string(i));
-  }
-  kv::Transaction txn = store.transaction();
-  txn.watch("k0");
-  txn.set("k1", "x");
-  txn.incr_by("counter", 2);
-  txn.rpush("log", "entry");
-  EXPECT_EQ(txn.exec(), kv::TxnResult::kCommitted);
-  EXPECT_TRUE(violations_.empty());
 }
 
 #else  // !AIMETRO_LOCK_DEBUG

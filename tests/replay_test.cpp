@@ -368,7 +368,6 @@ TEST(MetroController, ABoundaryFiresExactlyOncePerBackend) {
   cfg.n_workers = 4;
   cfg.shards = 4;
   cfg.reshard_at = {5, 50};
-  cfg.kv_instrumentation = false;
   runtime::Engine engine(&world, cfg,
                          [](const core::AgentCluster& cluster,
                             const world::WorldState&) {

@@ -4,12 +4,10 @@
 #include <memory>
 #include <stdexcept>
 
-#include "common/check.h"
 #include "common/mutex.h"
 #include "gym/agents.h"
 #include "gym/env.h"
 #include "llm/client.h"
-#include "runtime/task_pool.h"
 #include "world/grid_map.h"
 
 namespace aimetro::gym {
@@ -140,70 +138,6 @@ TEST(OooEquivalence, CoupledMembersRunThroughTheChainPool) {
   EXPECT_EQ(ooo.chain_pool().workers(), 1);
 }
 
-TEST(Runtime, EngineRunsOnAnExternalTaskPool) {
-  // Two consecutive engine runs share one externally-owned pool — the
-  // multi-pool extension point EngineConfig::pool exists for. Outcomes
-  // must match a private-pool run.
-  const auto map = arena_map();
-  runtime::TaskPool shared(3);
-  std::uint64_t hashes[2];
-  for (int run = 0; run < 2; ++run) {
-    llm::FakeLlmClient llm(5, 50);
-    world::WorldState world(&map, spread_starts(6));
-    runtime::EngineConfig cfg;
-    cfg.params = core::DependencyParams{4.0, 1.0};
-    cfg.target_step = 30;
-    cfg.n_workers = 3;
-    cfg.kv_instrumentation = false;
-    cfg.pool = &shared;
-    std::vector<std::unique_ptr<Agent>> agents = wanderers(6, 5);
-    auto step_fn = [&](const core::AgentCluster& cluster,
-                       const world::WorldState& w) {
-      std::vector<world::StepIntent> intents;
-      for (AgentId m : cluster.members) {
-        Observation obs;
-        obs.self = m;
-        obs.step = cluster.step;
-        {
-          aimetro::common::ReaderLock lock(w.mutex());
-          obs.position = w.tile_of(m);
-        }
-        obs.map = &map;
-        world::StepIntent intent =
-            agents[static_cast<std::size_t>(m)]->proceed(obs, llm);
-        intent.agent = m;
-        intents.push_back(intent);
-      }
-      return intents;
-    };
-    runtime::Engine engine(&world, cfg, step_fn);
-    const auto stats = engine.run();
-    EXPECT_EQ(stats.agent_steps, 6u * 30u);
-    hashes[run] = world.state_hash();
-  }
-  EXPECT_EQ(hashes[0], hashes[1]);
-  EXPECT_GT(shared.stats().tasks_executed, 0u);
-}
-
-TEST(Runtime, EngineRefusesBoundedExternalPools) {
-  // Dispatch happens under the engine lock; a bounded pool's
-  // backpressure could deadlock the dispatcher against its own workers,
-  // so the engine must reject bounded pools loudly at construction.
-  const auto map = arena_map();
-  world::WorldState world(&map, spread_starts(4));
-  runtime::TaskPoolConfig pool_cfg;
-  pool_cfg.n_workers = 2;
-  pool_cfg.max_queued = 1;
-  runtime::TaskPool bounded(pool_cfg);
-  runtime::EngineConfig cfg;
-  cfg.params = core::DependencyParams{4.0, 1.0};
-  cfg.pool = &bounded;
-  auto step_fn = [](const core::AgentCluster&, const world::WorldState&) {
-    return std::vector<world::StepIntent>{};
-  };
-  EXPECT_THROW(runtime::Engine(&world, cfg, step_fn), CheckError);
-}
-
 TEST(Runtime, StepFnExceptionPropagatesOutOfRun) {
   // A throwing StepFn used to terminate() the process from a worker
   // thread; the pool captures it and run() rethrows after draining.
@@ -213,7 +147,6 @@ TEST(Runtime, StepFnExceptionPropagatesOutOfRun) {
   cfg.params = core::DependencyParams{4.0, 1.0};
   cfg.target_step = 20;
   cfg.n_workers = 2;
-  cfg.kv_instrumentation = false;
   std::atomic<int> calls{0};
   runtime::Engine engine(
       &world, cfg,
@@ -248,7 +181,7 @@ TEST(Runtime, PatrolAgentsMeetDeterministically) {
   EXPECT_EQ(llm.calls(), 0u);  // patrol agents never call the LLM
 }
 
-TEST(Runtime, KvMirrorsFinalWorldState) {
+TEST(Runtime, ScoreboardMatchesFinalWorld) {
   const auto map = arena_map();
   llm::FakeLlmClient llm(12, 0);
   world::WorldState world(&map, spread_starts(5));
@@ -256,9 +189,9 @@ TEST(Runtime, KvMirrorsFinalWorldState) {
   cfg.params = core::DependencyParams{4.0, 1.0};
   cfg.target_step = 25;
   cfg.n_workers = 3;
-  cfg.kv_instrumentation = true;
   std::vector<std::unique_ptr<Agent>> agents = wanderers(5, 12);
-  // Drive the engine directly (below the gym layer) to test kv mirroring.
+  // Drive the engine directly (below the gym layer): after the run the
+  // scoreboard's view of every agent must be the world's.
   auto step_fn = [&](const core::AgentCluster& cluster,
                      const world::WorldState& w) {
     std::vector<world::StepIntent> intents;
@@ -282,22 +215,20 @@ TEST(Runtime, KvMirrorsFinalWorldState) {
   const auto stats = engine.run();
   EXPECT_EQ(stats.agent_steps, 5u * 25u);
   EXPECT_GT(stats.clusters_executed, 0u);
-  EXPECT_GT(stats.kv_transactions, 0u);
+  // Every executed cluster committed to the scoreboard exactly once.
+  EXPECT_EQ(stats.commits, stats.clusters_executed);
 
-  // kv agent rows agree with the final world.
-  for (AgentId a = 0; a < 5; ++a) {
-    const std::string key = "agent:" + std::to_string(a);
-    EXPECT_EQ(engine.store().hget(key, "step").value(), "25");
-    EXPECT_EQ(engine.store().hget(key, "x").value(),
-              std::to_string(world.tile_of(a).x));
-    EXPECT_EQ(engine.store().hget(key, "y").value(),
-              std::to_string(world.tile_of(a).y));
+  const core::Scoreboard& board = engine.scoreboard();
+  {
+    aimetro::common::ReaderLock lock(world.mutex());
+    for (AgentId a = 0; a < 5; ++a) {
+      EXPECT_EQ(board.step_of(a), 25) << "agent " << a;
+      EXPECT_EQ(board.pos_of(a), world.tile_of(a).center()) << "agent " << a;
+    }
   }
-  EXPECT_EQ(engine.store().get("stats:agent_steps").value(), "125");
-  EXPECT_EQ(engine.store().llen("log:commits"), stats.clusters_executed);
   // Scoreboard finished cleanly.
-  EXPECT_TRUE(engine.scoreboard().all_done());
-  engine.scoreboard().check_invariants();
+  EXPECT_TRUE(board.all_done());
+  board.check_invariants();
 }
 
 TEST(Runtime, ShardedCommitsRunConcurrentlyAndReportContention) {
@@ -319,7 +250,6 @@ TEST(Runtime, ShardedCommitsRunConcurrentlyAndReportContention) {
   cfg.params = core::DependencyParams{4.0, 1.0};
   cfg.target_step = 20;
   cfg.n_workers = 8;
-  cfg.kv_instrumentation = true;  // kv mirror now runs outside the lock
   llm::FakeLlmClient llm(5, /*latency_us=*/200);
   auto step_fn = [&](const core::AgentCluster& cluster,
                      const world::WorldState& w) {

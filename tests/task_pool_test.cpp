@@ -15,17 +15,26 @@ namespace aimetro::runtime {
 namespace {
 
 TEST(TaskPool, RunsEverySubmittedTask) {
+  // Many rounds on one pool: a task whose handle has been waited on must
+  // already be counted in stats(), so the cumulative count is exact after
+  // every round's waits, not just eventually.
+  constexpr int kRounds = 200;
+  constexpr int kTasks = 100;
   TaskPool pool(4);
-  std::atomic<int> sum{0};
-  std::vector<TaskPool::Handle> handles;
-  for (int i = 1; i <= 100; ++i) {
-    handles.push_back(pool.submit([&sum, i] { sum.fetch_add(i); }));
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<int> sum{0};
+    std::vector<TaskPool::Handle> handles;
+    for (int i = 1; i <= kTasks; ++i) {
+      handles.push_back(pool.submit([&sum, i] { sum.fetch_add(i); }));
+    }
+    for (const auto& h : handles) h.wait();
+    ASSERT_EQ(sum.load(), 5050) << "round " << round;
+    const auto stats = pool.stats();
+    ASSERT_EQ(stats.tasks_executed + stats.tasks_inlined,
+              static_cast<std::uint64_t>((round + 1) * kTasks))
+        << "round " << round;
   }
-  for (const auto& h : handles) h.wait();
-  EXPECT_EQ(sum.load(), 5050);
-  const auto stats = pool.stats();
-  EXPECT_EQ(stats.tasks_executed + stats.tasks_inlined, 100u);
-  EXPECT_GE(stats.peak_in_flight, 1u);
+  EXPECT_GE(pool.stats().peak_in_flight, 1u);
 }
 
 TEST(TaskPool, PriorityOrdersTheBacklog) {
@@ -138,30 +147,6 @@ TEST(TaskPool, NestedSubmitAndWaitCannotDeadlock) {
   EXPECT_EQ(leaf.load(), 16);
   const auto stats = pool.stats();
   EXPECT_EQ(stats.tasks_executed + stats.tasks_inlined, 20u);
-}
-
-TEST(TaskPool, BoundedQueueAppliesBackpressureToExternalSubmitters) {
-  TaskPoolConfig cfg;
-  cfg.n_workers = 1;
-  cfg.max_queued = 1;
-  TaskPool pool(cfg);
-
-  std::promise<void> gate;
-  std::shared_future<void> open = gate.get_future().share();
-  pool.submit([open] { open.wait(); });  // occupies the only worker
-  pool.submit([] {});                    // fills the one queue slot
-
-  std::atomic<bool> third_submitted{false};
-  std::thread submitter([&pool, &third_submitted] {
-    pool.submit([] {});  // must block until the worker drains a slot
-    third_submitted = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(third_submitted.load());
-  gate.set_value();
-  submitter.join();
-  EXPECT_TRUE(third_submitted.load());
-  pool.wait_idle();
 }
 
 TEST(TaskPool, PeakInFlightTracksTheBacklogHighWaterMark) {

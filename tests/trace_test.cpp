@@ -118,10 +118,10 @@ TEST(Slice, WindowsCallsAndPositions) {
 TEST(Concatenate, OffsetsAgentsAndSpace) {
   GeneratorConfig cfg;
   cfg.n_agents = 5;
-  const SimulationTrace big = generate_large_ville(3, cfg);
+  const auto map = world::GridMap::smallville(5);
+  const SimulationTrace big = generate_concatenated(map, {5, 5, 5}, cfg);
   big.validate();
   EXPECT_EQ(big.n_agents, 15);
-  const auto map = world::GridMap::smallville(5);
   // Same-seed segment 0 reproduces inside the concatenation.
   GeneratorConfig seg_cfg = cfg;
   const SimulationTrace seg0 = generate(map, seg_cfg);
