@@ -106,7 +106,7 @@ double Rng::exponential(double rate) {
   return -std::log(u) / rate;
 }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
+double Rng::weight_total(const std::vector<double>& weights) {
   AIM_CHECK(!weights.empty());
   double total = 0.0;
   for (double w : weights) {
@@ -114,6 +114,16 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights) {
     total += w;
   }
   AIM_CHECK_MSG(total > 0.0, "weighted_index: all weights are zero");
+  return total;
+}
+
+std::size_t Rng::weighted_index(const std::vector<double>& weights) {
+  return weighted_index(weights, weight_total(weights));
+}
+
+std::size_t Rng::weighted_index(const std::vector<double>& weights,
+                                double total) {
+  AIM_CHECK(!weights.empty() && total > 0.0);
   double r = uniform() * total;
   for (std::size_t i = 0; i < weights.size(); ++i) {
     r -= weights[i];

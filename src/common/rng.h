@@ -54,6 +54,16 @@ class Rng {
   /// Sample an index from non-negative weights (at least one positive).
   std::size_t weighted_index(const std::vector<double>& weights);
 
+  /// The same draw, given total = weight_total(weights) from the caller,
+  /// so a loop drawing from one vector sums and checks it only once.
+  /// Returns exactly the index weighted_index(weights) would.
+  std::size_t weighted_index(const std::vector<double>& weights,
+                             double total);
+
+  /// Sum of `weights` in index order, after checking what weighted_index
+  /// requires: non-empty, non-negative, at least one positive.
+  static double weight_total(const std::vector<double>& weights);
+
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {

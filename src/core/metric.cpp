@@ -38,8 +38,7 @@ double GraphMetric::distance(const Pos& a, const Pos& b) const {
   common::MutexLock lock(cache_mutex_);
   BfsRow& row = row_for(ia);
   // Expand the row one BFS level at a time until the target is labeled or
-  // the component is exhausted. Scoreboard candidates come from hop-ball
-  // probes a few levels deep, so in steady state this loop body never runs.
+  // the component is exhausted.
   std::vector<std::int32_t> next;
   while (row.dist[static_cast<std::size_t>(ib)] == kUnreached &&
          !row.frontier.empty()) {

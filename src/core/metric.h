@@ -40,8 +40,8 @@ class Metric {
   /// adjacency to build a world::GraphIndex and answer "who is within r of
   /// a" with a hop-bounded BFS ball probe (hop distances are integral, so
   /// the depth-floor(r) ball IS the metric ball — see "Dependency core" in
-  /// docs/ARCHITECTURE.md). The pointer must stay valid for the metric's
-  /// lifetime.
+  /// docs/ARCHITECTURE.md), reading each candidate's hop distance from
+  /// that walk. The pointer must stay valid for the metric's lifetime.
   virtual const std::vector<std::vector<std::int32_t>>* graph_adjacency()
       const {
     return nullptr;
@@ -79,12 +79,15 @@ class ChebyshevMetric final : public Metric {
 /// Positions encode node ids in `Pos::x` (y ignored). Distances between
 /// disconnected nodes are a large finite value so every pair is comparable.
 ///
+/// Serves the brute-force scoreboard path, Scoreboard::check_invariants
+/// and tests. An indexed scoreboard never calls distance(): it reads hop
+/// distances from its own world::GraphIndex ball walks.
+///
 /// Distances come from per-source BFS rows expanded lazily, level by
-/// level, only until the queried target is labeled: scoreboard queries ask
-/// about candidates a few hops out, so rows stay partially expanded and a
-/// 10k-node world never materializes the all-pairs table (which would be
-/// O(N^2) memory). Rows are cached up to a bounded budget and rebuilt on
-/// demand after a flush. Thread-safe: the cache sits behind its own lock
+/// level, only until the queried target is labeled, so a 10k-node world
+/// never materializes the all-pairs table (which would be O(N^2) memory).
+/// Rows are cached up to a bounded budget and rebuilt on demand after a
+/// flush. Thread-safe: the cache sits behind its own lock
 /// (uncontended in practice — both backends call the metric under their
 /// scheduling locks).
 class GraphMetric final : public Metric {

@@ -134,8 +134,7 @@ Scoreboard::Scoreboard(DependencyParams params,
       auto consider = [&](AgentId v) {
         AgentNode& node = agent(v);
         if (node.cluster >= 0) return;
-        if (coupled(metric_->distance(agent(u).pos, node.pos), 0, 0,
-                    params_)) {
+        if (coupled(probe_distance(agent(u).pos, node.pos), 0, 0, params_)) {
           node.cluster = cid;
           frontier.push_back(v);
         }
@@ -190,6 +189,11 @@ const std::vector<AgentId>& Scoreboard::probe_into(const Pos& center,
   }
   std::sort(multi_probe_buf_.begin(), multi_probe_buf_.end());
   return multi_probe_buf_;
+}
+
+double Scoreboard::probe_distance(const Pos& center, const Pos& p) const {
+  return use_graph_index() ? graph_live_index_->hop_distance(p)
+                           : metric_->distance(center, p);
 }
 
 Step Scoreboard::min_live_step() const {
@@ -396,9 +400,10 @@ void Scoreboard::recompute_blockers(AgentId id, Step floor) {
   // blocking_radius(L) <= blocking_radius(max lag), and every such metric
   // ball is inside the probe — a Chebyshev box for metrics with the
   // Chebyshev lower bound, a hop-bounded BFS ball for graph metrics — so
-  // the probe is a superset of the brute-force candidate set. Candidates
-  // arrive sorted by id — the same order the full scan visits them — so
-  // edge bookkeeping is byte-identical (see docs/ARCHITECTURE.md,
+  // the probe is a superset of the brute-force candidate set; a graph walk
+  // also hands back each candidate's hop distance (probe_distance).
+  // Candidates arrive sorted by id — the same order the full scan visits
+  // them — so edge bookkeeping is byte-identical (see docs/ARCHITECTURE.md,
   // "Dependency core"). Commits carrying a probe_floor use that lower
   // bound instead of the exact minimum; the box only widens, and the
   // exact blocks() predicate filters the extras.
@@ -412,7 +417,7 @@ void Scoreboard::recompute_blockers(AgentId id, Step floor) {
     if (b == id) return;
     const AgentNode& other = agent(b);
     if (other.status == AgentStatus::kDone) return;
-    const double dist = metric_->distance(node.pos, other.pos);
+    const double dist = probe_distance(node.pos, other.pos);
     if (blocks(dist, node.step, other.step,
                other.status == AgentStatus::kRunning, params_)) {
       add_edge(b, id);
@@ -437,10 +442,25 @@ void Scoreboard::recompute_blockers(AgentId id, Step floor) {
 
 void Scoreboard::refresh_outgoing(AgentId id) {
   AgentNode& node = agent(id);
+  if (node.blocks.empty()) return;
   const std::vector<AgentId> watchers(node.blocks.begin(), node.blocks.end());
+  if (use_graph_index()) {
+    // One ball around the committed agent (hops are symmetric on the
+    // undirected graph), as deep as the laggiest watcher's blocking
+    // radius, decides every watcher: one outside it is beyond its own
+    // radius, where the walk's +inf fails blocks() exactly as its true
+    // distance does.
+    Step max_lag = 0;
+    for (AgentId w : watchers) {
+      max_lag = std::max(max_lag, agent(w).step - node.step);
+    }
+    probe_into(node.pos, params_.blocking_radius(max_lag));
+  }
   for (AgentId w : watchers) {
     const AgentNode& watcher = agent(w);
-    const double dist = metric_->distance(watcher.pos, node.pos);
+    const double dist = use_graph_index()
+                            ? graph_live_index_->hop_distance(watcher.pos)
+                            : metric_->distance(watcher.pos, node.pos);
     if (!blocks(dist, watcher.step, node.step,
                 node.status == AgentStatus::kRunning, params_)) {
       remove_edge(id, w);
@@ -467,7 +487,7 @@ void Scoreboard::cluster_in(AgentId id) {
     // idle_by_step yet). Skip them — they will see us when they cluster
     // in — so both scan modes read the same candidate set.
     if (o.status != AgentStatus::kIdle || o.cluster < 0) return;
-    if (coupled(metric_->distance(node.pos, o.pos), node.step, o.step,
+    if (coupled(probe_distance(node.pos, o.pos), node.step, o.step,
                 params_)) {
       neighbors_clusters.insert(o.cluster);
     }
@@ -647,9 +667,11 @@ void Scoreboard::commit(const std::vector<std::pair<AgentId, Pos>>& moves,
     AgentNode& node = agent(id);
     AIM_CHECK_MSG(node.status == AgentStatus::kRunning,
                   "commit of non-running agent " << id);
-    AIM_CHECK_MSG(
-        metric_->distance(node.pos, pos) <= params_.max_vel + 1e-9,
-        "agent " << id << " moved faster than max_vel");
+    // A graph board decides the speed check with a depth-floor(max_vel)
+    // walk: a move outside it reads +inf and fails, as it must.
+    if (use_graph_index()) probe_into(node.pos, params_.max_vel);
+    AIM_CHECK_MSG(probe_distance(node.pos, pos) <= params_.max_vel + 1e-9,
+                  "agent " << id << " moved faster than max_vel");
     AIM_CHECK(node.step >= floor);
     const std::int32_t old_strip = partition_.shard_of(node.pos);
     const std::int32_t new_strip = partition_.shard_of(pos);

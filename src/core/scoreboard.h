@@ -307,6 +307,11 @@ class Scoreboard {
   /// Fans out over the strips the box overlaps. Requires use_index() or
   /// use_graph_index().
   const std::vector<AgentId>& probe_into(const Pos& center, double radius);
+  /// metric_->distance(center, p). On a graph-index board it is read from
+  /// the ball probe_into just walked around `center` instead: exact inside
+  /// the ball, +inf beyond it, so it tests the same as the metric against
+  /// any threshold no larger than the probe radius.
+  double probe_distance(const Pos& center, const Pos& p) const;
   /// Smallest step among live (non-done) agents; target_step when all
   /// done. The tight bound for the blocking-radius box probe. Reads
   /// every strip — concurrent commits pass probe_floor instead.

@@ -369,14 +369,12 @@ trace::SimulationTrace ScenarioDriver::build_trace() const {
                 "arena maps have no generated trace");
   const trace::GeneratorConfig cfg = generator_config(spec_, assigned_profiles_);
   trace::SimulationTrace trace;
+  // Both generators store only the replay window's positions.
   if (spec_.world == WorldKind::kGraph) {
     trace = trace::generate_social_graph(
         world::newman_watts_graph(spec_.graph_nodes, spec_.graph_degree,
                                   spec_.graph_rewire, spec_.seed),
-        cfg);
-    if (spec_.window_begin >= 0) {
-      trace = trace::slice(trace, spec_.window_begin, spec_.window_end);
-    }
+        cfg, spec_.window_begin, spec_.window_end);
   } else {
     // Windowed per segment, so full-length segment traces never pile up.
     trace = trace::generate_concatenated(

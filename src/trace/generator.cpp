@@ -527,9 +527,11 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
       }
     }
     const Step h0 = static_cast<Step>(h * kStepsPerHour);
+    // The weights are fixed for the hour: sum them once, not per draw.
+    const double weight_total = Rng::weight_total(weights);
     while (deficit >= 1.0) {
-      AgentSim& a =
-          sims[static_cast<std::size_t>(candidates[rng.weighted_index(weights)])];
+      AgentSim& a = sims[static_cast<std::size_t>(
+          candidates[rng.weighted_index(weights, weight_total)])];
       // Busy hours feature heavy multi-call tasks (long conversations,
       // deep planning); quiet hours are mostly uniform one-or-two-call
       // routines — the §4.3 contrast that makes lock-step sync cheap at
@@ -709,9 +711,14 @@ SimulationTrace generate_concatenated(
 
 SimulationTrace generate_social_graph(
     const std::vector<std::vector<std::int32_t>>& adjacency,
-    const GeneratorConfig& cfg) {
+    const GeneratorConfig& cfg, Step window_begin, Step window_end) {
   AIM_CHECK(cfg.n_agents > 0);
   AIM_CHECK(cfg.steps_per_day > 0);
+  const bool windowed = window_begin >= 0;
+  AIM_CHECK_MSG(!windowed || (window_begin < window_end &&
+                              window_end <= cfg.steps_per_day),
+                "window [" << window_begin << ", " << window_end
+                           << ") is not inside the day");
   AIM_CHECK_MSG(cfg.day_index == 0 && cfg.start_tiles.empty(),
                 "graph scenarios are single-day");
   AIM_CHECK_MSG(cfg.max_vel >= 1.0 - 1e-9,
@@ -725,6 +732,16 @@ SimulationTrace generate_social_graph(
 
   Rng rng(cfg.seed);
   const Step day = cfg.steps_per_day;
+  // Positions are kept for steps [keep_begin, keep_end] only. The walk
+  // still covers the whole day, so every RNG draw stays where it was.
+  const Step keep_begin = windowed ? window_begin : 0;
+  const Step keep_end = windowed ? window_end : day;
+  std::vector<std::vector<Tile>> positions(
+      static_cast<std::size_t>(cfg.n_agents));
+  auto record_position = [&](const AgentSim& a, Step step) {
+    if (step < keep_begin || step > keep_end) return;
+    positions[static_cast<std::size_t>(a.id)].push_back(a.tile);
+  };
 
   // Per node: the highest-degree neighbor (ties to the smaller id, which
   // sorted adjacency gives for free) — the hub agents drift toward during
@@ -745,8 +762,6 @@ SimulationTrace generate_social_graph(
   }
 
   std::vector<AgentSim> sims(static_cast<std::size_t>(cfg.n_agents));
-  std::vector<std::vector<Tile>> positions(
-      static_cast<std::size_t>(cfg.n_agents));
   std::vector<double> agent_peak(sims.size(), 1.0);
   for (std::int32_t i = 0; i < cfg.n_agents; ++i) {
     AgentSim& a = sims[static_cast<std::size_t>(i)];
@@ -782,8 +797,8 @@ SimulationTrace generate_social_graph(
     a.tile = Tile{static_cast<std::int32_t>(arng.uniform_int(0, n_nodes - 1)),
                   0};
     positions[static_cast<std::size_t>(i)].reserve(
-        static_cast<std::size_t>(day) + 1);
-    positions[static_cast<std::size_t>(i)].push_back(a.tile);
+        static_cast<std::size_t>(keep_end - keep_begin) + 1);
+    record_position(a, 0);
   }
 
   std::int32_t next_conversation_id = 0;
@@ -852,11 +867,13 @@ SimulationTrace generate_social_graph(
 
     // Movement: stay-or-one-hop random walk with the profile's diurnal
     // intensity; social hours bias the hop toward the highest-degree
-    // neighbor, funneling the population onto hub nodes.
+    // neighbor, funneling the population onto hub nodes. Each hop is
+    // checked against the sorted adjacency here, where it is made, since
+    // a windowed trace's validate() sees only the window's positions.
     for (auto& a : sims) {
       const bool asleep = s < a.wake || s >= a.sleep;
       if (asleep || a.conversing_until >= s) {
-        positions[static_cast<std::size_t>(a.id)].push_back(a.tile);
+        record_position(a, s + 1);
         continue;
       }
       const double intensity = a.profile->hourly_weights[hour] /
@@ -874,10 +891,14 @@ SimulationTrace generate_social_graph(
             dest = nbrs[static_cast<std::size_t>(rng.uniform_int(
                 0, static_cast<std::int64_t>(nbrs.size()) - 1))];
           }
+          AIM_CHECK_MSG(std::binary_search(nbrs.begin(), nbrs.end(), dest),
+                        "agent " << a.id << " hopped from node " << a.tile.x
+                                 << " to non-adjacent node " << dest
+                                 << " at step " << s);
           a.tile = Tile{dest, 0};
         }
       }
-      positions[static_cast<std::size_t>(a.id)].push_back(a.tile);
+      record_position(a, s + 1);
     }
 
     // Conversation kick-off: same-node awake idle agents, paired within
@@ -1022,9 +1043,10 @@ SimulationTrace generate_social_graph(
       }
     }
     const Step h0 = static_cast<Step>(h * kStepsPerHour);
+    const double weight_total = Rng::weight_total(weights);
     while (deficit >= 1.0) {
       AgentSim& a = sims[static_cast<std::size_t>(
-          candidates[rng.weighted_index(weights)])];
+          candidates[rng.weighted_index(weights, weight_total)])];
       const double intensity = a.profile->hourly_weights[h] /
                                agent_peak[static_cast<std::size_t>(a.id)];
       const double p_task = 0.25 * intensity;
@@ -1058,10 +1080,12 @@ SimulationTrace generate_social_graph(
   }
 
   // ---- Assemble ----
+  // A window keeps the calls and interactions in [begin, end), filtered
+  // after the per-step seq numbering, exactly as slice() would.
   SimulationTrace out;
   out.n_agents = cfg.n_agents;
-  out.n_steps = day;
-  out.start_step = 0;
+  out.n_steps = keep_end - keep_begin;
+  out.start_step = keep_begin;
   out.radius_p = cfg.radius_p;
   out.max_vel = cfg.max_vel;
   out.map_width = n_nodes;
@@ -1069,11 +1093,15 @@ SimulationTrace generate_social_graph(
   out.world_kind = WorldKind::kGraph;
   out.graph_adjacency = adjacency;
   out.agents.resize(static_cast<std::size_t>(cfg.n_agents));
+  auto outside_window = [&](Step step) {
+    return windowed && (step < window_begin || step >= window_end);
+  };
   for (std::int32_t i = 0; i < cfg.n_agents; ++i) {
     AgentTrace& at = out.agents[static_cast<std::size_t>(i)];
     at.agent = i;
     at.positions = std::move(positions[static_cast<std::size_t>(i)]);
-    AIM_CHECK(at.positions.size() == static_cast<std::size_t>(day) + 1);
+    AIM_CHECK(at.positions.size() ==
+              static_cast<std::size_t>(out.n_steps) + 1);
     auto& calls = sims[static_cast<std::size_t>(i)].calls;
     std::stable_sort(calls.begin(), calls.end(),
                      [](const LlmCall& x, const LlmCall& y) {
@@ -1086,6 +1114,11 @@ SimulationTrace generate_social_graph(
       prev = c.step;
       c.seq = seq;
     }
+    calls.erase(std::remove_if(calls.begin(), calls.end(),
+                               [&](const LlmCall& c) {
+                                 return outside_window(c.step);
+                               }),
+                calls.end());
     at.calls = std::move(calls);
   }
   std::sort(interactions.begin(), interactions.end(),
@@ -1095,6 +1128,11 @@ SimulationTrace generate_social_graph(
               return x.b < y.b;
             });
   interactions.erase(std::unique(interactions.begin(), interactions.end()),
+                     interactions.end());
+  interactions.erase(std::remove_if(interactions.begin(), interactions.end(),
+                                    [&](const Interaction& in) {
+                                      return outside_window(in.step);
+                                    }),
                      interactions.end());
   out.interactions = std::move(interactions);
   out.validate();

@@ -126,8 +126,17 @@ SimulationTrace generate_concatenated(
 /// routine fill hits the same calibrated diurnal call-count curve.
 /// Requires cfg.day_index == 0 and empty cfg.start_tiles (graph scenarios
 /// are single-day); cfg.days is ignored.
+///
+/// Window: with window_begin >= 0 the result is exactly
+/// slice(<unwindowed result>, window_begin, window_end), byte for byte.
+/// The whole day is still simulated (one RNG stream drives every step),
+/// but positions are stored only for steps [window_begin, window_end].
+/// validate() then sees only the window, so the generator checks each
+/// hop against the adjacency as it makes it. window_begin < 0 keeps the
+/// whole day.
 SimulationTrace generate_social_graph(
     const std::vector<std::vector<std::int32_t>>& adjacency,
-    const GeneratorConfig& cfg);
+    const GeneratorConfig& cfg, Step window_begin = -1,
+    Step window_end = -1);
 
 }  // namespace aimetro::trace

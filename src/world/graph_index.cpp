@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 
@@ -16,7 +17,7 @@ GraphIndex::GraphIndex(
     for (std::int32_t v : neighbors) AIM_CHECK(v >= 0 && v < n);
   }
   buckets_.resize(adjacency_->size());
-  visit_epoch_.assign(adjacency_->size(), 0);
+  visits_.assign(adjacency_->size(), Visit{});
 }
 
 std::int32_t GraphIndex::node_of(Pos p) const {
@@ -85,12 +86,12 @@ void GraphIndex::query_ball_into(Pos center, double hop_radius,
   const std::int32_t start = node_of(center);
 
   if (++epoch_ == 0) {  // epoch counter wrapped: reset all stamps
-    std::fill(visit_epoch_.begin(), visit_epoch_.end(), 0u);
+    std::fill(visits_.begin(), visits_.end(), Visit{});
     epoch_ = 1;
   }
   frontier_.clear();
   frontier_.push_back(start);
-  visit_epoch_[static_cast<std::size_t>(start)] = epoch_;
+  visits_[static_cast<std::size_t>(start)] = Visit{epoch_, 0};
   auto collect = [&](std::int32_t node) {
     const auto& bucket = buckets_[static_cast<std::size_t>(node)];
     out->insert(out->end(), bucket.begin(), bucket.end());
@@ -100,9 +101,9 @@ void GraphIndex::query_ball_into(Pos center, double hop_radius,
     next_frontier_.clear();
     for (std::int32_t u : frontier_) {
       for (std::int32_t v : (*adjacency_)[static_cast<std::size_t>(u)]) {
-        auto& stamp = visit_epoch_[static_cast<std::size_t>(v)];
-        if (stamp == epoch_) continue;
-        stamp = epoch_;
+        auto& visit = visits_[static_cast<std::size_t>(v)];
+        if (visit.epoch == epoch_) continue;
+        visit = Visit{epoch_, level + 1};
         next_frontier_.push_back(v);
         collect(v);
       }
@@ -117,6 +118,12 @@ std::vector<AgentId> GraphIndex::query_ball(Pos center,
   std::vector<AgentId> out;
   query_ball_into(center, hop_radius, &out);
   return out;
+}
+
+double GraphIndex::hop_distance(Pos pos) const {
+  const Visit& visit = visits_[static_cast<std::size_t>(node_of(pos))];
+  return visit.epoch == epoch_ ? static_cast<double>(visit.level)
+                               : std::numeric_limits<double>::infinity();
 }
 
 }  // namespace aimetro::world

@@ -9,7 +9,9 @@
 // distances are integral, so the depth-floor(r) ball is not merely a
 // superset of the metric ball — it IS the metric ball; callers still apply
 // their exact predicates on the candidates, exactly as they do with box
-// probes.
+// probes. The walk also labels every node it reaches with its BFS level,
+// so those predicates read each candidate's hop distance from the walk
+// (hop_distance) instead of running a second BFS.
 //
 // Hot-path design mirrors SpatialIndex: query_ball_into fills a
 // caller-owned buffer sorted by id (the order the historical full scan
@@ -60,15 +62,31 @@ class GraphIndex {
   /// Allocating convenience form of query_ball_into.
   std::vector<AgentId> query_ball(Pos center, double hop_radius) const;
 
+  /// Hop distance from the center of the last ball walk (query_ball_into
+  /// or query_ball) to `pos`: inside that ball it equals
+  /// core::GraphMetric::distance(center, pos); outside it (and before the
+  /// first walk) it is +inf. A result is valid until the next walk;
+  /// callers serialize walks and lookups as they serialize every other
+  /// call.
+  double hop_distance(Pos pos) const;
+
  private:
+  /// A node's mark from the last walk that reached it.
+  struct Visit {
+    std::uint32_t epoch = 0;
+    std::int32_t level = 0;  // BFS level (hops from that walk's center)
+  };
+
   std::int32_t node_of(Pos p) const;
 
   const std::vector<std::vector<std::int32_t>>* adjacency_;  // non-owning
   std::vector<std::vector<AgentId>> buckets_;  // agents standing on node i
   std::unordered_map<AgentId, Pos> positions_;
-  // BFS scratch, epoch-stamped so no per-query clearing is needed.
-  mutable std::vector<std::uint32_t> visit_epoch_;
-  mutable std::uint32_t epoch_ = 0;
+  // BFS scratch, epoch-stamped so no per-query clearing is needed. The
+  // stamps start at 0 and epoch_ at 1, so before the first walk no node
+  // reads as visited.
+  mutable std::vector<Visit> visits_;
+  mutable std::uint32_t epoch_ = 1;
   mutable std::vector<std::int32_t> frontier_;
   mutable std::vector<std::int32_t> next_frontier_;
 };

@@ -12,13 +12,16 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "core/metric.h"
 #include "core/scoreboard.h"
 #include "support/differential.h"
+#include "world/social_graph.h"
 
 namespace aimetro::core {
 namespace {
@@ -378,6 +381,102 @@ TEST(ScoreboardIndex, GraphMetricRunsIndexedNotFallback) {
     test_support::expect_scoreboards_equal(indexed, brute);
   }
   indexed.check_invariants();
+}
+
+/// Forwards to a GraphMetric, adjacency included (so the scoreboard
+/// builds its GraphIndex), and counts distance() calls.
+class CountingGraphMetric final : public Metric {
+ public:
+  explicit CountingGraphMetric(std::vector<std::vector<std::int32_t>> adj)
+      : inner_(std::move(adj)) {}
+  double distance(const Pos& a, const Pos& b) const override {
+    ++calls;
+    return inner_.distance(a, b);
+  }
+  std::string name() const override { return "counting-graph"; }
+  const std::vector<std::vector<std::int32_t>>* graph_adjacency()
+      const override {
+    return inner_.graph_adjacency();
+  }
+  mutable std::uint64_t calls = 0;
+
+ private:
+  GraphMetric inner_;
+};
+
+TEST(ScoreboardIndex, GraphProbesNeverCallTheMetric) {
+  // An indexed graph board reads every distance it tests — blockers,
+  // coupling, watcher refreshes, the max_vel check — from its own ball
+  // walks. A randomized schedule of one-hop moves, with agent 0 held back
+  // in flight until nothing else can move, builds deep lag balls: on a
+  // sparse ring with few shortcuts, agents far from the straggler run
+  // well ahead of it.
+  const auto adj = world::newman_watts_graph(400, 2, 0.02, 61);
+  auto metric = std::make_shared<CountingGraphMetric>(adj);
+  Rng rng(61);
+  std::vector<Pos> initial;
+  for (int i = 0; i < 30; ++i) {
+    initial.push_back(Pos{static_cast<double>(rng.uniform_int(0, 399)), 0});
+  }
+  const Step target = 10;
+  Scoreboard sb(DependencyParams{1.0, 1.0}, metric, initial, target);
+  ASSERT_TRUE(sb.use_graph_index());
+  std::vector<AgentCluster> in_flight;
+  Step max_lag = 0;
+  while (!sb.all_done()) {
+    for (auto& c : sb.pop_ready_clusters()) in_flight.push_back(std::move(c));
+    ASSERT_FALSE(in_flight.empty()) << "scheduler stalled";
+    std::vector<std::size_t> movable;
+    for (std::size_t k = 0; k < in_flight.size(); ++k) {
+      const auto& members = in_flight[k].members;
+      if (std::find(members.begin(), members.end(), 0) == members.end()) {
+        movable.push_back(k);
+      }
+    }
+    // Only agent 0's cluster left: commit it.
+    const std::size_t pick =
+        movable.empty() ? 0
+                        : movable[static_cast<std::size_t>(rng.uniform_int(
+                              0, static_cast<std::int64_t>(movable.size()) -
+                                     1))];
+    AgentCluster cluster = std::move(in_flight[pick]);
+    in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(pick));
+    std::vector<std::pair<AgentId, Pos>> moves;
+    for (AgentId m : cluster.members) {
+      Pos pos = sb.pos_of(m);
+      const auto& nbrs = adj[static_cast<std::size_t>(pos.x)];
+      if (rng.bernoulli(0.7)) {
+        pos.x = nbrs[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(nbrs.size()) - 1))];
+      }
+      moves.emplace_back(m, pos);
+    }
+    sb.commit(moves);
+    Step max_step = 0;
+    for (std::size_t i = 0; i < sb.agent_count(); ++i) {
+      max_step = std::max(max_step, sb.step_of(static_cast<AgentId>(i)));
+    }
+    max_lag = std::max(max_lag, max_step - sb.min_step());
+  }
+  EXPECT_GE(max_lag, 5) << "the straggler never built a deep lag ball";
+  EXPECT_EQ(metric->calls, 0u);
+  // The counter is live: the O(n^2) invariant check does use the metric.
+  sb.check_invariants();
+  EXPECT_GT(metric->calls, 0u);
+}
+
+TEST(ScoreboardIndex, GraphSpeedCheckRejectsMultiHopMoves) {
+  // The max_vel check reads a depth-floor(max_vel) walk on an indexed
+  // graph board; a move beyond it must still fail loudly.
+  auto metric = std::make_shared<GraphMetric>(
+      std::vector<std::vector<std::int32_t>>{{1}, {0, 2}, {1, 3}, {2}});
+  Scoreboard sb(DependencyParams{1.0, 1.0}, metric, {Pos{0.0, 0.0}}, 3);
+  ASSERT_TRUE(sb.use_graph_index());
+  ASSERT_EQ(sb.pop_ready_clusters().size(), 1u);
+  EXPECT_THROW(sb.commit({{0, Pos{2.0, 0.0}}}), CheckError);
+  sb.commit({{0, Pos{1.0, 0.0}}});
+  EXPECT_EQ(sb.step_of(0), 1);
+  EXPECT_EQ(sb.pos_of(0), (Pos{1.0, 0.0}));
 }
 
 TEST(ScoreboardIndex, MinStepIsMaintainedIncrementally) {

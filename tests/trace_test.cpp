@@ -397,6 +397,48 @@ TEST(GraphTrace, SliceKeepsGraphFieldsAndSegmentsReject) {
                CheckError);
 }
 
+TEST(GraphTrace, WindowedEqualsSliceOfFull) {
+  // Storing only the window's positions must reproduce slicing the
+  // whole-day trace byte for byte: the registry's busy window, a window
+  // at step 0, one ending at the last step, and -1 (the whole day), on a
+  // homogeneous and a heterogeneous population (the two Pass-B paths).
+  const auto adjacency = world::newman_watts_graph(80, 4, 0.1, 17);
+  GeneratorConfig homogeneous;
+  homogeneous.n_agents = 8;
+  homogeneous.seed = 17;
+  homogeneous.target_calls_per_25_agents = 6000.0;
+  GeneratorConfig mixed = homogeneous;
+  const char* names[] = {"townsfolk", "socialite", "commuter", "hermit"};
+  for (int i = 0; i < mixed.n_agents; ++i) {
+    mixed.agent_profiles.push_back(*BehaviorProfile::find(names[i % 4]));
+  }
+  const Step day = homogeneous.steps_per_day;
+  const std::pair<Step, Step> windows[] = {
+      {4320, 4380},      // social_net<N>'s registry window
+      {0, 90},           // at step 0
+      {day - 90, day},   // ending at the last step
+  };
+  for (const GeneratorConfig& cfg : {homogeneous, mixed}) {
+    // window_begin = -1 (the default) keeps the whole day.
+    const SimulationTrace full = generate_social_graph(adjacency, cfg);
+    ASSERT_EQ(full.n_steps, day);
+    EXPECT_EQ(trace_bytes_hash(full), trace_bytes_hash(slice(full, 0, day)));
+    for (const auto& [begin, end] : windows) {
+      const SimulationTrace windowed =
+          generate_social_graph(adjacency, cfg, begin, end);
+      EXPECT_EQ(windowed.start_step, begin);
+      EXPECT_EQ(trace_bytes_hash(windowed),
+                trace_bytes_hash(slice(full, begin, end)))
+          << cfg.agent_profiles.size() << " profiles, window [" << begin
+          << ", " << end << ")";
+    }
+  }
+  EXPECT_THROW(generate_social_graph(adjacency, homogeneous, 100, 100),
+               CheckError);
+  EXPECT_THROW(generate_social_graph(adjacency, homogeneous, 0, day + 1),
+               CheckError);
+}
+
 TEST(GraphTrace, ValidateCatchesNonEdgeHopsAndBadAdjacency) {
   SimulationTrace trace = graph_trace(13);
   {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -336,11 +337,17 @@ TEST(GraphIndex, InsertRemoveUpdateAndBallProbes) {
       {1}, {0, 2}, {1, 3}, {2, 4}, {3}};
   GraphIndex idx(&adj);
   EXPECT_EQ(idx.node_count(), 5);
+  // No walk yet: no node has a hop distance.
+  EXPECT_EQ(idx.hop_distance(Pos{0, 0}),
+            std::numeric_limits<double>::infinity());
   for (AgentId i = 0; i < 5; ++i) {
     idx.insert(i, Pos{static_cast<double>(i), 0});
   }
   EXPECT_EQ(idx.size(), 5u);
   EXPECT_EQ(idx.query_ball(Pos{2, 0}, 1.0), (std::vector<AgentId>{1, 2, 3}));
+  EXPECT_EQ(idx.hop_distance(Pos{3, 0}), 1.0);
+  EXPECT_EQ(idx.hop_distance(Pos{4, 0}),
+            std::numeric_limits<double>::infinity());  // outside the ball
   // floor(1.9) = 1 hop: fractional radii round down (hop distances are
   // integral, so this IS the metric ball of radius 1.9).
   EXPECT_EQ(idx.query_ball(Pos{2, 0}, 1.9), (std::vector<AgentId>{1, 2, 3}));
@@ -363,20 +370,25 @@ TEST(GraphIndex, InsertRemoveUpdateAndBallProbes) {
 }
 
 TEST(GraphIndex, RandomizedBallMatchesBruteMetricScan) {
-  // The exactness claim behind the scoreboard's graph probes: the
+  // The exactness claims behind the scoreboard's graph probes: the
   // depth-floor(r) BFS ball equals the set of agents whose GraphMetric
-  // distance is <= r, for random small-world graphs, placements, centers,
-  // and (fractional) radii.
+  // distance is <= r, and the walk's hop_distance equals that distance
+  // inside the ball and is +inf outside it — for random small-world
+  // graphs, placements, centers, and (fractional) radii. Odd rounds add
+  // an isolated node and stand agent 0 on it, so every other center sees
+  // it at the metric's kDisconnected.
   Rng rng(77);
   for (int round = 0; round < 8; ++round) {
-    const int nodes = 20 + 15 * round;
-    const auto adj = newman_watts_graph(nodes, 4, 0.15, 900 + round);
+    auto adj = newman_watts_graph(20 + 15 * round, 4, 0.15, 900 + round);
+    if (round % 2 == 1) adj.emplace_back();
+    const auto nodes = static_cast<int>(adj.size());
     const core::GraphMetric metric(adj);
     GraphIndex idx(&adj);
     std::vector<Pos> pos;
     const int n_agents = 10 + 7 * round;
     for (AgentId i = 0; i < n_agents; ++i) {
       pos.push_back(Pos{static_cast<double>(rng.uniform_int(0, nodes - 1)), 0});
+      if (i == 0 && round % 2 == 1) pos.back().x = nodes - 1;
       idx.insert(i, pos.back());
     }
     for (double radius : {0.0, 1.0, 1.5, 2.0, 2.9, 3.0, 6.0}) {
@@ -390,6 +402,15 @@ TEST(GraphIndex, RandomizedBallMatchesBruteMetricScan) {
       }
       EXPECT_EQ(idx.query_ball(center, radius), brute)
           << "round " << round << " radius " << radius;
+      for (AgentId i = 0; i < n_agents; ++i) {
+        const Pos p = pos[static_cast<std::size_t>(i)];
+        const double dist = metric.distance(center, p);
+        EXPECT_EQ(idx.hop_distance(p),
+                  dist <= radius ? dist
+                                 : std::numeric_limits<double>::infinity())
+            << "round " << round << " radius " << radius << " agent " << i
+            << " metric " << dist;
+      }
     }
   }
 }
