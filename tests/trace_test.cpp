@@ -182,11 +182,14 @@ std::uint64_t trace_bytes_hash(const SimulationTrace& trace) {
 }
 
 TEST(Trace, GoldenBytesAreBitExact) {
-  // Host-side optimizations of trace generation (pathfinding, windowing,
-  // segment scheduling) must not move a byte of the trace the driver
-  // builds. One cell per generation path: the full single-segment day,
-  // equal segments, skewed two-day segments across midnight,
-  // heterogeneous profiles split over segments, and the graph generator.
+  // Host-side optimizations of trace generation (pathfinding, the
+  // conversation kick-off scan, windowing, segment scheduling) must not
+  // move a byte of the trace the driver builds. One cell per generation
+  // path: the full single-segment day, equal segments, skewed two-day
+  // segments across midnight, heterogeneous profiles split over segments,
+  // and the graph generator. Then the other grid maps (the plaza's hub
+  // crowds, urban_grid's gated detours) and 100 agents in one segment
+  // over two days, the densest kick-off scan.
   const struct {
     const char* scenario;
     const char* overrides;
@@ -197,6 +200,9 @@ TEST(Trace, GoldenBytesAreBitExact) {
       {"skewed_ville100", "", 0xd5856e7be4e748caULL},
       {"mixed_ville100", "segments=4", 0xd88985a75222eb2bULL},
       {"social_net100", "", 0x3206b573157f0984ULL},
+      {"social_hub", "", 0x8a52bb05ee020272ULL},
+      {"urban_commute", "", 0x9a08afd007b4b402ULL},
+      {"skewed_ville100", "segments=1", 0x42aed4d885627f87ULL},
   };
   for (const auto& cell : cells) {
     std::string error;
