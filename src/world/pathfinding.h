@@ -14,9 +14,12 @@ namespace aimetro::world {
 /// endpoints. Returns an empty vector when no path exists. If
 /// start == goal, returns {start}. Deterministic tie-breaking: the open
 /// list pops by lowest f, then highest g, then earliest insertion, with
-/// neighbors inserted in +x, -x, +y, -y order. Search state lives in
-/// per-thread arrays indexed by tile and reused across calls, so
-/// concurrent calls from different threads are safe.
+/// neighbors inserted in +x, -x, +y, -y order. The open list is a bucket
+/// queue that pops in exactly that order: Manhattan h changes by one per
+/// move, so only levels f and f + 2 are ever open, and within a level
+/// highest g is lowest h, each (f, h) bucket served first-in first-out.
+/// Search state lives in per-thread arrays indexed by tile and reused
+/// across calls, so concurrent calls from different threads are safe.
 std::vector<Tile> find_path(const GridMap& map, Tile start, Tile goal);
 
 /// Nearest walkable tile to `t` (BFS ring search); returns `t` itself when

@@ -511,23 +511,58 @@ TEST(Pathfinding, MatchesReferenceExactly) {
   EXPECT_GT(found, 500u);
   EXPECT_GT(unreachable, 500u);
 
-  // The generator's own maps: the SmallVille segment and a two-segment
-  // concatenation (whose divider makes cross-segment goals unreachable).
+  // The generator's own maps: the SmallVille segment, a two-segment
+  // concatenation (whose divider makes cross-segment goals unreachable),
+  // the plaza and urban_grid.
   const GridMap segment = GridMap::smallville(25);
-  const GridMap pair = GridMap::concatenate(segment, 2);
-  for (const GridMap* map : {&segment, &pair}) {
-    const std::string where = "smallville x" + std::to_string(
-        map->width() / map->segment_stride());
+  const std::pair<std::string, GridMap> generator_maps[] = {
+      {"smallville", segment},
+      {"smallville x2", GridMap::concatenate(segment, 2)},
+      {"plaza", GridMap::plaza()},
+      {"urban_grid", GridMap::urban_grid()},
+  };
+  for (const auto& [where, map] : generator_maps) {
     for (int q = 0; q < 40; ++q) {
-      expect_same(*map, nearest_walkable(*map, random_tile(*map, rng)),
-                  nearest_walkable(*map, random_tile(*map, rng)), where);
+      expect_same(map, nearest_walkable(map, random_tile(map, rng)),
+                  nearest_walkable(map, random_tile(map, rng)), where);
     }
-    for (const Arena& from : map->arenas()) {
-      expect_same(*map, nearest_walkable(*map, from.rect.center()),
-                  nearest_walkable(*map, map->arenas().front().rect.center()),
+    for (const Arena& from : map.arenas()) {
+      expect_same(map, nearest_walkable(map, from.rect.center()),
+                  nearest_walkable(map, map.arenas().front().rect.center()),
                   where);
     }
   }
+
+  // Searches that cross many f levels: a 300x200 map cut by a wall with
+  // one gap, and a serpentine maze whose walls leave a gap at alternate
+  // ends, so a path across it doubles back through every corridor.
+  GridMap cut(300, 200);
+  cut.block_rect(Rect{150, 0, 150, 199});
+  cut.set_walkable(Tile{150, 163}, true);
+  GridMap maze(61, 41);
+  for (std::int32_t x = 1; x < maze.width(); x += 2) {
+    maze.block_rect(Rect{x, 0, x, maze.height() - 1});
+    maze.set_walkable(Tile{x, (x / 2) % 2 == 0 ? maze.height() - 1 : 0}, true);
+  }
+  for (const auto& [where, map] :
+       {std::pair<std::string, const GridMap&>{"cut 300x200", cut},
+        std::pair<std::string, const GridMap&>{"serpentine", maze}}) {
+    for (int q = 0; q < 20; ++q) {
+      expect_same(map, nearest_walkable(map, random_tile(map, rng)),
+                  nearest_walkable(map, random_tile(map, rng)), where);
+    }
+    expect_same(map, Tile{0, 0}, Tile{map.width() - 1, map.height() - 1},
+                where);
+  }
+
+  // Scratch state is reused across searches on one thread: an unreachable
+  // search drains the open list, and the reachable search after it (on
+  // the same map, then on a smaller one) must still match.
+  GridMap sealed = cut;
+  sealed.set_walkable(Tile{150, 163}, false);
+  expect_same(sealed, Tile{3, 5}, Tile{297, 190}, "sealed 300x200");
+  expect_same(sealed, Tile{3, 5}, Tile{140, 190}, "sealed 300x200");
+  expect_same(maze, Tile{0, 40}, Tile{60, 0}, "serpentine after sealed");
 }
 
 TEST(Pathfinding, NearestWalkable) {
