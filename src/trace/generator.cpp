@@ -7,10 +7,10 @@
 #include <exception>
 #include <map>
 #include <numeric>
-#include <set>
 #include <string>
 #include <system_error>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -36,9 +36,12 @@ struct AgentSim {
   // Daily schedule (step indices).
   Step wake = 0, leave_home = 0, lunch_start = 0, lunch_end = 0;
   Step social_start = 0, home_start = 0, sleep = 0;
-  std::string home, work, social;
+  // Arenas of the map the agent lives on; never null after init.
+  const world::Arena* home = nullptr;
+  const world::Arena* work = nullptr;
+  const world::Arena* social = nullptr;
   // Navigation.
-  std::string current_target;
+  const world::Arena* current_target = nullptr;
   std::vector<Tile> path;
   std::size_t path_idx = 0;
   // Conversation state.
@@ -87,9 +90,9 @@ std::uint64_t prompt_hash_for(AgentId agent, CallType type,
 /// profile's prefix weights, social venues Zipf-weighted by discovery
 /// rank. Heterogeneous populations build one table per distinct profile.
 struct VenueTable {
-  std::vector<std::string> workplaces;
+  std::vector<const world::Arena*> workplaces;
   std::vector<double> workplace_w;
-  std::vector<std::string> socials;
+  std::vector<const world::Arena*> socials;
   std::vector<double> social_w;
 };
 
@@ -108,7 +111,7 @@ VenueTable discover_venues(const GridMap& map, const BehaviorProfile& profile) {
                          ? profile.workplace_weights[p]
                          : 1.0;
     for (const auto* arena : matched) {
-      vt.workplaces.push_back(arena->name);
+      vt.workplaces.push_back(arena);
       vt.workplace_w.push_back(w / static_cast<double>(matched.size()));
     }
   }
@@ -117,7 +120,7 @@ VenueTable discover_venues(const GridMap& map, const BehaviorProfile& profile) {
   for (const auto& prefix : profile.social_prefixes) {
     for (const auto& arena : map.arenas()) {
       if (arena.name.rfind(prefix, 0) == 0) {
-        vt.socials.push_back(arena.name);
+        vt.socials.push_back(&arena);
         vt.social_w.push_back(
             1.0 / std::pow(static_cast<double>(vt.socials.size()),
                            profile.social_zipf_alpha));
@@ -144,6 +147,8 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
   AIM_CHECK(cfg.n_agents > 0);
   AIM_CHECK(cfg.steps_per_day > 0);
   AIM_CHECK(cfg.day_index >= 0);
+  AIM_CHECK_MSG(cfg.radius_p >= 0.0,
+                "radius_p must be >= 0, got " << cfg.radius_p);
   const bool hetero = !cfg.agent_profiles.empty();
   AIM_CHECK_MSG(!hetero || cfg.agent_profiles.size() ==
                                static_cast<std::size_t>(cfg.n_agents),
@@ -166,9 +171,9 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
   // Discover available homes on the map. Workplaces and social venues are
   // profile-dependent (arena-name prefixes, so the same profile works on
   // any map family): one venue table per distinct profile in the run.
-  std::vector<std::string> homes;
+  std::vector<const world::Arena*> homes;
   for (const auto& arena : map.arenas()) {
-    if (arena.name.rfind("home_", 0) == 0) homes.push_back(arena.name);
+    if (arena.name.rfind("home_", 0) == 0) homes.push_back(&arena);
   }
   AIM_CHECK_MSG(!homes.empty(), "map has no home_* arenas");
 
@@ -183,6 +188,7 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
 
   const Step day = cfg.steps_per_day;
   std::vector<AgentSim> sims(static_cast<std::size_t>(cfg.n_agents));
+  std::vector<double> agent_peak(sims.size(), 0.0);
   std::vector<std::vector<Tile>> positions(
       static_cast<std::size_t>(cfg.n_agents));
 
@@ -192,6 +198,9 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
     const BehaviorProfile& prof =
         hetero ? cfg.agent_profiles[static_cast<std::size_t>(i)] : profile;
     a.profile = &prof;
+    double peak = 0.0;
+    for (double w : prof.hourly_weights) peak = std::max(peak, w);
+    agent_peak[static_cast<std::size_t>(i)] = peak;
     const VenueTable& venues = venues_for(prof);
     // Heterogeneous runs draw each agent's routine from a per-agent stream
     // keyed by (seed, agent, day): the draws are independent of the rest
@@ -238,12 +247,10 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
     a.sleep = clamp_step(hour_to_step(arng.normal(prof.sleep_hour_mean, 0.8)),
                          a.home_start + 60, day);
     // Start in bed at home.
-    const world::Arena* home = map.arena(a.home);
-    AIM_CHECK(home != nullptr);
-    Tile bed = home->rect.center();
+    Tile bed = a.home->rect.center();
     // Crowded maps may share homes: jitter within the plot.
     bed.x = std::clamp(bed.x + static_cast<std::int32_t>(arng.uniform_int(-2, 2)),
-                       home->rect.x0, home->rect.x1);
+                       a.home->rect.x0, a.home->rect.x1);
     a.tile = world::nearest_walkable(map, bed);
     if (!cfg.start_tiles.empty()) {
       // Cross-day carry-over: this day starts exactly where the previous
@@ -255,13 +262,13 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
     positions[static_cast<std::size_t>(i)].push_back(a.tile);
   }
 
-  auto target_arena_at = [&](const AgentSim& a, Step s) -> const std::string& {
+  const world::Arena* const cafe = map.arena("cafe");
+  auto target_arena_at = [&](const AgentSim& a, Step s) {
     if (s < a.leave_home) return a.home;
     if (s < a.lunch_start) return a.work;
     if (s < a.lunch_end) {
       // Lunch out only for agents who actually left home for work.
-      static const std::string kCafe = "cafe";
-      return (a.work != a.home && map.arena("cafe")) ? kCafe : a.work;
+      return (a.work != a.home && cafe) ? cafe : a.work;
     }
     if (s < a.social_start) return a.work;
     if (s < a.home_start) return a.social;
@@ -270,7 +277,8 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
 
   std::int32_t next_conversation_id = 0;
   std::vector<Interaction> interactions;
-  std::map<std::pair<AgentId, AgentId>, Step> last_conversation;
+  // Last conversation end per pair, keyed (lower id << 32) | higher id.
+  std::unordered_map<std::uint64_t, Step> last_conversation;
 
   // Scheduled conversation turns: step -> (speaker, partner, conv id, turn).
   struct Turn {
@@ -278,6 +286,20 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
     std::int32_t conv_id, turn_idx;
   };
   std::map<Step, std::vector<Turn>> scheduled_turns;
+
+  // The kick-off scan's list, reused across steps.
+  struct Idle {
+    Tile tile;
+    AgentId agent;
+    bool busy;
+  };
+  std::vector<Idle> idle;
+  // A pair more than `reach` tiles apart on either axis is farther than
+  // radius_p, so the exact distance test below would reject it too (tile
+  // differences are small exact integers). The map extent caps the bound
+  // before the integer cast.
+  const auto reach = static_cast<std::int32_t>(std::floor(std::min(
+      cfg.radius_p, static_cast<double>(map.width() + map.height()))));
 
   // ---- Pass A: movement, conversations, wake-up planning, reflections ----
   for (std::int32_t i = 0; i < cfg.n_agents; ++i) {
@@ -336,42 +358,58 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
         positions[static_cast<std::size_t>(a.id)].push_back(a.tile);
         continue;
       }
-      const std::string& want = target_arena_at(a, s);
+      const world::Arena* want = target_arena_at(a, s);
       if (want != a.current_target) {
         a.current_target = want;
-        const world::Arena* arena = map.arena(want);
-        AIM_CHECK(arena != nullptr);
-        const Tile goal = random_tile_in(map, *arena, rng);
+        const Tile goal = random_tile_in(map, *want, rng);
         a.path = world::find_path(map, a.tile, goal);
         a.path_idx = a.path.empty() ? 0 : 1;  // path[0] == current tile
       }
       if (a.path_idx < a.path.size()) {
         a.tile = a.path[a.path_idx++];
       } else if (rng.bernoulli(0.15)) {
-        // Idle wander within the current arena.
+        // Idle wander within the current arena, to a walkable neighbor
+        // drawn in +x, -x, +y, -y order.
         const world::Arena* arena = map.arena_at(a.tile);
-        auto neighbors = map.neighbors(a.tile);
-        std::vector<Tile> candidates;
-        for (Tile n : neighbors) {
-          if (!arena || arena->rect.contains(n)) candidates.push_back(n);
+        const Tile t = a.tile;
+        std::array<Tile, 4> candidates;
+        std::int64_t n = 0;
+        for (const Tile next : {Tile{t.x + 1, t.y}, Tile{t.x - 1, t.y},
+                                Tile{t.x, t.y + 1}, Tile{t.x, t.y - 1}}) {
+          if (map.walkable(next) && (!arena || arena->rect.contains(next))) {
+            candidates[static_cast<std::size_t>(n++)] = next;
+          }
         }
-        if (!candidates.empty()) {
-          a.tile = candidates[static_cast<std::size_t>(rng.uniform_int(
-              0, static_cast<std::int64_t>(candidates.size()) - 1))];
+        if (n > 0) {
+          a.tile =
+              candidates[static_cast<std::size_t>(rng.uniform_int(0, n - 1))];
         }
       }
       positions[static_cast<std::size_t>(a.id)].push_back(a.tile);
     }
 
-    // Conversation kick-off: co-located awake idle agents.
-    for (std::size_t i = 0; i < sims.size(); ++i) {
-      AgentSim& a = sims[i];
+    // Conversation kick-off: co-located awake idle agents. The scan runs
+    // over the agents awake and idle when it starts, in index order; a
+    // conversation marks both sides busy for the rest of the scan.
+    idle.clear();
+    for (const AgentSim& a : sims) {
       if (s < a.wake || s >= a.sleep || a.conversing_until >= s) continue;
-      for (std::size_t j = i + 1; j < sims.size(); ++j) {
-        AgentSim& b = sims[j];
-        if (s < b.wake || s >= b.sleep || b.conversing_until >= s) continue;
+      idle.push_back(Idle{a.tile, a.id, false});
+    }
+    for (std::size_t i = 0; i < idle.size(); ++i) {
+      if (idle[i].busy) continue;
+      AgentSim& a = sims[static_cast<std::size_t>(idle[i].agent)];
+      for (std::size_t j = i + 1; j < idle.size(); ++j) {
+        if (idle[j].busy) continue;
+        if (std::abs(idle[j].tile.x - a.tile.x) > reach ||
+            std::abs(idle[j].tile.y - a.tile.y) > reach) {
+          continue;
+        }
+        AgentSim& b = sims[static_cast<std::size_t>(idle[j].agent)];
         if (euclidean(a.tile.center(), b.tile.center()) > cfg.radius_p) continue;
-        const auto pair_key = std::make_pair(a.id, b.id);
+        const std::uint64_t pair_key =
+            (static_cast<std::uint64_t>(a.id) << 32) |
+            static_cast<std::uint32_t>(b.id);
         const BehaviorProfile& pa = *a.profile;
         const BehaviorProfile& pb = *b.profile;
         auto lit = last_conversation.find(pair_key);
@@ -384,11 +422,8 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
         // long conversations at the midday peak, rare brief exchanges in
         // the early morning (§4.3: "busy hours feature long
         // conversations").
-        double peak_weight = 0.0;
-        for (double w : pa.hourly_weights) {
-          peak_weight = std::max(peak_weight, w);
-        }
-        const double conv_intensity = pa.hourly_weights[hour] / peak_weight;
+        const double conv_intensity = pa.hourly_weights[hour] /
+                                      agent_peak[static_cast<std::size_t>(a.id)];
         // A conversation needs both sides willing: across profiles the
         // pair propensity is the geometric mean, so a hermit (propensity
         // 0) never converses no matter how pushy the other side is. The
@@ -416,6 +451,7 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
         const Step conv_end = std::min<Step>(turn_step, day - 1);
         a.conversing_until = conv_end;
         b.conversing_until = conv_end;
+        idle[j].busy = true;
         last_conversation[pair_key] = conv_end;
         break;  // agent a starts at most one conversation per step
       }
@@ -537,11 +573,8 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
       // routines — the §4.3 contrast that makes lock-step sync cheap at
       // 6am and expensive at noon. "Busy" is judged on the selected
       // agent's own curve (identical for every agent when homogeneous).
-      double max_weight = 0.0;
-      for (double w : a.profile->hourly_weights) {
-        max_weight = std::max(max_weight, w);
-      }
-      const double intensity = a.profile->hourly_weights[h] / max_weight;
+      const double intensity = a.profile->hourly_weights[h] /
+                               agent_peak[static_cast<std::size_t>(a.id)];
       const double p_task = 0.25 * intensity;
       const double task_len_lambda = 1.0 + 7.0 * intensity;
       // In light hours agents run the same clock-driven routines (waking,
