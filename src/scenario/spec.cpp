@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <functional>
@@ -172,12 +173,14 @@ bool conv(const std::string& v, std::int32_t* out) { return conv_int(v, out); }
 bool conv(const std::string& v, std::int64_t* out) { return conv_int(v, out); }
 bool conv(const std::string& v, std::uint64_t* out) { return conv_int(v, out); }
 
+// from_chars also accepts "nan", "inf" and "infinity"; no spec value
+// means anything non-finite, so those are invalid too.
 bool conv(const std::string& v, double* out) {
   double parsed{};
   const char* first = v.data();
   const char* last = v.data() + v.size();
   const auto [ptr, ec] = std::from_chars(first, last, parsed);
-  if (ec != std::errc{} || ptr != last) return false;
+  if (ec != std::errc{} || ptr != last || !std::isfinite(parsed)) return false;
   *out = parsed;
   return true;
 }

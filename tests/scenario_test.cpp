@@ -165,6 +165,22 @@ TEST(SpecParse, RejectsTrailingGarbageOnNumbers) {
   EXPECT_FALSE(parse_spec_text("seed = -1\n"));  // seed is unsigned
 }
 
+TEST(SpecParse, RejectsNonFiniteFloats) {
+  // from_chars parses these spellings; no double key may take them.
+  const char* const double_keys[] = {
+      "graph_rewire", "segment_skew", "conversation_scale", "calls_scale",
+      "radius_p",     "max_vel",      "time_scale"};
+  for (const char* key : double_keys) {
+    for (const char* value : {"nan", "inf", "-inf", "infinity"}) {
+      const std::string text = std::string(key) + " = " + value + "\n";
+      const auto parsed = parse_spec_text(text);
+      ASSERT_FALSE(parsed) << text;
+      EXPECT_NE(parsed.error.find("invalid value"), std::string::npos)
+          << text << parsed.error;
+    }
+  }
+}
+
 TEST(SpecParse, RejectsUnknownEnumValues) {
   EXPECT_FALSE(parse_spec_text("backend = quantum\n"));
   EXPECT_FALSE(parse_spec_text("map = moonbase\n"));
