@@ -43,7 +43,7 @@ struct SearchScratch {
     std::uint32_t head = kNil;
     std::uint32_t tail = kNil;
   };
-  /// The two open levels, indexed by (f / 2) % 2.
+  /// One open level: the entries of one f, bucketed by h.
   struct Level {
     std::vector<Bucket> by_h;  // indexed by h
     std::size_t size = 0;
@@ -52,8 +52,10 @@ struct SearchScratch {
   std::vector<Cell> cells;  // indexed y * width + x
   std::vector<Entry> pool;  // entries of every bucket, plus freed slots
   std::uint32_t free = kNil;
-  Level levels[2];
+  Level levels[2];  // level f lives at (f / 2) % 2, beside f + 2
   std::uint32_t stamp = 0;
+
+  Level& level_of(std::int32_t f) { return levels[(f >> 1) & 1]; }
 
   void begin(std::size_t n_tiles, std::size_t n_h) {
     if (cells.size() < n_tiles) cells.resize(n_tiles);
@@ -78,7 +80,7 @@ struct SearchScratch {
       free = pool[slot].next;
       pool[slot] = Entry{tile, kNil};
     }
-    Level& level = levels[(f >> 1) & 1];
+    Level& level = level_of(f);
     Bucket& b = level.by_h[static_cast<std::size_t>(h)];
     if (b.tail == kNil) {
       b.head = slot;
@@ -92,7 +94,7 @@ struct SearchScratch {
   /// Pops the first entry of level f, which must be non-empty; returns
   /// its tile and sets `*h`.
   Tile pop(std::int32_t f, std::int32_t* h) {
-    Level& level = levels[(f >> 1) & 1];
+    Level& level = level_of(f);
     while (level.by_h[static_cast<std::size_t>(level.min_h)].head == kNil) {
       ++level.min_h;
     }
@@ -134,8 +136,8 @@ std::vector<Tile> find_path(const GridMap& map, Tile start, Tile goal) {
   cell(start) = {stamp, 0, start};
 
   while (true) {
-    if (scratch.levels[(f >> 1) & 1].size == 0) {
-      if (scratch.levels[((f >> 1) + 1) & 1].size == 0) return {};
+    if (scratch.level_of(f).size == 0) {
+      if (scratch.level_of(f + 2).size == 0) return {};
       f += 2;
     }
     std::int32_t h = 0;
