@@ -476,6 +476,13 @@ std::string validate_spec(const ScenarioSpec& spec) {
                      spec.segments);
   }
   if (spec.steps_per_day < 1) return "steps_per_day must be >= 1";
+  if (spec.map != MapKind::kArena && spec.steps_per_day != 8640) {
+    return strformat(
+        "steps_per_day (%d) must be 8640 on trace-bearing maps: the trace "
+        "generator's schedules and hourly curves assume 360 steps per "
+        "simulated hour (only arena maps take other values)",
+        spec.steps_per_day);
+  }
   if (spec.days < 1 || spec.days > 64) return "days must be in [1, 64]";
   const bool has_window = spec.window_begin >= 0 || spec.window_end >= 0;
   if (has_window) {

@@ -236,6 +236,25 @@ TEST(SpecValidate, CatchesStructuralErrors) {
   const std::string err = validate_spec(spec);
   EXPECT_NE(err.find("unknown behavior profile"), std::string::npos);
   EXPECT_NE(err.find("townsfolk"), std::string::npos);  // lists knowns
+
+  // Trace-bearing maps run the generator's 360-steps-per-hour day; any
+  // other length would put calls outside the trace's window.
+  for (const std::int32_t steps : {8000, 9000}) {
+    spec = ScenarioSpec{};
+    spec.steps_per_day = steps;
+    EXPECT_NE(validate_spec(spec).find("8640"), std::string::npos) << steps;
+  }
+  spec = ScenarioSpec{};
+  spec.world = WorldKind::kGraph;
+  spec.graph_nodes = 200;
+  spec.steps_per_day = 8000;
+  EXPECT_NE(validate_spec(spec).find("8640"), std::string::npos);
+  // Arena maps take any positive step count: it is the live run's target.
+  spec = ScenarioSpec{};
+  spec.map = MapKind::kArena;
+  spec.backend = Backend::kEngine;
+  spec.steps_per_day = 20;
+  EXPECT_EQ(validate_spec(spec), "");
 }
 
 TEST(SpecValidate, PoolWorkersValidatesAndDerives) {

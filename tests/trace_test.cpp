@@ -189,7 +189,10 @@ TEST(Trace, GoldenBytesAreBitExact) {
   // segments across midnight, heterogeneous profiles split over segments,
   // and the graph generator. Then the other grid maps (the plaza's hub
   // crowds, urban_grid's gated detours) and 100 agents in one segment
-  // over two days, the densest kick-off scan.
+  // over two days, the densest kick-off scan. Last, the day model both
+  // generators share, end to end: the graph generator's whole day, once
+  // homogeneous and once with a mixed population, and seven
+  // mixed-population grid days with carry-over.
   const struct {
     const char* scenario;
     const char* overrides;
@@ -203,6 +206,13 @@ TEST(Trace, GoldenBytesAreBitExact) {
       {"social_hub", "", 0x8a52bb05ee020272ULL},
       {"urban_commute", "", 0x9a08afd007b4b402ULL},
       {"skewed_ville100", "segments=1", 0x42aed4d885627f87ULL},
+      {"social_net100", "window_begin=-1 window_end=-1",
+       0x911186a4a7280fd0ULL},
+      {"social_net100",
+       "population=townsfolk:0.6,socialite:0.2,commuter:0.15,hermit:0.05 "
+       "window_begin=-1 window_end=-1",
+       0xe0f86bfe75a50954ULL},
+      {"metropolis_week", "", 0xe938cb63a9175e3cULL},
   };
   for (const auto& cell : cells) {
     std::string error;
