@@ -117,13 +117,15 @@ SimulationTrace generate_concatenated(
 /// Graph-world (social-network) generator: agents live on the nodes of a
 /// fixed undirected graph (e.g. world::newman_watts_graph), positions
 /// encode node ids, and radius_p/max_vel are measured in hops
-/// (cfg.max_vel must be >= 1 — agents move one hop per step). Daily
-/// structure mirrors the grid generator: wake/sleep schedules and the
-/// wake-up planning burst come from the behavior profile(s), agents
-/// random-walk their neighborhood with the profile's diurnal intensity
-/// (drifting toward high-degree hub nodes in social hours), conversations
-/// start between co-located agents with per-pair cooldowns, and a Pass-B
-/// routine fill hits the same calibrated diurnal call-count curve.
+/// (cfg.max_vel must be >= 1 — agents move one hop per step). It shares
+/// the grid generator's day model: the same wake/sleep schedule draws,
+/// wake-up planning burst and reflections, conversation turns with
+/// per-pair cooldowns, Pass-B routine fill to the calibrated diurnal
+/// call-count curve, and call/interaction assembly. What is its own:
+/// agents start on random nodes, random-walk their neighborhood with the
+/// profile's diurnal intensity (drifting toward high-degree hub nodes in
+/// social hours), and conversations start between agents on the same
+/// node.
 /// Requires cfg.day_index == 0 and empty cfg.start_tiles (graph scenarios
 /// are single-day); cfg.days is ignored.
 ///
