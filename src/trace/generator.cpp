@@ -564,12 +564,12 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
   AIM_CHECK(cfg.day_index >= 0);
   AIM_CHECK_MSG(cfg.radius_p >= 0.0,
                 "radius_p must be >= 0, got " << cfg.radius_p);
-  std::vector<AgentSim> sims = make_agents(cfg);
-  const bool hetero = !cfg.agent_profiles.empty();
   AIM_CHECK_MSG(cfg.start_tiles.empty() ||
                     cfg.start_tiles.size() ==
                         static_cast<std::size_t>(cfg.n_agents),
                 "start_tiles must be empty or one per agent");
+  std::vector<AgentSim> sims = make_agents(cfg);
+  const bool hetero = !cfg.agent_profiles.empty();
   // Day 0 seeds exactly as the historical single-day generator; later days
   // of an episode derive an independent stream so each day rolls fresh
   // randomness (schedules, conversations, fill).
