@@ -76,10 +76,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * mag * std::cos(2.0 * M_PI * u2);
 }
 
-double Rng::lognormal(double mu, double sigma) {
-  return std::exp(normal(mu, sigma));
-}
-
 std::int64_t Rng::poisson(double lambda) {
   AIM_CHECK(lambda >= 0.0);
   if (lambda == 0.0) return 0;
@@ -97,13 +93,6 @@ std::int64_t Rng::poisson(double lambda) {
   // Normal approximation with continuity correction.
   const double v = normal(lambda, std::sqrt(lambda));
   return std::max<std::int64_t>(0, static_cast<std::int64_t>(std::lround(v)));
-}
-
-double Rng::exponential(double rate) {
-  AIM_CHECK(rate > 0.0);
-  double u = uniform();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -std::log(u) / rate;
 }
 
 double Rng::weight_total(const std::vector<double>& weights) {

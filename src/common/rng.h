@@ -42,14 +42,8 @@ class Rng {
   /// Normal via Box-Muller (no state caching; deterministic ordering).
   double normal(double mean, double stddev);
 
-  /// Log-normal with the given mean and sigma of the underlying normal.
-  double lognormal(double mu, double sigma);
-
   /// Poisson via inversion for small lambda, normal approximation for large.
   std::int64_t poisson(double lambda);
-
-  /// Exponential with the given rate (>0).
-  double exponential(double rate);
 
   /// Sample an index from non-negative weights (at least one positive).
   std::size_t weighted_index(const std::vector<double>& weights);

@@ -1,5 +1,6 @@
 #include "runtime/task_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <thread>
@@ -70,18 +71,19 @@ TaskPool::Handle TaskPool::submit(std::int64_t priority, Task fn) {
   auto state = std::make_shared<Handle::State>();
   state->fn = std::move(fn);
   {
+    // The flag check and the push share one critical section, so a
+    // shutdown() racing this submit either finds the task queued (and a
+    // worker drains it) or fails the check: no task lands in a backlog no
+    // worker will pop.
     common::MutexLock lock(mutex_);
     AIM_CHECK_MSG(!shut_down_, "submit() on a shut-down TaskPool");
     ++in_flight_;
     if (in_flight_ > stats_.peak_in_flight) stats_.peak_in_flight = in_flight_;
-    // Push while still holding mutex_: a shutdown() racing this submit
-    // either sees the task already queued (and drains it) or wins the
-    // flag check above — a task can never land in a queue no worker will
-    // ever pop. The queue's internal lock nests inside mutex_ only here;
-    // workers release it before taking mutex_, so there is no inversion.
-    queue_.push(priority, state);
+    backlog_.push_back(Queued{priority, next_seq_++, state});
+    std::push_heap(backlog_.begin(), backlog_.end(), std::greater<>{});
   }
-  return Handle(state);
+  work_cv_.notify_one();
+  return Handle(std::move(state));
 }
 
 void TaskPool::submit_and_wait(std::vector<Task> tasks,
@@ -107,17 +109,12 @@ void TaskPool::submit_and_wait(std::vector<Task> tasks,
   if (first != nullptr) std::rethrow_exception(first);
 }
 
-void TaskPool::wait_idle() const {
-  common::MutexLock lock(mutex_);
-  while (in_flight_ != 0) idle_cv_.wait(mutex_);
-}
-
 void TaskPool::shutdown() {
   {
     common::MutexLock lock(mutex_);
     shut_down_ = true;
   }
-  queue_.close();  // workers drain the backlog, then exit
+  work_cv_.notify_all();  // workers drain the backlog, then exit
   for (std::thread& t : threads_) {
     if (t.joinable()) t.join();
   }
@@ -129,8 +126,17 @@ TaskPoolStats TaskPool::stats() const {
 }
 
 void TaskPool::worker_loop() {
-  while (std::optional<StatePtr> state = queue_.pop()) {
-    try_execute(*state, /*inline_run=*/false);
+  for (;;) {
+    StatePtr state;
+    {
+      common::MutexLock lock(mutex_);
+      while (backlog_.empty() && !shut_down_) work_cv_.wait(mutex_);
+      if (backlog_.empty()) return;  // shut down and drained
+      std::pop_heap(backlog_.begin(), backlog_.end(), std::greater<>{});
+      state = std::move(backlog_.back().state);
+      backlog_.pop_back();
+    }
+    try_execute(state, /*inline_run=*/false);
   }
 }
 
@@ -156,18 +162,13 @@ bool TaskPool::try_execute(const StatePtr& state, bool inline_run) {
 }
 
 void TaskPool::finish_one(bool inline_run) {
-  bool idle = false;
-  {
-    common::MutexLock lock(mutex_);
-    --in_flight_;
-    if (inline_run) {
-      ++stats_.tasks_inlined;
-    } else {
-      ++stats_.tasks_executed;
-    }
-    idle = in_flight_ == 0;
+  common::MutexLock lock(mutex_);
+  --in_flight_;
+  if (inline_run) {
+    ++stats_.tasks_inlined;
+  } else {
+    ++stats_.tasks_executed;
   }
-  if (idle) idle_cv_.notify_all();
 }
 
 }  // namespace aimetro::runtime

@@ -10,7 +10,10 @@
 // dispatch, paying thread spawn/teardown on the critical path. TaskPool
 // centralizes that: workers are spawned once per run (outside the timed
 // region) and tasks are handed over through a step-priority queue, so the
-// per-dispatch cost is a queue push instead of a pthread_create.
+// per-dispatch cost is a queue push instead of a pthread_create. The pool
+// keeps that queue as its own heap under its one lock, so a task costs
+// three acquisitions of that lock (submit, pop, finish) and the pool
+// never holds a second lock while it holds it.
 //
 // Design points:
 //   - submit() returns a waitable Handle; the task's exception (if any) is
@@ -38,7 +41,6 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/sync_queue.h"
 #include "common/thread_annotations.h"
 
 namespace aimetro::runtime {
@@ -110,10 +112,6 @@ class TaskPool {
   /// first exception after the whole batch has settled.
   void submit_and_wait(std::vector<Task> tasks, std::int64_t priority = 0);
 
-  /// Block until no task is queued or running. Does not prevent further
-  /// submissions; meant for quiescing between phases.
-  void wait_idle() const;
-
   /// Drain queued tasks, then join the workers. Idempotent; called by the
   /// destructor. Submitting after shutdown is a checked error.
   void shutdown();
@@ -126,19 +124,34 @@ class TaskPool {
  private:
   using StatePtr = std::shared_ptr<Handle::State>;
 
+  /// One backlog entry. The heap pops the smallest priority first and,
+  /// within equal priority, the earliest submission.
+  struct Queued {
+    std::int64_t priority;
+    std::uint64_t seq;
+    StatePtr state;
+    bool operator>(const Queued& other) const {
+      if (priority != other.priority) return priority > other.priority;
+      return seq > other.seq;
+    }
+  };
+
   void worker_loop();
   /// Claim and run `state` unless another thread already has. Returns
   /// whether this thread ran it. `inline_run` tags the stats bucket.
   bool try_execute(const StatePtr& state, bool inline_run);
   void finish_one(bool inline_run);
 
-  /// Internally synchronized (its own lock nests inside mutex_ only in
-  /// submit(); workers release it before taking mutex_, so no inversion).
-  SyncPriorityQueue<StatePtr, std::int64_t> queue_;
   std::vector<std::thread> threads_;
 
   mutable common::Mutex mutex_{"task_pool"};
-  mutable common::CondVar idle_cv_;
+  /// Wakes workers when a task is queued or the pool shuts down.
+  common::CondVar work_cv_;
+  /// Min-heap (std::push_heap / std::pop_heap with std::greater) of tasks
+  /// no worker has popped yet; a task a waiting caller claimed inline
+  /// stays here until a worker pops and skips it.
+  std::vector<Queued> backlog_ GUARDED_BY(mutex_);
+  std::uint64_t next_seq_ GUARDED_BY(mutex_) = 0;
   /// Submitted, not yet finished.
   std::uint64_t in_flight_ GUARDED_BY(mutex_) = 0;
   TaskPoolStats stats_ GUARDED_BY(mutex_);

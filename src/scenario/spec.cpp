@@ -501,9 +501,14 @@ std::string validate_spec(const ScenarioSpec& spec) {
   if (spec.tensor_parallel < 1 || spec.data_parallel < 1) {
     return "tensor_parallel and data_parallel must be >= 1";
   }
-  if (spec.workers < 1) return "workers must be >= 1";
-  if (spec.pool_workers < 0) {
-    return "pool_workers must be >= 0 (0 derives from workers)";
+  // Each worker is an OS thread (strip pools and the member-chain pool),
+  // so an absurd count must fail here rather than as an uncaught
+  // std::system_error mid-spawn. 2048 = derive_pool_workers(1024).
+  if (spec.workers < 1 || spec.workers > 1024) {
+    return "workers must be in [1, 1024]";
+  }
+  if (spec.pool_workers < 0 || spec.pool_workers > 2048) {
+    return "pool_workers must be in [0, 2048] (0 derives from workers)";
   }
   if (spec.shards < 0 || spec.shards > 64) {
     return "shards must be auto or in [1, 64]";

@@ -1,16 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/strings.h"
-#include "common/sync_queue.h"
 #include "common/types.h"
 
 namespace aimetro {
@@ -202,90 +198,6 @@ TEST(Strings, Pad) {
   EXPECT_EQ(pad_left("ab", 4), "  ab");
   EXPECT_EQ(pad_right("ab", 4), "ab  ");
   EXPECT_EQ(pad_left("abcde", 4), "abcde");
-}
-
-TEST(SyncPriorityQueue, OrdersByPriorityThenFifo) {
-  SyncPriorityQueue<std::string, int> q;
-  q.push(3, "c");
-  q.push(1, "a1");
-  q.push(2, "b");
-  q.push(1, "a2");
-  EXPECT_EQ(q.pop().value(), "a1");
-  EXPECT_EQ(q.pop().value(), "a2");
-  EXPECT_EQ(q.pop().value(), "b");
-  EXPECT_EQ(q.pop().value(), "c");
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(SyncPriorityQueue, CloseWakesBlockedConsumers) {
-  SyncPriorityQueue<int, int> q;
-  std::atomic<int> finished{0};
-  std::thread consumer([&] {
-    while (q.pop().has_value()) {
-    }
-    finished = 1;
-  });
-  q.push(0, 42);
-  q.close();
-  consumer.join();
-  EXPECT_EQ(finished.load(), 1);
-}
-
-TEST(SyncPriorityQueue, ConcurrentProducersConsumeAll) {
-  SyncPriorityQueue<int, int> q;
-  constexpr int kPerProducer = 1000;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.push(p, i);
-    });
-  }
-  std::atomic<int> consumed{0};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 3; ++c) {
-    consumers.emplace_back([&] {
-      while (q.pop().has_value()) consumed.fetch_add(1);
-    });
-  }
-  for (auto& t : producers) t.join();
-  while (consumed.load() < 4 * kPerProducer) {
-    std::this_thread::yield();
-  }
-  q.close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(consumed.load(), 4 * kPerProducer);
-}
-
-TEST(SyncPriorityQueue, CloseWithBacklogDrainsBeforeNullopt) {
-  // close() must not discard queued work: pops after close still drain
-  // the backlog (in priority order), and only then return nullopt. The
-  // TaskPool's drain-on-shutdown guarantee is built on this.
-  SyncPriorityQueue<int, int> q;
-  q.push(2, 20);
-  q.push(1, 10);
-  q.close();
-  EXPECT_EQ(q.pop().value(), 10);
-  EXPECT_EQ(q.pop().value(), 20);
-  EXPECT_FALSE(q.pop().has_value());
-  EXPECT_TRUE(q.closed());
-}
-
-TEST(SyncPriorityQueue, CloseWakesManyConsumersBlockedInPop) {
-  // Several consumers blocked inside pop() on an *empty* queue: close()
-  // must wake every one of them with nullopt, not just the first.
-  SyncPriorityQueue<int, int> q;
-  std::atomic<int> woke_empty{0};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 4; ++c) {
-    consumers.emplace_back([&] {
-      if (!q.pop().has_value()) woke_empty.fetch_add(1);
-    });
-  }
-  // Give the consumers a moment to actually block in pop().
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(woke_empty.load(), 4);
 }
 
 }  // namespace

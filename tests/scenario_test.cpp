@@ -272,6 +272,19 @@ TEST(SpecValidate, PoolWorkersValidatesAndDerives) {
   spec.pool_workers = -1;
   EXPECT_NE(validate_spec(spec), "");
 
+  // Every worker is a thread, so both counts are bounded. Only
+  // validate_spec runs here: no pool is built at these sizes.
+  spec.pool_workers = 2048;
+  EXPECT_EQ(validate_spec(spec), "");
+  EXPECT_EQ(runtime::derive_pool_workers(1024), 2048);
+  spec.pool_workers = 2049;
+  EXPECT_NE(validate_spec(spec).find("[0, 2048]"), std::string::npos);
+  spec.pool_workers = 0;
+  spec.workers = 1024;
+  EXPECT_EQ(validate_spec(spec), "");
+  spec.workers = 1025;
+  EXPECT_NE(validate_spec(spec).find("[1, 1024]"), std::string::npos);
+
   // The key parses, round-trips, and typos suggest it.
   const auto parsed = parse_spec_text("pool_workers = 12\n");
   ASSERT_TRUE(parsed) << parsed.error;

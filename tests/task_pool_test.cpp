@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -41,25 +42,27 @@ TEST(TaskPool, PriorityOrdersTheBacklog) {
   // One worker, blocked by a gate task while the backlog builds up: the
   // queued tasks must then run in ascending priority order (FIFO within
   // equal priority), the rule the engine relies on for earliest-step-first
-  // dispatch.
+  // dispatch. Priority 1 has four ties: a heap that breaks ties
+  // arbitrarily can still order two of them right.
   TaskPool pool(1);
   std::promise<void> gate;
   std::shared_future<void> open = gate.get_future().share();
   TaskPool::Handle gate_handle = pool.submit([open] { open.wait(); });
 
+  const std::vector<int> priorities = {5, 1, 3, 1, 1, 3, 1};
   std::mutex order_mutex;
-  std::vector<int> order;
+  std::vector<int> order;  // submission indices, in run order
   std::vector<TaskPool::Handle> handles;
-  for (int priority : {5, 1, 3, 1}) {
-    handles.push_back(pool.submit(priority, [&order_mutex, &order, priority] {
+  for (int i = 0; i < static_cast<int>(priorities.size()); ++i) {
+    handles.push_back(pool.submit(priorities[i], [&order_mutex, &order, i] {
       std::lock_guard<std::mutex> lock(order_mutex);
-      order.push_back(priority);
+      order.push_back(i);
     }));
   }
   gate.set_value();
   for (const auto& h : handles) h.wait();
   gate_handle.wait();
-  EXPECT_EQ(order, (std::vector<int>{1, 1, 3, 5}));
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 4, 6, 2, 5, 0}));
 }
 
 TEST(TaskPool, HandleWaitRethrowsTheTaskException) {
@@ -114,17 +117,20 @@ TEST(TaskPool, SubmitAfterShutdownIsACheckedError) {
   EXPECT_THROW(pool.submit([] {}), CheckError);
 }
 
-TEST(TaskPool, WaitIdleBlocksUntilAllTasksFinish) {
-  TaskPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      done.fetch_add(1);
-    });
+TEST(TaskPool, ShutdownWakesEveryIdleWorker) {
+  // Every worker blocked on an empty backlog must wake and exit on
+  // shutdown, not just the first, or the destructor's join hangs. The
+  // pool dies on another thread so a hang fails the test at 10 s.
+  auto* pool = new TaskPool(4);
+  // Give the workers a moment to block on the empty backlog.
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  auto destroyed = std::make_unique<std::future<void>>(
+      std::async(std::launch::async, [pool] { delete pool; }));
+  if (destroyed->wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    destroyed.release();  // its destructor would block on the hung join
+    FAIL() << "destroying an idle 4-worker pool took over 10 s";
   }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 10);
 }
 
 TEST(TaskPool, NestedSubmitAndWaitCannotDeadlock) {
@@ -153,10 +159,11 @@ TEST(TaskPool, PeakInFlightTracksTheBacklogHighWaterMark) {
   TaskPool pool(1);
   std::promise<void> gate;
   std::shared_future<void> open = gate.get_future().share();
-  pool.submit([open] { open.wait(); });
-  for (int i = 0; i < 7; ++i) pool.submit([] {});
+  std::vector<TaskPool::Handle> handles;
+  handles.push_back(pool.submit([open] { open.wait(); }));
+  for (int i = 0; i < 7; ++i) handles.push_back(pool.submit([] {}));
   gate.set_value();
-  pool.wait_idle();
+  for (const auto& h : handles) h.wait();
   EXPECT_EQ(pool.stats().peak_in_flight, 8u);
 }
 
@@ -166,21 +173,26 @@ TEST(TaskPool, DerivedPoolSizeDoublesTheWorkerCount) {
 }
 
 TEST(TaskPool, ManyProducersManyTasks) {
-  // Hammer the queue from several producer threads at mixed priorities;
+  // Hammer the backlog from several producer threads at mixed priorities;
   // every task must run exactly once.
   TaskPool pool(4);
   std::atomic<int> ran{0};
+  std::vector<std::vector<TaskPool::Handle>> handles(4);
   std::vector<std::thread> producers;
   for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&pool, &ran, p] {
+    producers.emplace_back([&pool, &ran, &mine = handles[p], p] {
       for (int i = 0; i < 250; ++i) {
-        pool.submit(/*priority=*/(p + i) % 3, [&ran] { ran.fetch_add(1); });
+        mine.push_back(pool.submit(/*priority=*/(p + i) % 3,
+                                   [&ran] { ran.fetch_add(1); }));
       }
     });
   }
   for (auto& t : producers) t.join();
-  pool.wait_idle();
+  for (const auto& mine : handles) {
+    for (const auto& h : mine) h.wait();
+  }
   EXPECT_EQ(ran.load(), 1000);
+  EXPECT_EQ(pool.stats().tasks_executed, 1000u);
 }
 
 }  // namespace
