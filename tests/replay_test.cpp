@@ -116,6 +116,28 @@ TEST(Replay, MetropolisInvariantsHoldDuringReplay) {
   EXPECT_LT(r.mean_blockers, 10.0);  // sparse, as §2.2 measures
 }
 
+TEST(Replay, ShardedMetropolisInvariantsHoldAcrossAReshard) {
+  // The same per-commit check on a four-strip board whose partition is
+  // rebuilt mid-run: skewed_ville100's window straddles midnight (step
+  // 8640), where reshard = episode re-cuts the population strips.
+  std::string error;
+  auto spec = scenario::find_scenario("skewed_ville100", &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  spec->shards = 4;
+  spec->window_begin = 8620;
+  spec->window_end = 8660;
+  const scenario::ScenarioDriver driver(*spec);
+  ExperimentConfig cfg = driver.experiment_config();
+  cfg.mode = Mode::kMetropolis;
+  cfg.validate_invariants = true;
+  ASSERT_EQ(cfg.reshard_at, std::vector<Step>{20});
+  const auto r = run_experiment(driver.build_trace(), cfg);
+  EXPECT_EQ(r.shards, 4);
+  EXPECT_GT(r.scoreboard.commits, 0u);
+  EXPECT_GT(r.scoreboard.clusters_dispatched, 0u);
+  EXPECT_GT(r.mean_blockers, 0.0);
+}
+
 TEST(Replay, PrioritySchedulingHelpsMetropolis) {
   // Table 1: priority scheduling speeds metropolis up (or at least never
   // hurts) under contention.
@@ -241,6 +263,11 @@ TEST(Replay, GoldenOutputsAreBitExact) {
       {"metro_ville100", 2, Mode::kMetropolis, 240.240996, 23118,
        5.9524081862042264, 0.65061355410797583, 2342, 1396,
        0.23661016949152541},
+      // A two-day window across midnight whose DES run repartitions once
+      // (population cuts, reshard = episode).
+      {"skewed_ville100", 4, Mode::kMetropolis, 37.426361999999997, 42402,
+       2.4103973131720058, 0.30129547790405065, 20520, 6522,
+       0.27288702928870295},
   };
   std::map<std::pair<std::string, std::int32_t>, trace::SimulationTrace>
       traces;
