@@ -108,7 +108,7 @@ class MetroController {
   /// sends extra commits down the cross path.
   std::atomic<Step> next_boundary_;
   /// Monotonic lower bound on min_step(), refreshed by cross commits
-  /// (the only ones that may read every strip's live-step table).
+  /// (the only ones that may read every strip's live-step counts).
   std::atomic<Step> floor_{0};
   /// Per-strip caller-reported commit wait; entry s is written only under
   /// strip s's hold and read board-exclusive.

@@ -1,8 +1,10 @@
 #include "core/scoreboard.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "common/check.h"
 
@@ -15,6 +17,31 @@ namespace {
 /// while staying coarse enough that buckets aren't degenerate.
 double index_cell_size(const DependencyParams& params) {
   return std::max(1.0, params.coupling_radius());
+}
+
+/// Slab index of a cluster id (the low 6 bits name the strip).
+std::size_t slot_of(std::int64_t cid) {
+  return static_cast<std::size_t>(cid >> 6);
+}
+
+/// Sorted-vector set operations for the edge lists. Each returns whether
+/// the vector changed, like std::set's insert().second / erase().
+bool sorted_insert(std::vector<AgentId>& v, AgentId id) {
+  const auto it = std::lower_bound(v.begin(), v.end(), id);
+  if (it != v.end() && *it == id) return false;
+  v.insert(it, id);
+  return true;
+}
+
+bool sorted_erase(std::vector<AgentId>& v, AgentId id) {
+  const auto it = std::lower_bound(v.begin(), v.end(), id);
+  if (it == v.end() || *it != id) return false;
+  v.erase(it);
+  return true;
+}
+
+bool sorted_contains(const std::vector<AgentId>& v, AgentId id) {
+  return std::binary_search(v.begin(), v.end(), id);
 }
 
 }  // namespace
@@ -70,7 +97,8 @@ Scoreboard::Scoreboard(DependencyParams params,
   }
   shards_data_.reserve(static_cast<std::size_t>(shards_));
   for (std::int32_t s = 0; s < shards_; ++s) {
-    shards_data_.push_back(std::make_unique<ShardData>(index_cell_size(params)));
+    shards_data_.push_back(
+        std::make_unique<ShardData>(index_cell_size(params), target_step_));
   }
 
   agents_.resize(initial_positions.size());
@@ -83,7 +111,7 @@ Scoreboard::Scoreboard(DependencyParams params,
   }
   if (target_step_ == 0) return;
   for (std::size_t i = 0; i < agents_.size(); ++i) {
-    ++shard(partition_.shard_of(agents_[i].pos)).live_steps[0];
+    live_step_add(shard(partition_.shard_of(agents_[i].pos)), 0);
   }
   if (use_index() || use_graph_index()) {
     if (use_index()) {
@@ -115,15 +143,16 @@ Scoreboard::Scoreboard(DependencyParams params,
   // (indexed) or full scans (brute) — the components, and therefore the
   // cluster ids assigned in ascending-smallest-member order, are identical
   // either way.
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    const std::int32_t strip = partition_.shard_of(agents_[i].pos);
-    shard(strip).idle_by_step[0].insert(static_cast<AgentId>(i));
+  if (full_scan()) {
+    for (std::size_t i = 0; i < agents_.size(); ++i) {
+      shard(0).idle_by_step[0].insert(static_cast<AgentId>(i));
+    }
   }
   for (std::size_t i = 0; i < agents_.size(); ++i) {
     if (agents_[i].cluster >= 0) continue;
     const std::int32_t strip = partition_.shard_of(agents_[i].pos);
     const std::int64_t cid = new_cluster(0, strip);
-    ClusterRec& rec = shard(strip).clusters.at(cid);
+    ClusterRec& rec = cluster_rec(cid);
     std::vector<AgentId> frontier{static_cast<AgentId>(i)};
     agents_[i].cluster = cid;
     while (!frontier.empty()) {
@@ -150,7 +179,7 @@ Scoreboard::Scoreboard(DependencyParams params,
       }
     }
     std::sort(rec.members.begin(), rec.members.end());
-    shard(strip).dirty_clusters.insert(cid);
+    mark_dirty(cid);
   }
 }
 
@@ -162,6 +191,19 @@ Scoreboard::AgentNode& Scoreboard::agent(AgentId id) {
 const Scoreboard::AgentNode& Scoreboard::agent(AgentId id) const {
   AIM_CHECK(id >= 0 && static_cast<std::size_t>(id) < agents_.size());
   return agents_[static_cast<std::size_t>(id)];
+}
+
+Scoreboard::ClusterRec& Scoreboard::cluster_rec(std::int64_t cid) {
+  return const_cast<ClusterRec&>(std::as_const(*this).cluster_rec(cid));
+}
+
+const Scoreboard::ClusterRec& Scoreboard::cluster_rec(std::int64_t cid) const {
+  AIM_CHECK(cid >= 0);
+  const auto& slab = shard(shard_of_cluster(cid)).clusters;
+  AIM_CHECK(slot_of(cid) < slab.size());
+  const ClusterRec& rec = slab[slot_of(cid)];
+  AIM_CHECK_MSG(rec.live, "cluster " << cid << " is not live");
+  return rec;
 }
 
 const std::vector<AgentId>& Scoreboard::probe_into(const Pos& center,
@@ -199,20 +241,36 @@ double Scoreboard::probe_distance(const Pos& center, const Pos& p) const {
 Step Scoreboard::min_live_step() const {
   Step best = target_step_;
   for (std::int32_t s = 0; s < shards_; ++s) {
-    const auto& ls = shard(s).live_steps;
-    if (!ls.empty()) best = std::min(best, ls.begin()->first);
+    best = std::min(best, shard(s).live_min);
   }
   return best;
 }
 
-void Scoreboard::live_step_advance(std::int32_t from_strip,
-                                   std::int32_t to_strip, Step from, Step to,
-                                   bool now_done) {
-  auto& from_ls = shard(from_strip).live_steps;
-  auto it = from_ls.find(from);
-  AIM_CHECK(it != from_ls.end() && it->second > 0);
-  if (--it->second == 0) from_ls.erase(it);
-  if (!now_done) ++shard(to_strip).live_steps[to];
+void Scoreboard::live_step_add(ShardData& sd, Step step) {
+  AIM_CHECK(step >= 0 && step < target_step_);
+  const auto k = static_cast<std::size_t>(step);
+  // Grown on demand, so the array is as long as the furthest step the
+  // strip has held rather than the whole horizon up front.
+  if (k >= sd.live_steps.size()) sd.live_steps.resize(k + 1, 0);
+  ++sd.live_steps[k];
+  sd.live_min = std::min(sd.live_min, step);
+}
+
+void Scoreboard::live_step_remove(ShardData& sd, Step step) {
+  AIM_CHECK(step >= 0 &&
+            static_cast<std::size_t>(step) < sd.live_steps.size());
+  std::int32_t& count = sd.live_steps[static_cast<std::size_t>(step)];
+  AIM_CHECK(count > 0);
+  if (--count != 0 || step != sd.live_min) return;
+  // The cursor scans up only past steps this strip has emptied
+  // (live_step_add moves it down only to an occupied step). Past the end
+  // of the array the strip holds no live agent.
+  const auto end = static_cast<Step>(sd.live_steps.size());
+  while (sd.live_min < end &&
+         sd.live_steps[static_cast<std::size_t>(sd.live_min)] == 0) {
+    ++sd.live_min;
+  }
+  if (sd.live_min == end) sd.live_min = target_step_;
 }
 
 void Scoreboard::update_border_registration(AgentId id, Step floor) {
@@ -250,7 +308,7 @@ void Scoreboard::repartition(const world::RegionPartition& new_partition) {
     partition_ = new_partition;
     return;
   }
-  // 1. Detach every idle cluster, in deterministic (strip, cid) order.
+  // 1. Detach every idle cluster, in deterministic (strip, slot) order.
   //    Only step/members/blocked_members survive; homes and spans are
   //    recomputed under the new boundaries.
   struct SavedCluster {
@@ -260,31 +318,32 @@ void Scoreboard::repartition(const world::RegionPartition& new_partition) {
   };
   std::vector<SavedCluster> saved;
   for (std::int32_t s = 0; s < shards_; ++s) {
-    for (auto& [cid, rec] : shard(s).clusters) {
+    for (ClusterRec& rec : shard(s).clusters) {
+      if (!rec.live) continue;
       saved.push_back(
           SavedCluster{rec.step, std::move(rec.members), rec.blocked_members});
     }
   }
-  // 2. Fresh strip slices. Counters that are *positional* — cluster-id
-  //    allocators, stats rows, blocker-sample tallies — carry over by
-  //    strip index: the engine's mutex/pool/stats arrays alias strip i
-  //    before and after, and cid uniqueness needs the allocators to stay
-  //    monotone per strip.
+  // 2. Fresh strip slices. Counters that are *positional* — stats rows,
+  //    blocker-sample tallies — carry over by strip index: the engine's
+  //    mutex/pool/stats arrays alias strip i before and after. Every
+  //    cluster id is reissued below, so the fresh slabs start empty.
   std::vector<std::unique_ptr<ShardData>> fresh;
   fresh.reserve(static_cast<std::size_t>(shards_));
   for (std::int32_t s = 0; s < shards_; ++s) {
-    fresh.push_back(std::make_unique<ShardData>(index_cell_size(params_)));
+    fresh.push_back(
+        std::make_unique<ShardData>(index_cell_size(params_), target_step_));
     ShardData& nd = *fresh.back();
     const ShardData& od = shard(s);
-    nd.next_cluster_local = od.next_cluster_local;
     nd.stats = od.stats;
     nd.blocker_samples = od.blocker_samples;
     nd.blocker_total = od.blocker_total;
   }
   shards_data_ = std::move(fresh);
   partition_ = new_partition;
-  // 3. Re-home every live agent (idle or running): live index, live-step
-  //    counts, idle buckets.
+  // 3. Re-home every live agent (idle or running): live index and
+  //    live-step counts. (A sharded board never takes the full-scan
+  //    path, so there are no idle buckets to rebuild.)
   std::vector<std::vector<std::pair<AgentId, Pos>>> per_strip(
       static_cast<std::size_t>(shards_));
   for (std::size_t i = 0; i < agents_.size(); ++i) {
@@ -294,17 +353,13 @@ void Scoreboard::repartition(const world::RegionPartition& new_partition) {
     const std::int32_t home = partition_.shard_of(node.pos);
     per_strip[static_cast<std::size_t>(home)].emplace_back(
         static_cast<AgentId>(i), node.pos);
-    ++shard(home).live_steps[node.step];
-    if (node.status == AgentStatus::kIdle) {
-      shard(home).idle_by_step[node.step].insert(static_cast<AgentId>(i));
-    }
+    live_step_add(shard(home), node.step);
   }
   for (std::int32_t s = 0; s < shards_; ++s) {
     shard(s).live_index.bulk_insert(per_strip[static_cast<std::size_t>(s)]);
   }
-  // 4. Re-home the clusters. New cids (from the carried-over monotone
-  //    allocators) can't collide with any cid ever issued; dispatch order
-  //    is unaffected because pops sort by (step, first member), never by
+  // 4. Re-home the clusters under fresh cids; dispatch order is
+  //    unaffected because pops sort by (step, first member), never by
   //    cid. Marking everything dirty is also order-neutral: every
   //    unblocked cluster was already dirty pre-repartition (commits mark
   //    what they release), and a blocked dirty cluster is silently
@@ -317,10 +372,10 @@ void Scoreboard::repartition(const world::RegionPartition& new_partition) {
       agent(m).cluster = cid;
       cluster_span_include(cid, partition_.shard_of(agent(m).pos));
     }
-    ClusterRec& rec = shard(strip).clusters.at(cid);
+    ClusterRec& rec = cluster_rec(cid);
     rec.members = std::move(sc.members);
     rec.blocked_members = sc.blocked_members;
-    shard(strip).dirty_clusters.insert(cid);
+    mark_dirty(cid);
   }
   // 5. Fresh border registrations under the new boundaries (erasing the
   //    stale registration hits empty sets, harmlessly).
@@ -332,12 +387,40 @@ void Scoreboard::repartition(const world::RegionPartition& new_partition) {
 
 std::int64_t Scoreboard::new_cluster(Step step, std::int32_t strip) {
   ShardData& sd = shard(strip);
-  const std::int64_t cid = (sd.next_cluster_local++ << 6) |
-                           static_cast<std::int64_t>(strip);
-  ClusterRec& rec = sd.clusters[cid];
+  std::size_t slot;
+  if (sd.free_slots.empty()) {
+    slot = sd.clusters.size();
+    sd.clusters.emplace_back();
+  } else {
+    slot = static_cast<std::size_t>(sd.free_slots.back());
+    sd.free_slots.pop_back();
+  }
+  ClusterRec& rec = sd.clusters[slot];
   rec.step = step;
+  rec.members.clear();
+  rec.blocked_members = 0;
   rec.span_lo = rec.span_hi = strip;
-  return cid;
+  rec.live = true;
+  rec.dirty = false;
+  return (static_cast<std::int64_t>(slot) << 6) |
+         static_cast<std::int64_t>(strip);
+}
+
+void Scoreboard::free_cluster(std::int64_t cid) {
+  ClusterRec& rec = cluster_rec(cid);
+  rec.live = false;
+  // A stale dirty-list entry for the slot is skipped by the next pop.
+  rec.dirty = false;
+  shard(shard_of_cluster(cid))
+      .free_slots.push_back(static_cast<std::int32_t>(slot_of(cid)));
+}
+
+void Scoreboard::mark_dirty(std::int64_t cid) {
+  ClusterRec& rec = cluster_rec(cid);
+  if (rec.dirty) return;
+  rec.dirty = true;
+  shard(shard_of_cluster(cid))
+      .dirty_slots.push_back(static_cast<std::int32_t>(slot_of(cid)));
 }
 
 void Scoreboard::span_counters_remove(const ClusterRec& rec) {
@@ -356,7 +439,7 @@ void Scoreboard::span_counters_add(const ClusterRec& rec) {
 
 void Scoreboard::cluster_span_include(std::int64_t cid, std::int32_t strip) {
   if (shards_ == 1) return;
-  ClusterRec& rec = shard(shard_of_cluster(cid)).clusters.at(cid);
+  ClusterRec& rec = cluster_rec(cid);
   if (strip >= rec.span_lo && strip <= rec.span_hi) return;
   span_counters_remove(rec);
   rec.span_lo = std::min(rec.span_lo, strip);
@@ -367,27 +450,25 @@ void Scoreboard::cluster_span_include(std::int64_t cid, std::int32_t strip) {
 void Scoreboard::on_blocked_count_change(AgentId id, bool now_blocked) {
   AgentNode& node = agent(id);
   if (node.cluster < 0) return;
-  ShardData& sd = shard(shard_of_cluster(node.cluster));
-  auto it = sd.clusters.find(node.cluster);
-  AIM_CHECK(it != sd.clusters.end());
-  it->second.blocked_members += now_blocked ? 1 : -1;
-  AIM_CHECK(it->second.blocked_members >= 0);
-  sd.dirty_clusters.insert(node.cluster);
+  ClusterRec& rec = cluster_rec(node.cluster);
+  rec.blocked_members += now_blocked ? 1 : -1;
+  AIM_CHECK(rec.blocked_members >= 0);
+  mark_dirty(node.cluster);
 }
 
 void Scoreboard::add_edge(AgentId blocker, AgentId blocked) {
   AgentNode& a = agent(blocked);
   const bool was_blocked = !a.blocked_by.empty();
-  if (!a.blocked_by.insert(blocker).second) return;
-  agent(blocker).blocks.insert(blocked);
+  if (!sorted_insert(a.blocked_by, blocker)) return;
+  sorted_insert(agent(blocker).blocks, blocked);
   ++shard(partition_.shard_of(a.pos)).stats.edges_added;
   if (!was_blocked) on_blocked_count_change(blocked, true);
 }
 
 void Scoreboard::remove_edge(AgentId blocker, AgentId blocked) {
   AgentNode& a = agent(blocked);
-  if (a.blocked_by.erase(blocker) == 0) return;
-  agent(blocker).blocks.erase(blocked);
+  if (!sorted_erase(a.blocked_by, blocker)) return;
+  sorted_erase(agent(blocker).blocks, blocked);
   ++shard(partition_.shard_of(a.pos)).stats.edges_removed;
   if (a.blocked_by.empty()) on_blocked_count_change(blocked, false);
 }
@@ -407,8 +488,8 @@ void Scoreboard::recompute_blockers(AgentId id, Step floor) {
   // "Dependency core"). Commits carrying a probe_floor use that lower
   // bound instead of the exact minimum; the box only widens, and the
   // exact blocks() predicate filters the extras.
-  const std::vector<AgentId> previous(node.blocked_by.begin(),
-                                      node.blocked_by.end());
+  std::vector<AgentId>& previous = scratch_of(id).edge_buf;
+  previous.assign(node.blocked_by.begin(), node.blocked_by.end());
   for (AgentId b : previous) remove_edge(b, id);
 
   if (node.status == AgentStatus::kDone) return;
@@ -443,7 +524,8 @@ void Scoreboard::recompute_blockers(AgentId id, Step floor) {
 void Scoreboard::refresh_outgoing(AgentId id) {
   AgentNode& node = agent(id);
   if (node.blocks.empty()) return;
-  const std::vector<AgentId> watchers(node.blocks.begin(), node.blocks.end());
+  std::vector<AgentId>& watchers = scratch_of(id).edge_buf;
+  watchers.assign(node.blocks.begin(), node.blocks.end());
   if (use_graph_index()) {
     // One ball around the committed agent (hops are symmetric on the
     // undirected graph), as deep as the laggiest watcher's blocking
@@ -472,13 +554,14 @@ void Scoreboard::cluster_in(AgentId id) {
   AgentNode& node = agent(id);
   AIM_CHECK(node.status == AgentStatus::kIdle && node.cluster < 0);
   const std::int32_t home = partition_.shard_of(node.pos);
-  shard(home).idle_by_step[node.step].insert(id);
+  if (full_scan()) shard(0).idle_by_step[node.step].insert(id);
 
   // Find idle same-step agents within the coupling radius; `id` may bridge
   // several existing clusters into one. Indexed mode probes a
   // coupling-radius box and filters to idle same-step agents — the same
   // candidates the brute path reads out of idle_by_step.
-  std::set<std::int64_t> neighbors_clusters;
+  std::vector<std::int64_t>& neighbors_clusters = shard(home).merge_buf;
+  neighbors_clusters.clear();
   auto consider = [&](AgentId other) {
     if (other == id) return;
     const AgentNode& o = agent(other);
@@ -489,7 +572,7 @@ void Scoreboard::cluster_in(AgentId id) {
     if (o.status != AgentStatus::kIdle || o.cluster < 0) return;
     if (coupled(probe_distance(node.pos, o.pos), node.step, o.step,
                 params_)) {
-      neighbors_clusters.insert(o.cluster);
+      neighbors_clusters.push_back(o.cluster);
     }
   };
   if (use_index() || use_graph_index()) {
@@ -500,6 +583,10 @@ void Scoreboard::cluster_in(AgentId id) {
     for (AgentId other : shard(0).idle_by_step.at(node.step)) consider(other);
   }
 
+  std::sort(neighbors_clusters.begin(), neighbors_clusters.end());
+  neighbors_clusters.erase(
+      std::unique(neighbors_clusters.begin(), neighbors_clusters.end()),
+      neighbors_clusters.end());
   std::int64_t target;
   if (neighbors_clusters.empty()) {
     target = new_cluster(node.step, home);
@@ -508,13 +595,10 @@ void Scoreboard::cluster_in(AgentId id) {
     // survivor's identity is unobservable — cluster_of() reports members
     // — so the encoded ids changing the relative order across strips
     // cannot change observable behavior.
-    target = *neighbors_clusters.begin();
-    ClusterRec& target_rec =
-        shard(shard_of_cluster(target)).clusters.at(target);
-    for (auto cit = std::next(neighbors_clusters.begin());
-         cit != neighbors_clusters.end(); ++cit) {
-      ShardData& victim_sd = shard(shard_of_cluster(*cit));
-      ClusterRec& victim = victim_sd.clusters.at(*cit);
+    target = neighbors_clusters.front();
+    ClusterRec& target_rec = cluster_rec(target);
+    for (std::size_t k = 1; k < neighbors_clusters.size(); ++k) {
+      ClusterRec& victim = cluster_rec(neighbors_clusters[k]);
       for (AgentId m : victim.members) {
         agent(m).cluster = target;
         target_rec.members.push_back(m);
@@ -529,55 +613,52 @@ void Scoreboard::cluster_in(AgentId id) {
         span_counters_add(target_rec);
       }
       span_counters_remove(victim);
-      victim_sd.clusters.erase(*cit);
-      victim_sd.dirty_clusters.erase(*cit);
+      free_cluster(neighbors_clusters[k]);
     }
   }
-  ShardData& home_sd = shard(shard_of_cluster(target));
-  ClusterRec& rec = home_sd.clusters.at(target);
+  ClusterRec& rec = cluster_rec(target);
   node.cluster = target;
   rec.members.push_back(id);
   std::sort(rec.members.begin(), rec.members.end());
   if (!node.blocked_by.empty()) ++rec.blocked_members;
   cluster_span_include(target, home);
-  home_sd.dirty_clusters.insert(target);
+  mark_dirty(target);
 }
 
 void Scoreboard::pop_shard_ready_into(std::int32_t strip,
                                       std::vector<AgentCluster>* ready) {
+  // The dirty list's order is unobservable: whether a cluster dispatches
+  // depends only on its own blocked count, callers sort the output by
+  // (step, first member), and every stat below is a sum or a max over a
+  // running count that only rises within one pop.
   ShardData& sd = shard(strip);
-  for (auto it = sd.dirty_clusters.begin(); it != sd.dirty_clusters.end();) {
-    const std::int64_t cid = *it;
-    auto cit = sd.clusters.find(cid);
-    if (cit == sd.clusters.end()) {
-      it = sd.dirty_clusters.erase(it);
-      continue;
-    }
-    ClusterRec& rec = cit->second;
-    if (rec.blocked_members > 0) {
-      // Stays idle; keep it clean until an edge change re-dirties it.
-      it = sd.dirty_clusters.erase(it);
-      continue;
-    }
+  for (const std::int32_t slot : sd.dirty_slots) {
+    ClusterRec& rec = sd.clusters[static_cast<std::size_t>(slot)];
+    // Freed since it was listed, or a repeat entry already handled.
+    if (!rec.dirty) continue;
+    rec.dirty = false;
+    // Stays idle; keep it clean until an edge change re-dirties it.
+    if (rec.blocked_members > 0) continue;
     // Dispatch: mark members running, drop from idle structures.
     AgentCluster out;
     out.step = rec.step;
-    out.members = rec.members;
+    out.members = std::move(rec.members);
     for (AgentId m : out.members) {
       AgentNode& node = agent(m);
       AIM_CHECK(node.status == AgentStatus::kIdle);
       node.status = AgentStatus::kRunning;
       node.cluster = -1;
-      auto& idle = shard(partition_.shard_of(node.pos)).idle_by_step;
-      auto idle_it = idle.find(rec.step);
-      AIM_CHECK(idle_it != idle.end());
-      idle_it->second.erase(m);
-      if (idle_it->second.empty()) idle.erase(idle_it);
+      if (full_scan()) {
+        auto& idle = shard(0).idle_by_step;
+        auto idle_it = idle.find(rec.step);
+        AIM_CHECK(idle_it != idle.end());
+        idle_it->second.erase(m);
+        if (idle_it->second.empty()) idle.erase(idle_it);
+      }
       running_count_.fetch_add(1, std::memory_order_relaxed);
     }
     span_counters_remove(rec);
-    sd.clusters.erase(cit);
-    it = sd.dirty_clusters.erase(it);
+    free_cluster((static_cast<std::int64_t>(slot) << 6) | strip);
     ++sd.stats.clusters_dispatched;
     sd.stats.sum_cluster_sizes += static_cast<double>(out.members.size());
     sd.stats.max_concurrent_running = std::max<std::uint64_t>(
@@ -585,6 +666,7 @@ void Scoreboard::pop_shard_ready_into(std::int32_t strip,
         running_count_.load(std::memory_order_relaxed));
     ready->push_back(std::move(out));
   }
+  sd.dirty_slots.clear();
 }
 
 std::vector<AgentCluster> Scoreboard::pop_ready_clusters() {
@@ -680,8 +762,10 @@ void Scoreboard::commit(const std::vector<std::pair<AgentId, Pos>>& moves,
     AIM_CHECK(node.step <= target_step_);
     running_count_.fetch_sub(1, std::memory_order_relaxed);
     const bool now_done = node.step == target_step_;
-    live_step_advance(old_strip, new_strip, node.step - 1, node.step,
-                      now_done);
+    // Count the new step first, so the old step's strip cursor (when the
+    // strip does not change) stops at it rather than scanning past.
+    if (!now_done) live_step_add(shard(new_strip), node.step);
+    live_step_remove(shard(old_strip), node.step - 1);
     if (now_done) {
       node.status = AgentStatus::kDone;
       done_count_.fetch_add(1, std::memory_order_release);
@@ -716,8 +800,8 @@ void Scoreboard::commit(const std::vector<std::pair<AgentId, Pos>>& moves,
     if (node.status == AgentStatus::kIdle) cluster_in(id);
     if (node.status == AgentStatus::kDone) {
       // A done agent blocks nobody and is blocked by nobody.
-      const std::vector<AgentId> watchers(node.blocks.begin(),
-                                          node.blocks.end());
+      std::vector<AgentId>& watchers = scratch_of(id).edge_buf;
+      watchers.assign(node.blocks.begin(), node.blocks.end());
       for (AgentId w : watchers) remove_edge(id, w);
       AIM_CHECK(node.blocked_by.empty());
     }
@@ -732,8 +816,7 @@ std::vector<AgentId> Scoreboard::blockers_of(AgentId id) const {
 std::vector<AgentId> Scoreboard::cluster_of(AgentId id) const {
   const AgentNode& node = agent(id);
   if (node.cluster < 0) return {};
-  return shard(shard_of_cluster(node.cluster)).clusters.at(node.cluster)
-      .members;
+  return cluster_rec(node.cluster).members;
 }
 
 Step Scoreboard::min_step() const { return min_live_step(); }
@@ -795,20 +878,25 @@ void Scoreboard::check_invariants() const {
     }
   }
   // Edge symmetry and cluster bookkeeping.
+  auto strictly_sorted = [](const std::vector<AgentId>& v) {
+    return std::adjacent_find(v.begin(), v.end(), std::greater_equal<>()) ==
+           v.end();
+  };
   for (std::size_t i = 0; i < agents_.size(); ++i) {
     const auto id = static_cast<AgentId>(i);
     const AgentNode& node = agents_[i];
+    AIM_CHECK_MSG(strictly_sorted(node.blocked_by) &&
+                      strictly_sorted(node.blocks),
+                  "edge list of agent " << id << " is not sorted and unique");
     for (AgentId b : node.blocked_by) {
-      AIM_CHECK(agent(b).blocks.count(id) == 1);
+      AIM_CHECK(sorted_contains(agent(b).blocks, id));
     }
     for (AgentId w : node.blocks) {
-      AIM_CHECK(agent(w).blocked_by.count(id) == 1);
+      AIM_CHECK(sorted_contains(agent(w).blocked_by, id));
     }
     if (node.status == AgentStatus::kIdle) {
       AIM_CHECK(node.cluster >= 0);
-      const auto& shard_clusters = shard(shard_of_cluster(node.cluster))
-                                       .clusters;
-      const ClusterRec& rec = shard_clusters.at(node.cluster);
+      const ClusterRec& rec = cluster_rec(node.cluster);
       AIM_CHECK(std::find(rec.members.begin(), rec.members.end(), id) !=
                 rec.members.end());
       AIM_CHECK(rec.step == node.step);
@@ -817,13 +905,43 @@ void Scoreboard::check_invariants() const {
   std::vector<std::int32_t> expected_cross(
       static_cast<std::size_t>(shards_), 0);
   for (std::int32_t s = 0; s < shards_; ++s) {
-    for (const auto& [cid, rec] : shard(s).clusters) {
-      AIM_CHECK(shard_of_cluster(cid) == s);
+    const ShardData& sd = shard(s);
+    // Slab bookkeeping: the free list names exactly the dead slots, once
+    // each; only live records may be dirty, and every dirty record is on
+    // its strip's dirty list.
+    std::vector<bool> listed_free(sd.clusters.size(), false);
+    for (std::int32_t slot : sd.free_slots) {
+      const auto k = static_cast<std::size_t>(slot);
+      AIM_CHECK_MSG(k < sd.clusters.size() && !listed_free[k],
+                    "bad free-list entry " << slot << " in strip " << s);
+      listed_free[k] = true;
+      AIM_CHECK_MSG(!sd.clusters[k].live,
+                    "free slot " << slot << " in strip " << s << " is live");
+    }
+    std::vector<bool> listed_dirty(sd.clusters.size(), false);
+    for (std::int32_t slot : sd.dirty_slots) {
+      const auto k = static_cast<std::size_t>(slot);
+      AIM_CHECK(k < sd.clusters.size());
+      listed_dirty[k] = true;
+    }
+    for (std::size_t k = 0; k < sd.clusters.size(); ++k) {
+      const ClusterRec& rec = sd.clusters[k];
+      AIM_CHECK_MSG(rec.live || listed_free[k],
+                    "dead slot " << k << " in strip " << s
+                                 << " is missing from the free list");
+      AIM_CHECK_MSG(!rec.dirty || (rec.live && listed_dirty[k]),
+                    "dirty slot " << k << " in strip " << s
+                                  << " is dead or not on the dirty list");
+      if (!rec.live) continue;
+      const std::int64_t cid = (static_cast<std::int64_t>(k) << 6) | s;
       std::int32_t blocked = 0;
       std::int32_t span_lo = std::numeric_limits<std::int32_t>::max();
       std::int32_t span_hi = std::numeric_limits<std::int32_t>::min();
       for (AgentId m : rec.members) {
         AIM_CHECK(agent(m).status == AgentStatus::kIdle);
+        AIM_CHECK_MSG(agent(m).cluster == cid,
+                      "member " << m << " of cluster " << cid
+                                << " points at cluster " << agent(m).cluster);
         if (!agent(m).blocked_by.empty()) ++blocked;
         const std::int32_t strip = partition_.shard_of(agent(m).pos);
         span_lo = std::min(span_lo, strip);
@@ -847,8 +965,9 @@ void Scoreboard::check_invariants() const {
   }
   // Live-step counts, the per-strip spatial indexes, the border sets and
   // the cross-strip cluster counters must mirror the agent table.
-  std::vector<std::map<Step, std::int32_t>> expected_live(
-      static_cast<std::size_t>(shards_));
+  std::vector<std::vector<std::int32_t>> expected_live(
+      static_cast<std::size_t>(shards_),
+      std::vector<std::int32_t>(static_cast<std::size_t>(target_step_), 0));
   std::size_t live = 0;
   const Step floor = min_live_step();
   for (std::size_t i = 0; i < agents_.size(); ++i) {
@@ -857,7 +976,8 @@ void Scoreboard::check_invariants() const {
     const std::int32_t home = partition_.shard_of(node.pos);
     if (node.status == AgentStatus::kDone) continue;
     ++live;
-    ++expected_live[static_cast<std::size_t>(home)][node.step];
+    ++expected_live[static_cast<std::size_t>(home)]
+                   [static_cast<std::size_t>(node.step)];
     if (use_index()) {
       const auto& index = shard(home).live_index;
       AIM_CHECK_MSG(index.contains(id),
@@ -891,9 +1011,16 @@ void Scoreboard::check_invariants() const {
   }
   std::size_t indexed_total = 0;
   for (std::int32_t s = 0; s < shards_; ++s) {
-    AIM_CHECK_MSG(expected_live[static_cast<std::size_t>(s)] ==
-                      shard(s).live_steps,
-                  "live-step count drift in strip " << s);
+    const std::vector<std::int32_t>& counts =
+        expected_live[static_cast<std::size_t>(s)];
+    std::vector<std::int32_t> held = shard(s).live_steps;
+    AIM_CHECK(held.size() <= counts.size());
+    held.resize(counts.size(), 0);
+    AIM_CHECK_MSG(counts == held, "live-step count drift in strip " << s);
+    const auto first = std::find_if(counts.begin(), counts.end(),
+                                    [](std::int32_t c) { return c > 0; });
+    AIM_CHECK_MSG(shard(s).live_min == first - counts.begin(),
+                  "live-step min cursor drift in strip " << s);
     if (use_index()) indexed_total += shard(s).live_index.size();
     if (shards_ > 1) {
       AIM_CHECK_MSG(
@@ -924,8 +1051,8 @@ std::string Scoreboard::to_dot() const {
   }
   // Coupled relationships (same cluster) rendered as double arrows.
   for (std::int32_t s = 0; s < shards_; ++s) {
-    for (const auto& [cid, rec] : shard(s).clusters) {
-      (void)cid;
+    for (const ClusterRec& rec : shard(s).clusters) {
+      if (!rec.live) continue;
       for (std::size_t k = 0; k + 1 < rec.members.size(); ++k) {
         os << "  a" << rec.members[k] << " -> a" << rec.members[k + 1]
            << " [dir=both, color=blue];\n";

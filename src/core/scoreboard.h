@@ -31,7 +31,7 @@
 // Sharding (the boundary-lag protocol, docs/ARCHITECTURE.md "Sharded
 // world"): with `shards > 1` the world is cut into equal-width x-strips
 // (world::RegionPartition) and every per-position structure — spatial
-// index, live-step counts, idle clusters, dirty sets, stats — lives in
+// index, live-step counts, idle clusters, dirty lists, stats — lives in
 // the strip that owns the position. Probes fan out over exactly the
 // strips their box overlaps and re-sort by id, so every observable bit
 // (edges, clusters, stats, dispatch order) is byte-identical to the
@@ -138,7 +138,7 @@ class Scoreboard {
   /// `probe_floor` is a lower bound on min_step() used to bound the
   /// blocking-radius probes; -1 (the default) reads the exact live
   /// minimum. A concurrent caller passes its own monotonic floor so a
-  /// strip-local commit never reads the other strips' live-step tables;
+  /// strip-local commit never reads the other strips' live-step counts;
   /// a looser floor only widens the probe boxes (the exact predicates
   /// filter the extras), so results are identical for any valid floor.
   void commit(const std::vector<std::pair<AgentId, Pos>>& moves,
@@ -158,7 +158,7 @@ class Scoreboard {
       Step probe_floor) const;
 
   /// Re-slice every per-strip structure (live indexes, live-step counts,
-  /// idle clusters, ready queues, border sets) onto `new_partition`,
+  /// cluster slabs and dirty lists, border sets) onto `new_partition`,
   /// which must have the same strip count. Not safe to call concurrently
   /// with anything: a caller that shares the board holds it exclusively
   /// (MetroController repartitions inside a cross commit, which the
@@ -236,8 +236,13 @@ class Scoreboard {
     Step step = 0;
     Pos pos;
     AgentStatus status = AgentStatus::kIdle;
-    std::set<AgentId> blocked_by;  // B in blocked_by => B blocks this agent
-    std::set<AgentId> blocks;      // reverse edges
+    // Edge lists, sorted by id and duplicate-free (kept with lower_bound,
+    // so they iterate in ascending id order). B in blocked_by => B blocks
+    // this agent; `blocks` holds the reverse edges. Vectors keep their
+    // capacity across commits, so steady-state edge churn allocates
+    // nothing.
+    std::vector<AgentId> blocked_by;
+    std::vector<AgentId> blocks;
     std::int64_t cluster = -1;     // idle cluster id, -1 when not idle
     // Border registration: the strip span of the blocking-radius box at
     // the last position/step change. Multi-strip spans are mirrored into
@@ -246,33 +251,55 @@ class Scoreboard {
     std::int32_t border_hi = 0;
   };
 
+  /// One slot of a strip's cluster slab. A free slot (live == false)
+  /// sits on the strip's free list; one freed by a merge keeps its member
+  /// vector's capacity for the next cluster that takes it (a dispatch
+  /// moves the members out).
   struct ClusterRec {
     Step step = 0;
-    std::vector<AgentId> members;
+    std::vector<AgentId> members;  // sorted
     std::int32_t blocked_members = 0;  // members with nonempty blocked_by
     // Strip span of member positions; multi-strip spans are counted in
     // cross_clusters for every strip in the span.
     std::int32_t span_lo = 0;
     std::int32_t span_hi = 0;
+    bool live = false;
+    /// Touched since the last pop of its strip, and on the strip's dirty
+    /// list (a candidate for readiness).
+    bool dirty = false;
   };
 
   /// Everything owned by one strip of the region partition. With
   /// shards() == 1 there is exactly one of these and the board behaves
   /// exactly like the historical unsharded implementation.
+  ///
+  /// The commit path keeps capacity rather than allocating: edge lists,
+  /// cluster slots, the dirty list and the scratch buffers below all
+  /// survive from one commit to the next (docs/ARCHITECTURE.md,
+  /// "Commit-path memory").
   struct ShardData {
-    explicit ShardData(double cell_size) : live_index(cell_size) {}
+    ShardData(double cell_size, Step target_step)
+        : live_index(cell_size), live_min(target_step) {}
     /// Live (non-done) agents homed in this strip, keyed by position —
     /// the probe structure for recompute_blockers / cluster_in.
     /// Maintained only when use_index().
     world::SpatialIndex live_index;
-    /// Live agents per step; begin() is this strip's min. Maintained in
-    /// every mode: min_step() and the radius bound read it.
-    std::map<Step, std::int32_t> live_steps;
-    std::map<std::int64_t, ClusterRec> clusters;
-    /// Clusters touched since the last pop (candidates for readiness).
-    std::set<std::int64_t> dirty_clusters;
-    /// Idle agents bucketed by step (coupling candidates for the
-    /// brute-force path; pop bookkeeping either way).
+    /// Live agents homed here per step (index = step; at most
+    /// target_step entries, grown on demand) and the smallest step with
+    /// a nonzero count (target_step when none) — this strip's min.
+    /// Maintained in every mode: min_step() and the radius bound read it.
+    std::vector<std::int32_t> live_steps;
+    Step live_min;
+    /// The cluster slab: cid >> 6 indexes it (the low 6 bits name the
+    /// strip). Freed slots go on free_slots and are reused first.
+    std::vector<ClusterRec> clusters;
+    std::vector<std::int32_t> free_slots;
+    /// Slots of clusters touched since the last pop, in no particular
+    /// order. A slot freed (or already handled) since it was listed is
+    /// skipped: only records still flagged dirty are examined.
+    std::vector<std::int32_t> dirty_slots;
+    /// Idle agents bucketed by step: the coupling candidates of the
+    /// full-scan path, maintained only there (see full_scan()).
     std::map<Step, std::set<AgentId>> idle_by_step;
     /// Agents whose border registration includes this strip.
     std::set<AgentId> border_agents;
@@ -280,10 +307,14 @@ class Scoreboard {
     /// relaxed atomic: readers (local_commit_shard) are ordered against
     /// writers by the caller's locking protocol, not by this counter.
     std::atomic<std::int32_t> cross_clusters{0};
-    /// Reusable candidate buffer so steady-state single-strip probes
-    /// allocate nothing.
+    /// Reusable buffers so steady-state commits allocate nothing: probe
+    /// candidates, a copy of the edge list being rewritten, and the
+    /// neighbor clusters an idle agent merges. A commit uses the buffers
+    /// of the strip its agents live in: an interior commit touches only
+    /// its own strip, and a cross commit holds the whole board.
     std::vector<AgentId> probe_buf;
-    std::int64_t next_cluster_local = 0;
+    std::vector<AgentId> edge_buf;
+    std::vector<std::int64_t> merge_buf;
     ScoreboardStats stats;
     // mean_blockers bookkeeping
     std::uint64_t blocker_samples = 0;
@@ -300,8 +331,18 @@ class Scoreboard {
   static std::int32_t shard_of_cluster(std::int64_t cid) {
     return static_cast<std::int32_t>(cid & (kMaxShards - 1));
   }
+  /// The live record of cluster `cid`.
+  ClusterRec& cluster_rec(std::int64_t cid);
+  const ClusterRec& cluster_rec(std::int64_t cid) const;
+  /// The strip whose scratch buffers a step of `id`'s commit uses.
+  ShardData& scratch_of(AgentId id) {
+    return shard(partition_.shard_of(agent(id).pos));
+  }
 
   bool use_index() const { return mode_ == ScanMode::kIndexed && indexable_; }
+  /// Neither index applies: candidates come from full scans (and the
+  /// idle_by_step buckets), on one strip.
+  bool full_scan() const { return !use_index() && !use_graph_index(); }
   /// Every live agent whose metric distance from `center` could be <=
   /// radius (sorted by id; exact predicates applied by the caller).
   /// Fans out over the strips the box overlaps. Requires use_index() or
@@ -316,8 +357,10 @@ class Scoreboard {
   /// done. The tight bound for the blocking-radius box probe. Reads
   /// every strip — concurrent commits pass probe_floor instead.
   Step min_live_step() const;
-  void live_step_advance(std::int32_t from_strip, std::int32_t to_strip,
-                         Step from, Step to, bool now_done);
+  /// Count one more (fewer) live agent at `step` in `sd`, moving the
+  /// strip's min cursor down (up past emptied steps).
+  void live_step_add(ShardData& sd, Step step);
+  void live_step_remove(ShardData& sd, Step step);
   /// Recompute `id`'s border registration from its current position and
   /// step, bounding the blocking radius with `floor` (no-op with one
   /// shard).
@@ -335,7 +378,12 @@ class Scoreboard {
   /// Place a newly idle agent into the idle clustering (may merge several
   /// existing clusters).
   void cluster_in(AgentId id);
+  /// Take a slot in `strip`'s slab for an empty cluster at `step`.
   std::int64_t new_cluster(Step step, std::int32_t strip);
+  /// Return `cid`'s slot to its strip's free list.
+  void free_cluster(std::int64_t cid);
+  /// Put `cid` on its strip's dirty list unless it is already there.
+  void mark_dirty(std::int64_t cid);
   /// Member strip-span bookkeeping (keeps the cross_clusters counters
   /// in sync; no-ops with one shard).
   void span_counters_remove(const ClusterRec& rec);

@@ -12,7 +12,18 @@
 // Interior commits release clusters only in their own strip and the DES
 // reports zero commit wait, so the schedule is the one a whole-board
 // commit and pop would give.
+//
+// The metropolis path runs once per cluster step, millions of times a
+// simulated day, so it keeps its state in slabs rather than in closures:
+// a dispatched cluster lives in a slot whose events capture only (this,
+// slot) or (this, slot, member index) — within std::function's inline
+// buffer — and every call chain advances through a slot of (chain,
+// index, priority, done), so a request's completion captures (this,
+// run). The commit reuses one move buffer. Each event keeps the delay
+// and the place in the order it had when closures carried copies, so
+// event counts and simulated times are unchanged.
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <queue>
@@ -33,6 +44,18 @@ using trace::LlmCall;
 using trace::SimulationTrace;
 
 SimTime us(double micros) { return static_cast<SimTime>(micros); }
+
+/// A free slot of `slab`: the last one freed, else a new one at the end.
+template <typename T>
+std::uint32_t take_slot(std::vector<T>* slab, std::vector<std::uint32_t>* free) {
+  if (free->empty()) {
+    slab->emplace_back();
+    return static_cast<std::uint32_t>(slab->size() - 1);
+  }
+  const std::uint32_t slot = free->back();
+  free->pop_back();
+  return slot;
+}
 
 /// Shared replay machinery: trace indexing, chain submission, gantt.
 class Executor {
@@ -82,34 +105,52 @@ class Executor {
     return it == by_step.end() ? nullptr : &it->second;
   }
 
-  /// Submit an agent's calls for one step, serially, then invoke `done`.
-  /// `priority` is the absolute simulation step (smaller = more urgent).
-  void submit_chain(const std::vector<const LlmCall*>& chain, std::size_t idx,
+  /// Submit an agent's calls for one step, serially, then schedule
+  /// `done` (zero delay). `priority` is the absolute simulation step
+  /// (smaller = more urgent).
+  void submit_chain(const std::vector<const LlmCall*>& chain,
                     std::int64_t priority, std::function<void()> done) {
-    if (idx >= chain.size()) {
+    if (chain.empty()) {
       loop_.schedule_after(0, std::move(done));
       return;
     }
-    const LlmCall* call = chain[idx];
+    const std::uint32_t run = take_slot(&runs_, &free_runs_);
+    runs_[run] = ChainRun{&chain, 0, priority, std::move(done)};
+    submit_call(run);
+  }
+
+  /// Submit the call `run` is at; its completion advances the run.
+  void submit_call(std::uint32_t run) {
+    const ChainRun& r = runs_[run];
+    const LlmCall* call = (*r.chain)[r.idx];
     llm::Request req;
     req.prompt_tokens = call->input_tokens;
     req.output_tokens = call->output_tokens;
-    req.priority = priority;
+    req.priority = r.priority;
     req.prompt_hash = call->prompt_hash;
     req.tag_agent = call->agent;
     req.tag_step = call->step;
     req.tag_type = static_cast<std::int32_t>(call->type);
-    req.on_complete = [this, &chain, idx, priority, call,
-                       done = std::move(done)](
-                          const llm::RequestOutcome& outcome) mutable {
-      if (cfg_.record_gantt) {
-        gantt_.push_back(GanttRecord{call->agent, call->step, call->type,
-                                     outcome.submit_time,
-                                     outcome.finish_time});
-      }
-      submit_chain(chain, idx + 1, priority, std::move(done));
+    req.on_complete = [this, run](const llm::RequestOutcome& outcome) {
+      call_done(run, outcome);
     };
     cluster_.submit(std::move(req));
+  }
+
+  void call_done(std::uint32_t run, const llm::RequestOutcome& outcome) {
+    ChainRun& r = runs_[run];
+    if (cfg_.record_gantt) {
+      const LlmCall* call = (*r.chain)[r.idx];
+      gantt_.push_back(GanttRecord{call->agent, call->step, call->type,
+                                   outcome.submit_time, outcome.finish_time});
+    }
+    if (++r.idx < r.chain->size()) {
+      submit_call(run);
+      return;
+    }
+    std::function<void()> done = std::move(r.done);
+    free_runs_.push_back(run);
+    loop_.schedule_after(0, std::move(done));
   }
 
   ExperimentResult finalize() {
@@ -177,7 +218,7 @@ class Executor {
       loop_.schedule_after(
           us(cfg_.overheads.worker_step_us),
           [this, chain, abs_step, rel, agent_idx] {
-            submit_chain(*chain, 0, abs_step, [this, rel, agent_idx] {
+            submit_chain(*chain, abs_step, [this, rel, agent_idx] {
               advance_single(rel, agent_idx + 1);
             });
           });
@@ -204,7 +245,7 @@ class Executor {
         loop_.schedule_after(
             us(cfg_.overheads.worker_step_us),
             [this, chain, abs_step, rel, remaining] {
-              submit_chain(*chain, 0, abs_step, [this, rel, remaining] {
+              submit_chain(*chain, abs_step, [this, rel, remaining] {
                 if (--*remaining == 0) {
                   step_marks_.push_back(loop_.now());
                   parallel_sync_step(rel + 1);
@@ -254,61 +295,70 @@ class Executor {
     while (!ready_queue_.empty() &&
            (cfg_.max_concurrent_clusters == 0 ||
             in_flight_clusters_ < cfg_.max_concurrent_clusters)) {
-      core::AgentCluster cluster =
+      const std::uint32_t slot = take_slot(&flights_, &free_flights_);
+      flights_[slot].cluster =
           std::move(const_cast<ReadyEntry&>(ready_queue_.top()).cluster);
       ready_queue_.pop();
       ++in_flight_clusters_;
       loop_.schedule_after(us(cfg_.overheads.controller_op_us),
-                           [this, cluster = std::move(cluster)] {
-                             execute_cluster(cluster);
-                           });
+                           [this, slot] { execute_cluster(slot); });
     }
   }
 
   /// Worker: run every member's chain for this step, then commit the
   /// cluster to the scoreboard and ack.
-  void execute_cluster(const core::AgentCluster& cluster) {
-    auto remaining = std::make_shared<std::size_t>(cluster.members.size());
-    auto finish = [this, cluster] {
-      loop_.schedule_after(us(cfg_.overheads.commit_us), [this, cluster] {
-        std::vector<std::pair<AgentId, Pos>> moves;
-        moves.reserve(cluster.members.size());
-        for (AgentId m : cluster.members) {
-          moves.emplace_back(
-              m, trace_.position_at(m, trace_.start_step + cluster.step + 1)
-                     .center());
-        }
-        const core::MetroController::Path path =
-            controller_->classify(cluster.step, moves);
-        auto released = path.interior()
-                            ? controller_->commit_interior(path, moves, 0)
-                            : controller_->commit_cross(moves);
-        if (cfg_.validate_invariants) {
-          controller_->scoreboard().check_invariants();
-        }
-        --in_flight_clusters_;
-        metropolis_dispatch(std::move(released));
-      });
-    };
-    const Step abs_step = trace_.start_step + cluster.step;
-    bool any_work = false;
+  void execute_cluster(std::uint32_t slot) {
+    InFlight& flight = flights_[slot];
+    const core::AgentCluster& cluster = flight.cluster;
+    flight.remaining = cluster.members.size();
+    flight.chains.clear();
     for (AgentId m : cluster.members) {
-      const auto* chain = chain_at(m, cluster.step);
+      flight.chains.push_back(chain_at(m, cluster.step));
+    }
+    for (std::uint32_t i = 0; i < flight.chains.size(); ++i) {
+      const auto* chain = flight.chains[i];
       if (chain == nullptr) {
-        if (--*remaining == 0) finish();
+        member_done(slot);
         continue;
       }
-      any_work = true;
       submitted_expected_ += chain->size();
       loop_.schedule_after(us(cfg_.overheads.worker_step_us),
-                           [this, chain, abs_step, remaining, finish] {
-                             submit_chain(*chain, 0, abs_step,
-                                          [remaining, finish] {
-                                            if (--*remaining == 0) finish();
-                                          });
-                           });
+                           [this, slot, i] { run_member(slot, i); });
     }
-    (void)any_work;
+  }
+
+  void run_member(std::uint32_t slot, std::uint32_t member) {
+    const InFlight& flight = flights_[slot];
+    submit_chain(*flight.chains[member],
+                 trace_.start_step + flight.cluster.step,
+                 [this, slot] { member_done(slot); });
+  }
+
+  void member_done(std::uint32_t slot) {
+    if (--flights_[slot].remaining != 0) return;
+    loop_.schedule_after(us(cfg_.overheads.commit_us),
+                         [this, slot] { commit_cluster(slot); });
+  }
+
+  void commit_cluster(std::uint32_t slot) {
+    const core::AgentCluster& cluster = flights_[slot].cluster;
+    moves_.clear();
+    for (AgentId m : cluster.members) {
+      moves_.emplace_back(
+          m, trace_.position_at(m, trace_.start_step + cluster.step + 1)
+                 .center());
+    }
+    const core::MetroController::Path path =
+        controller_->classify(cluster.step, moves_);
+    auto released = path.interior()
+                        ? controller_->commit_interior(path, moves_, 0)
+                        : controller_->commit_cross(moves_);
+    if (cfg_.validate_invariants) {
+      controller_->scoreboard().check_invariants();
+    }
+    free_flights_.push_back(slot);
+    --in_flight_clusters_;
+    metropolis_dispatch(std::move(released));
   }
 
   // ---- Mode: oracle ----
@@ -372,7 +422,7 @@ class Executor {
       submitted_expected_ += chain->size();
       loop_.schedule_after(us(cfg_.overheads.worker_step_us),
                            [this, chain, abs_step, remaining, finish] {
-                             submit_chain(*chain, 0, abs_step,
+                             submit_chain(*chain, abs_step,
                                           [remaining, finish] {
                                             if (--*remaining == 0) finish();
                                           });
@@ -425,7 +475,7 @@ class Executor {
     critical_in_ = critical_result_.input_tokens;
     critical_out_ = critical_result_.output_tokens;
     submitted_expected_ = critical_result_.call_count;
-    submit_chain(critical_result_.calls, 0, 0, [] {});
+    submit_chain(critical_result_.calls, 0, [] {});
   }
 
   const SimulationTrace& trace_;
@@ -436,6 +486,16 @@ class Executor {
   std::vector<GanttRecord> gantt_;
   std::vector<SimTime> step_marks_;
   std::uint64_t submitted_expected_ = 0;
+  /// Chains in progress: each request's completion names its run, so the
+  /// closure handed to the serving cluster carries two words.
+  struct ChainRun {
+    const std::vector<const LlmCall*>* chain = nullptr;
+    std::size_t idx = 0;
+    std::int64_t priority = 0;
+    std::function<void()> done;
+  };
+  std::vector<ChainRun> runs_;
+  std::vector<std::uint32_t> free_runs_;
 
   // metropolis state
   std::unique_ptr<core::MetroController> controller_;
@@ -452,6 +512,18 @@ class Executor {
       ready_queue_;
   std::uint64_t ready_seq_ = 0;
   std::int32_t in_flight_clusters_ = 0;
+  /// Dispatched clusters, by slot: their events capture (this, slot) or
+  /// (this, slot, member index), small enough for std::function's inline
+  /// buffer, and a freed slot keeps its chain list's capacity.
+  struct InFlight {
+    core::AgentCluster cluster;
+    std::vector<const std::vector<const LlmCall*>*> chains;  // per member
+    std::size_t remaining = 0;  // members whose chain has not finished
+  };
+  std::vector<InFlight> flights_;
+  std::vector<std::uint32_t> free_flights_;
+  /// The commit's move list, reused across commits.
+  core::MetroController::Moves moves_;
 
   // oracle state
   core::OracleDependencies oracle_deps_;
