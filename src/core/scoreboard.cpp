@@ -629,8 +629,10 @@ void Scoreboard::pop_shard_ready_into(std::int32_t strip,
                                       std::vector<AgentCluster>* ready) {
   // The dirty list's order is unobservable: whether a cluster dispatches
   // depends only on its own blocked count, callers sort the output by
-  // (step, first member), and every stat below is a sum or a max over a
-  // running count that only rises within one pop.
+  // (step, first member), and every stat below is a sum or a max of
+  // running-count snapshots. On one thread that count only rises within
+  // a pop, so the max is its final value in any order (with strips
+  // committing concurrently the snapshots are timing-dependent anyway).
   ShardData& sd = shard(strip);
   for (const std::int32_t slot : sd.dirty_slots) {
     ClusterRec& rec = sd.clusters[static_cast<std::size_t>(slot)];
