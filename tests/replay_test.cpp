@@ -2,7 +2,9 @@
 
 #include <functional>
 #include <map>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -222,8 +224,18 @@ TEST(Replay, SummaryStringsAreReadable) {
 
 // ---- Golden outputs ----
 
+/// Serving settings a golden cell sets on top of the registry platform.
+/// The defaults leave the platform as `experiment_config()` builds it.
+struct GoldenServing {
+  std::int32_t max_running_requests = 0;  // 0 = ReplicaConfig's default
+  bool priority_scheduling = true;
+  std::int32_t max_concurrent_clusters = 0;
+  bool prefix_cache = false;
+};
+
 /// One registry DES cell with every number it reports pinned exactly.
-/// `shards` = 0 keeps the registry's resolution.
+/// `shards` = 0 keeps the registry's resolution; `overrides` are
+/// space-separated `key=value` spec overrides.
 struct GoldenCell {
   const char* scenario;
   std::int32_t shards;
@@ -235,6 +247,9 @@ struct GoldenCell {
   std::uint64_t commits;
   std::uint64_t edges_added;
   double mean_blockers;
+  const char* overrides = "";
+  GoldenServing serving = {};
+  std::uint64_t prefix_cache_hits = 0;
 };
 
 TEST(Replay, GoldenOutputsAreBitExact) {
@@ -268,22 +283,54 @@ TEST(Replay, GoldenOutputsAreBitExact) {
       {"skewed_ville100", 4, Mode::kMetropolis, 37.426361999999997, 42402,
        2.4103973131720058, 0.30129547790405065, 20520, 6522,
        0.27288702928870295},
+      // Serving paths the cells above leave open. One L4 with a running
+      // cap of 4 and 8 worker slots: FIFO order, the running cap and the
+      // worker limit all bind; then the same cell under priorities.
+      {"smallville_day", 0, Mode::kMetropolis, 4809.4478090000002, 68692,
+       2.5625089492482012, 0.99997315700156708, 2328, 1713,
+       0.19086350974930363, "data_parallel=1", {4, false, 8, false}},
+      {"smallville_day", 0, Mode::kMetropolis, 4773.7227789999997, 68149,
+       2.5922155711237829, 0.9999735531353946, 2328, 1679,
+       0.18707520891364904, "data_parallel=1", {4, true, 8, false}},
+      // The prefix cache on.
+      {"smallville_day", 0, Mode::kMetropolis, 3918.888281, 121472,
+       2.2098246189092632, 0.49252829555209254, 2328, 1722,
+       0.19186629526462395, "", {0, true, 0, true}, 4416},
+      // A tensor-parallel 70B platform.
+      {"smallville_day", 0, Mode::kMetropolis, 2466.9328399999999, 96666,
+       2.5310946548383622, 0.78231686700477832, 2328, 1718,
+       0.19142061281337047,
+       "model=llama-3-70b-instruct gpu=a100 tensor_parallel=4 "
+       "data_parallel=2"},
   };
-  std::map<std::pair<std::string, std::int32_t>, trace::SimulationTrace>
+  std::map<std::tuple<std::string, std::int32_t, std::string>,
+           trace::SimulationTrace>
       traces;
   for (const GoldenCell& cell : cells) {
     std::string error;
     auto spec = scenario::find_scenario(cell.scenario, &error);
     ASSERT_TRUE(spec.has_value()) << error;
     if (cell.shards > 0) spec->shards = cell.shards;
+    std::istringstream overrides(cell.overrides);
+    for (std::string kv; overrides >> kv;) {
+      ASSERT_TRUE(scenario::apply_override(&*spec, kv, &error)) << error;
+    }
     const scenario::ScenarioDriver driver(*spec);
-    const auto key = std::make_pair(std::string(cell.scenario), cell.shards);
+    const auto key = std::make_tuple(std::string(cell.scenario), cell.shards,
+                                     std::string(cell.overrides));
     if (!traces.count(key)) traces.emplace(key, driver.build_trace());
     ExperimentConfig cfg = driver.experiment_config();
     cfg.mode = cell.mode;
+    if (cell.serving.max_running_requests > 0) {
+      cfg.cluster.replica.max_running_requests =
+          cell.serving.max_running_requests;
+    }
+    cfg.cluster.priority_scheduling = cell.serving.priority_scheduling;
+    cfg.max_concurrent_clusters = cell.serving.max_concurrent_clusters;
+    cfg.cluster.replica.prefix_cache = cell.serving.prefix_cache;
     const ExperimentResult r = run_experiment(traces.at(key), cfg);
-    const std::string where =
-        std::string(cell.scenario) + " " + mode_name(cell.mode);
+    const std::string where = std::string(cell.scenario) + " " +
+                              cell.overrides + " " + mode_name(cell.mode);
     EXPECT_EQ(r.completion_seconds, cell.completion_seconds) << where;
     EXPECT_EQ(r.des_events, cell.des_events) << where;
     EXPECT_EQ(r.avg_parallelism, cell.avg_parallelism) << where;
@@ -291,6 +338,7 @@ TEST(Replay, GoldenOutputsAreBitExact) {
     EXPECT_EQ(r.scoreboard.commits, cell.commits) << where;
     EXPECT_EQ(r.scoreboard.edges_added, cell.edges_added) << where;
     EXPECT_EQ(r.mean_blockers, cell.mean_blockers) << where;
+    EXPECT_EQ(r.prefix_cache_hits, cell.prefix_cache_hits) << where;
     if (cell.shards > 0) {
       EXPECT_EQ(r.shards, cell.shards) << where;
     }
