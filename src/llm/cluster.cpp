@@ -7,77 +7,40 @@
 namespace aimetro::llm {
 
 Cluster::Cluster(des::EventLoop* loop, ModelSpec model, GpuSpec gpu,
-                 ParallelismConfig parallelism, CostModelConfig cost_cfg,
-                 ClusterConfig cfg)
+                 ParallelismConfig parallelism, ClusterConfig cfg)
     : loop_(loop),
-      cost_(std::move(model), std::move(gpu), parallelism.tensor_parallel,
-            cost_cfg),
+      cost_(std::move(model), std::move(gpu), parallelism.tensor_parallel),
       cfg_(cfg) {
   AIM_CHECK(loop_ != nullptr);
   AIM_CHECK(parallelism.data_parallel >= 1);
-  waiting_.resize(static_cast<std::size_t>(parallelism.data_parallel));
   for (std::int32_t i = 0; i < parallelism.data_parallel; ++i) {
     replicas_.push_back(std::make_unique<Replica>(
-        i, loop_, &cost_, cfg_.replica,
-        [this, i](std::int64_t headroom) { return pull(i, headroom); }));
+        i, loop_, &cost_, cfg_.replica, [this] { on_request_complete(); }));
   }
 }
 
-std::int32_t Cluster::route() const {
-  std::int32_t best = 0;
-  std::size_t best_load = static_cast<std::size_t>(-1);
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    const std::size_t load =
-        waiting_[i].size() +
-        static_cast<std::size_t>(replicas_[i]->running_count());
-    if (load < best_load) {
-      best_load = load;
-      best = static_cast<std::int32_t>(i);
-    }
+std::size_t Cluster::route() const {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < replicas_.size(); ++i) {
+    if (replicas_[i]->load() < replicas_[best]->load()) best = i;
   }
   return best;
 }
 
-RequestId Cluster::submit(Request req) {
-  const RequestId id = next_id_++;
-  req.id = id;
+void Cluster::submit(Request req) {
   req.submit_time = loop_->now();
-  // Wrap the caller's completion callback with cluster bookkeeping.
-  auto user_cb = std::move(req.on_complete);
-  req.on_complete = [this, user_cb = std::move(user_cb)](
-                        const RequestOutcome& outcome) {
-    on_request_complete(outcome);
-    if (user_cb) user_cb(outcome);
-  };
   const std::int64_t priority = cfg_.priority_scheduling ? req.priority : 0;
-  const std::int32_t target = route();
-  waiting_[static_cast<std::size_t>(target)].push(QueueEntry{
-      priority, queue_seq_++, std::make_shared<Request>(std::move(req))});
+  replicas_[route()]->submit(std::move(req), priority);
   ++outstanding_;
   outstanding_stat_.set(loop_->now(), static_cast<double>(outstanding_));
-  replicas_[static_cast<std::size_t>(target)]->kick();
-  return id;
 }
 
-std::optional<Request> Cluster::pull(std::int32_t replica,
-                                     std::int64_t kv_headroom) {
-  auto& queue = waiting_[static_cast<std::size_t>(replica)];
-  if (queue.empty()) return std::nullopt;
-  const QueueEntry& top = queue.top();
-  const std::int64_t need = top.req->prompt_tokens + top.req->output_tokens;
-  if (need > kv_headroom) return std::nullopt;  // head-of-line blocks
-  Request out = std::move(*top.req);
-  queue.pop();
-  return out;
-}
-
-void Cluster::on_request_complete(const RequestOutcome& outcome) {
+void Cluster::on_request_complete() {
   AIM_CHECK(outstanding_ > 0);
   --outstanding_;
   ++completed_;
   last_completion_ = loop_->now();
   outstanding_stat_.set(loop_->now(), static_cast<double>(outstanding_));
-  if (cfg_.record_completions) completion_log_.push_back(outcome);
 }
 
 double Cluster::average_parallelism(SimTime until) const {
@@ -89,7 +52,7 @@ double Cluster::average_utilization(SimTime until) const {
   if (until <= 0 || replicas_.empty()) return 0.0;
   double total = 0.0;
   for (const auto& r : replicas_) {
-    total += static_cast<double>(r->busy_time());
+    total += static_cast<double>(r->batch().busy_time());
   }
   return total / (static_cast<double>(until) *
                   static_cast<double>(replicas_.size()));
@@ -97,19 +60,19 @@ double Cluster::average_utilization(SimTime until) const {
 
 std::int64_t Cluster::total_decode_tokens() const {
   std::int64_t n = 0;
-  for (const auto& r : replicas_) n += r->decode_tokens_done();
+  for (const auto& r : replicas_) n += r->batch().decode_tokens_done();
   return n;
 }
 
 std::int64_t Cluster::total_prefill_tokens() const {
   std::int64_t n = 0;
-  for (const auto& r : replicas_) n += r->prefill_tokens_done();
+  for (const auto& r : replicas_) n += r->batch().prefill_tokens_done();
   return n;
 }
 
 std::uint64_t Cluster::total_prefix_cache_hits() const {
   std::uint64_t n = 0;
-  for (const auto& r : replicas_) n += r->prefix_cache_hits();
+  for (const auto& r : replicas_) n += r->batch().prefix_cache_hits();
   return n;
 }
 

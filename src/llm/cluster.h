@@ -1,11 +1,11 @@
 // The full serving deployment: `data_parallel` replicas (each a
-// tensor-parallel group) pulling from one shared admission queue.
+// tensor-parallel group), each with its own admission queue, behind a
+// least-loaded router.
 //
-// The queue is a priority queue over the request's simulation step when
-// priority scheduling is enabled (§3.5) and plain FIFO otherwise — the
-// Table 1 ablation toggles exactly this switch. No preemption: once a
-// request is admitted to a replica's running batch it runs to completion,
-// matching the paper ("no preemption during LLM inference").
+// A replica's queue is ordered by the request's simulation step when
+// priority scheduling is enabled (§3.5) and is plain FIFO otherwise — the
+// Table 1 ablation toggles exactly this switch. The batching rule itself
+// lives in llm::Batch (replica.h).
 //
 // Cluster-level metrics capture the paper's "achieved parallelism": the
 // time-average of outstanding requests over the execution (§4.2).
@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/stats.h"
@@ -25,21 +24,19 @@ namespace aimetro::llm {
 struct ClusterConfig {
   ReplicaConfig replica;
   bool priority_scheduling = true;
-  bool record_completions = false;  // keep per-request outcomes (Gantt)
 };
 
 class Cluster {
  public:
   Cluster(des::EventLoop* loop, ModelSpec model, GpuSpec gpu,
-          ParallelismConfig parallelism, CostModelConfig cost_cfg = {},
-          ClusterConfig cfg = {});
+          ParallelismConfig parallelism, ClusterConfig cfg = {});
 
-  /// Submit a request; returns its assigned id. `req.on_complete` fires
-  /// when the last output token is produced.
-  RequestId submit(Request req);
+  /// Submit a request to the least-loaded replica. `req.on_complete`
+  /// fires when the last output token is produced. Check-fails when the
+  /// request cannot fit in a replica's KV cache.
+  void submit(Request req);
 
   std::size_t outstanding() const { return outstanding_; }
-  std::uint64_t submitted() const { return next_id_ - 1; }
   std::uint64_t completed() const { return completed_; }
 
   /// Time-averaged number of outstanding requests from first submission to
@@ -54,46 +51,22 @@ class Cluster {
   std::int64_t total_prefill_tokens() const;
   std::uint64_t total_prefix_cache_hits() const;
 
-  const std::vector<RequestOutcome>& completions() const {
-    return completion_log_;
-  }
   const CostModel& cost_model() const { return cost_; }
-  std::int32_t replica_count() const {
-    return static_cast<std::int32_t>(replicas_.size());
-  }
 
  private:
-  struct QueueEntry {
-    std::int64_t priority;
-    std::uint64_t seq;
-    // Stored out-of-line: Request holds a std::function (move-only-ish).
-    std::shared_ptr<Request> req;
-    bool operator>(const QueueEntry& o) const {
-      if (priority != o.priority) return priority > o.priority;
-      return seq > o.seq;
-    }
-  };
-
-  std::optional<Request> pull(std::int32_t replica, std::int64_t kv_headroom);
-  void on_request_complete(const RequestOutcome& outcome);
+  void on_request_complete();
   /// Replica with the least pending work (queued + running), lowest index
   /// on ties — the data-parallel router.
-  std::int32_t route() const;
+  std::size_t route() const;
 
   des::EventLoop* loop_;
   CostModel cost_;
   ClusterConfig cfg_;
   std::vector<std::unique_ptr<Replica>> replicas_;
-  using WaitHeap =
-      std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>>;
-  std::vector<WaitHeap> waiting_;  // one queue per replica
-  RequestId next_id_ = 1;
-  std::uint64_t queue_seq_ = 0;
   std::size_t outstanding_ = 0;
   std::uint64_t completed_ = 0;
   SimTime last_completion_ = 0;
   TimeWeightedStat outstanding_stat_;
-  std::vector<RequestOutcome> completion_log_;
 };
 
 }  // namespace aimetro::llm

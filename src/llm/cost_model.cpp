@@ -7,15 +7,21 @@
 
 namespace aimetro::llm {
 
-CostModel::CostModel(ModelSpec model, GpuSpec gpu, std::int32_t tensor_parallel,
-                     CostModelConfig cfg)
-    : model_(std::move(model)),
-      gpu_(std::move(gpu)),
-      tp_(tensor_parallel),
-      cfg_(cfg) {
+namespace {
+
+constexpr double kFlopsEfficiency = 0.45;  // achieved fraction of peak TFLOPS
+constexpr double kBwEfficiency = 0.80;  // achieved fraction of peak bandwidth
+constexpr double kTpCommAlpha = 0.15;   // TP speedup = tp / (1 + alpha*(tp-1))
+constexpr double kActivationReserveGb = 2.0;  // HBM per GPU for activations
+constexpr double kIterationOverheadUs = 300.0;  // scheduler + kernel launch
+
+}  // namespace
+
+CostModel::CostModel(ModelSpec model, GpuSpec gpu, std::int32_t tensor_parallel)
+    : model_(std::move(model)), gpu_(std::move(gpu)), tp_(tensor_parallel) {
   AIM_CHECK(tp_ >= 1);
   tp_speedup_ = static_cast<double>(tp_) /
-                (1.0 + cfg_.tp_comm_alpha * static_cast<double>(tp_ - 1));
+                (1.0 + kTpCommAlpha * static_cast<double>(tp_ - 1));
   AIM_CHECK_MSG(model_.weight_bytes() <
                     gpu_.hbm_gb * 1e9 * static_cast<double>(tp_),
                 model_.name << " does not fit on " << tp_ << "x " << gpu_.name);
@@ -44,8 +50,8 @@ SimTime CostModel::iteration_time(std::int32_t decode_batch,
   if (token_batch <= 0.0) return 0;
 
   const double bw =
-      gpu_.mem_bw_gbps * 1e9 * cfg_.bw_efficiency;  // bytes/s per GPU
-  const double flops = gpu_.tflops * 1e12 * cfg_.flops_efficiency;
+      gpu_.mem_bw_gbps * 1e9 * kBwEfficiency;  // bytes/s per GPU
+  const double flops = gpu_.tflops * 1e12 * kFlopsEfficiency;
 
   // Memory traffic: weights once per iteration plus the decode KV reads.
   const double weight_bytes =
@@ -63,14 +69,14 @@ SimTime CostModel::iteration_time(std::int32_t decode_batch,
       (flops * tp_speedup_);
 
   const double seconds = std::max(mem_seconds, compute_seconds) +
-                         cfg_.iteration_overhead_us * 1e-6;
+                         kIterationOverheadUs * 1e-6;
   return sim_time_from_seconds(seconds);
 }
 
 std::int64_t CostModel::kv_capacity_tokens() const {
   const double total_hbm = gpu_.hbm_gb * 1e9 * static_cast<double>(tp_);
   const double reserve =
-      cfg_.activation_reserve_gb * 1e9 * static_cast<double>(tp_);
+      kActivationReserveGb * 1e9 * static_cast<double>(tp_);
   const double free_bytes = total_hbm - model_.weight_bytes() - reserve;
   AIM_CHECK_MSG(free_bytes > 0, "no HBM left for KV cache");
   return static_cast<std::int64_t>(free_bytes / model_.kv_bytes_per_token());

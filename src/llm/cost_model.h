@@ -17,18 +17,9 @@
 
 namespace aimetro::llm {
 
-struct CostModelConfig {
-  double flops_efficiency = 0.45;   // achieved fraction of peak TFLOPS
-  double bw_efficiency = 0.80;      // achieved fraction of peak bandwidth
-  double tp_comm_alpha = 0.15;      // TP speedup = tp / (1 + alpha*(tp-1))
-  double activation_reserve_gb = 2.0;  // HBM set aside per GPU for activations
-  double iteration_overhead_us = 300.0;  // scheduler + kernel launch
-};
-
 class CostModel {
  public:
-  CostModel(ModelSpec model, GpuSpec gpu, std::int32_t tensor_parallel,
-            CostModelConfig cfg = {});
+  CostModel(ModelSpec model, GpuSpec gpu, std::int32_t tensor_parallel);
 
   const ModelSpec& model() const { return model_; }
   const GpuSpec& gpu() const { return gpu_; }
@@ -51,7 +42,6 @@ class CostModel {
   ModelSpec model_;
   GpuSpec gpu_;
   std::int32_t tp_;
-  CostModelConfig cfg_;
   double tp_speedup_;  // effective parallel speedup across the TP group
 };
 

@@ -1,171 +1,91 @@
 #include "llm/cost_model_client.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
 namespace aimetro::llm {
 
-// ---- DecodeTimeline ----
+// ---- VirtualReplica ----
 
-DecodeTimeline::DecodeTimeline(const CostModel* cost) : cost_(cost) {
-  AIM_CHECK(cost_ != nullptr);
+VirtualReplica::VirtualReplica(const CostModel* cost, ReplicaConfig cfg)
+    : stepper_{Batch(cost, cfg)} {}
+
+bool VirtualReplica::Stepper::step(SimTime t,
+                                   std::vector<std::uint64_t>* done) {
+  if (state == State::kRunning && boundary <= t) {
+    batch.finish(done);
+    state = State::kPending;
+    return true;
+  }
+  if (state == State::kPending && boundary < t) {
+    batch.admit();
+    const SimTime duration = batch.compose();
+    state = duration == 0 ? State::kIdle : State::kRunning;
+    boundary += duration;
+    return true;
+  }
+  return false;
 }
 
-std::uint64_t DecodeTimeline::admit(SimTime join, std::int64_t output_tokens,
-                                    std::int64_t kv_footprint) {
-  AIM_CHECK(output_tokens >= 1);
-  AIM_CHECK(kv_footprint >= 0);
-  const std::uint64_t id = next_id_++;
-  active_.emplace(id, Req{join, output_tokens, kv_footprint});
+void VirtualReplica::advance(SimTime t) {
+  while (stepper_.step(t, &done_)) {
+    peak_batch_ = std::max(peak_batch_, stepper_.batch.running_count());
+    for (const std::uint64_t id : done_) {
+      finished_.emplace(id, stepper_.boundary);
+    }
+    done_.clear();
+  }
+}
+
+std::uint64_t VirtualReplica::submit(SimTime now, std::int64_t prompt_tokens,
+                                     std::int64_t output_tokens,
+                                     std::int64_t priority) {
+  advance(now);
+  AIM_CHECK_MSG(stepper_.state == Stepper::State::kRunning ||
+                    stepper_.boundary <= now,
+                "submit at " << now << " before the replica's cursor "
+                             << stepper_.boundary);
+  const std::uint64_t id = next_id_;
+  stepper_.batch.enqueue(id, prompt_tokens, output_tokens, priority,
+                         /*prompt_hash=*/0);
+  ++next_id_;
+  if (stepper_.state == Stepper::State::kIdle) {
+    stepper_.state = Stepper::State::kPending;
+    stepper_.boundary = now;
+  }
   return id;
 }
 
-void DecodeTimeline::advance(SimTime t) {
-  while (true) {
-    // Compose the batch at the cursor: joined, still decoding.
-    std::int32_t batch = 0;
-    std::int64_t kv = 0;
-    std::int64_t min_remaining = 0;
-    SimTime next_join = kSimTimeMax;
-    for (const auto& [id, r] : active_) {
-      if (r.join <= cursor_) {
-        ++batch;
-        kv += r.kv;
-        min_remaining =
-            batch == 1 ? r.remaining : std::min(min_remaining, r.remaining);
-      } else {
-        next_join = std::min(next_join, r.join);
-      }
-    }
-    if (batch == 0) {
-      if (next_join > t) {
-        // Idle (or idle until a join past t): iterations restart at the
-        // next admission, exactly like Replica::kick.
-        cursor_ = std::max(cursor_, t);
-        return;
-      }
-      cursor_ = next_join;
-      continue;
-    }
-    const SimTime dt = cost_->iteration_time(batch, 0, kv);
-    AIM_CHECK(dt > 0);
-    if (cursor_ + dt > t) return;  // partial iterations never complete
-    // Run identical iterations until the next event: a batch member
-    // finishing, a pending request's first boundary at or after its join
-    // time, or t itself.
-    std::int64_t k = std::min<std::int64_t>(min_remaining, (t - cursor_) / dt);
-    if (next_join != kSimTimeMax) {
-      k = std::min(k, (next_join - cursor_ + dt - 1) / dt);
-    }
-    AIM_CHECK(k >= 1);
-    peak_batch_ = std::max(peak_batch_, batch);
-    const SimTime joined_before = cursor_;
-    cursor_ += k * dt;
-    for (auto it = active_.begin(); it != active_.end();) {
-      Req& r = it->second;
-      if (r.join <= joined_before) {
-        r.remaining -= k;
-        if (r.remaining == 0) {
-          finished_.emplace(it->first, cursor_);
-          it = active_.erase(it);
-          continue;
-        }
-      }
-      ++it;
-    }
+SimTime VirtualReplica::predict_finish(std::uint64_t id) const {
+  if (const auto it = finished_.find(id); it != finished_.end()) {
+    return it->second;
   }
-}
-
-std::vector<std::pair<std::uint64_t, SimTime>>
-DecodeTimeline::simulate_to_drain() const {
-  // The same stepping rule as advance(), on a copy, unbounded in time:
-  // one pass computes every active request's finish — never one
-  // whole-timeline replay per request.
-  struct Sim {
-    std::uint64_t id;
-    SimTime join;
-    std::int64_t remaining;
-    std::int64_t kv;
-  };
-  std::vector<Sim> reqs;
-  reqs.reserve(active_.size());
-  for (const auto& [rid, r] : active_) {
-    reqs.push_back(Sim{rid, r.join, r.remaining, r.kv});
-  }
-  std::vector<std::pair<std::uint64_t, SimTime>> out;
-  out.reserve(reqs.size());
-  SimTime cur = cursor_;
-  while (out.size() < reqs.size()) {
-    std::int32_t batch = 0;
-    std::int64_t kv = 0;
-    std::int64_t min_remaining = 0;
-    SimTime next_join = kSimTimeMax;
-    for (const Sim& r : reqs) {
-      if (r.remaining == 0) continue;
-      if (r.join <= cur) {
-        ++batch;
-        kv += r.kv;
-        min_remaining =
-            batch == 1 ? r.remaining : std::min(min_remaining, r.remaining);
-      } else {
-        next_join = std::min(next_join, r.join);
-      }
+  AIM_CHECK_MSG(id < next_id_, "unknown call " << id);
+  Stepper copy = stepper_;
+  std::vector<std::uint64_t> done;
+  while (copy.step(kSimTimeMax, &done)) {
+    if (std::find(done.begin(), done.end(), id) != done.end()) {
+      return copy.boundary;
     }
-    if (batch == 0) {
-      AIM_CHECK(next_join != kSimTimeMax);  // someone is still decoding
-      cur = next_join;
-      continue;
-    }
-    const SimTime dt = cost_->iteration_time(batch, 0, kv);
-    AIM_CHECK(dt > 0);
-    std::int64_t k = min_remaining;
-    if (next_join != kSimTimeMax) {
-      k = std::min(k, (next_join - cur + dt - 1) / dt);
-    }
-    AIM_CHECK(k >= 1);
-    const SimTime joined_before = cur;
-    cur += k * dt;
-    for (Sim& r : reqs) {
-      if (r.remaining > 0 && r.join <= joined_before) {
-        r.remaining -= k;
-        if (r.remaining == 0) out.emplace_back(r.id, cur);
-      }
-    }
+    done.clear();
   }
-  return out;
-}
-
-SimTime DecodeTimeline::predict_finish(std::uint64_t id) const {
-  if (const auto f = finished_.find(id); f != finished_.end()) {
-    return f->second;
-  }
-  AIM_CHECK_MSG(active_.count(id) != 0, "unknown timeline request");
-  for (const auto& [rid, finish] : simulate_to_drain()) {
-    if (rid == id) return finish;
-  }
-  AIM_CHECK_MSG(false, "simulate_to_drain lost a request");
+  AIM_CHECK_MSG(false, "call " << id << " never finishes");
   return 0;
 }
 
-std::vector<SimTime> DecodeTimeline::predicted_finishes() const {
-  std::vector<SimTime> out;
-  out.reserve(finished_.size() + active_.size());
-  for (const auto& [id, t] : finished_) out.push_back(t);
-  for (const auto& [id, t] : simulate_to_drain()) out.push_back(t);
-  return out;
-}
-
-bool DecodeTimeline::finished(std::uint64_t id) const {
-  return finished_.count(id) != 0;
-}
-
-SimTime DecodeTimeline::take_finish(std::uint64_t id) {
+std::optional<SimTime> VirtualReplica::take_finish(std::uint64_t id) {
   const auto it = finished_.find(id);
-  AIM_CHECK_MSG(it != finished_.end(), "take_finish on an unfinished request");
+  if (it == finished_.end()) return std::nullopt;
   const SimTime t = it->second;
   finished_.erase(it);
   return t;
+}
+
+std::size_t VirtualReplica::load() const {
+  return stepper_.batch.queued() +
+         static_cast<std::size_t>(stepper_.batch.running_count());
 }
 
 // ---- CostModelLlmClient ----
@@ -176,37 +96,13 @@ CostModelLlmClient::CostModelLlmClient(CostModel cost,
     : cost_(std::move(cost)), clock_(clock), cfg_(cfg) {
   AIM_CHECK(clock_ != nullptr);
   AIM_CHECK(cfg_.data_parallel >= 1);
-  AIM_CHECK(cfg_.max_running_requests >= 1);
-  AIM_CHECK(cfg_.max_prefill_tokens_per_iter >= 1);
+  ReplicaConfig replica;
+  replica.max_running_requests = cfg_.max_running_requests;
+  replica.max_prefill_tokens_per_iter = cfg_.max_prefill_tokens_per_iter;
   replicas_.reserve(static_cast<std::size_t>(cfg_.data_parallel));
   for (std::int32_t i = 0; i < cfg_.data_parallel; ++i) {
-    replicas_.push_back(std::make_unique<ReplicaState>(&cost_));
+    replicas_.push_back(std::make_unique<ReplicaState>(&cost_, replica));
   }
-  inflight_.assign(replicas_.size(), 0);
-}
-
-SimTime CostModelLlmClient::prefill_time(std::int64_t prompt_tokens) const {
-  SimTime t = 0;
-  std::int64_t remaining = prompt_tokens;
-  while (remaining > 0) {
-    const std::int64_t chunk =
-        std::min(remaining, cfg_.max_prefill_tokens_per_iter);
-    t += cost_.iteration_time(0, chunk, 0);
-    remaining -= chunk;
-  }
-  return t;
-}
-
-SimTime CostModelLlmClient::virtual_latency(
-    std::int64_t prompt_tokens, std::int64_t output_tokens,
-    std::int32_t decode_batch, std::int64_t kv_resident_tokens) const {
-  // Continuous batching decodes one token per running request per
-  // iteration, so a request's decode time is output_tokens iterations at
-  // the batch it runs in — nearly flat in batch size (memory-bound),
-  // which is exactly what makes parallelism pay.
-  return prefill_time(prompt_tokens) +
-         output_tokens * cost_.iteration_time(decode_batch, 0,
-                                              kv_resident_tokens);
 }
 
 CompletionResult CostModelLlmClient::complete(
@@ -216,79 +112,45 @@ CompletionResult CostModelLlmClient::complete(
                                          : estimate_tokens(request.prompt);
   const std::int64_t output_tokens =
       std::max<std::int64_t>(1, request.max_tokens);
-  const std::int64_t kv_footprint = prompt_tokens + output_tokens;
-  const SimTime prefill = prefill_time(prompt_tokens);
 
-  std::size_t replica_idx = 0;
+  ReplicaState* target = nullptr;
   std::uint64_t id = 0;
   {
-    // Least-loaded routing, lowest index on ties (Cluster::route).
-    // Serialized by route_mutex_ so the invariant "pick a busier replica
-    // only when every replica is at least as busy" is exact, as it was
-    // under the old global lock.
+    // Least-loaded routing, lowest index on ties (Cluster::route), over
+    // replicas brought up to now. Each replica's lock is taken alone and
+    // the clock is read under it, so a replica's times never go back.
     common::MutexLock route_lock(route_mutex_);
-    for (std::size_t i = 1; i < inflight_.size(); ++i) {
-      if (inflight_[i] < inflight_[replica_idx]) replica_idx = i;
-    }
-    ReplicaState& r = *replicas_[replica_idx];
-    common::MutexLock lock(r.mutex);
-    const SimTime arrival = clock_->now();
-    r.timeline.advance(arrival);
-    // At capacity the call queues (in virtual time) until in-flight work
-    // drops below the cap: with `inflight` calls ahead of it, it starts
-    // once inflight - cap + 1 of their finishes have passed — each
-    // overflow call waits for its own slot, not just the earliest one.
-    // No preemption, matching the paper. Slots come from *predicted*
-    // finishes now that batches are re-priced every iteration.
-    SimTime start = arrival;
-    const std::int32_t inflight = inflight_[replica_idx];
-    if (inflight >= cfg_.max_running_requests) {
-      std::vector<SimTime> finishes = r.timeline.predicted_finishes();
-      const auto slot =
-          static_cast<std::size_t>(inflight - cfg_.max_running_requests);
-      AIM_CHECK(slot < finishes.size());
-      std::nth_element(finishes.begin(), finishes.begin() + slot,
-                       finishes.end());
-      start = std::max(start, finishes[slot]);
-    }
-    // Prefill runs as the request's own chunked iterations; its decode
-    // joins the replica's shared batch afterwards.
-    id = r.timeline.admit(start + prefill, output_tokens, kv_footprint);
-    inflight_[replica_idx] += 1;
-  }
-
-  // Block until the decode timeline completes the call: sleep to the
-  // predicted finish, fold completed iterations in, and repeat — an
-  // arrival during the sleep joins the batch and pushes the prediction
-  // later, which is precisely the iteration-accurate behaviour. The
-  // per-wake replays hold only this replica's mutex.
-  ReplicaState& r = *replicas_[replica_idx];
-  SimTime finish = 0;
-  while (true) {
-    SimTime target = 0;
-    bool done = false;
-    {
-      common::MutexLock lock(r.mutex);
-      r.timeline.advance(clock_->now());
-      if (r.timeline.finished(id)) {
-        done = true;
-      } else {
-        target = r.timeline.predict_finish(id);
+    std::size_t best_load = 0;
+    for (const auto& r : replicas_) {
+      common::MutexLock lock(r->mutex);
+      r->replica.advance(clock_->now());
+      const std::size_t load = r->replica.load();
+      if (target == nullptr || load < best_load) {
+        target = r.get();
+        best_load = load;
       }
     }
-    if (done) {
-      // Reap under both locks so admission's slot math never sees the
-      // timeline entry gone while the inflight count still includes it.
-      // Acquired route -> replica explicitly: std::scoped_lock's
-      // deadlock-avoidance may lock in either order, which the lock-order
-      // validator (and a reader tracing the discipline) cannot accept.
-      common::MutexLock route_lock(route_mutex_);
-      common::MutexLock lock(r.mutex);
-      finish = r.timeline.take_finish(id);
-      inflight_[replica_idx] -= 1;
-      break;
+    common::MutexLock lock(target->mutex);
+    id = target->replica.submit(clock_->now(), prompt_tokens, output_tokens,
+                                request.priority);
+  }
+
+  // Block until the replica finishes the call: sleep to its predicted
+  // finish, step the replica up to the clock, and repeat — a call that
+  // arrives meanwhile joins the batch and moves the prediction later.
+  SimTime finish = 0;
+  while (true) {
+    SimTime predicted = 0;
+    {
+      common::MutexLock lock(target->mutex);
+      target->replica.advance(clock_->now());
+      if (const auto done = target->replica.take_finish(id)) {
+        finish = *done;
+        break;
+      }
+      predicted = target->replica.predict_finish(id);
     }
-    clock_->sleep_until(target);
+    clock_->sleep_until(predicted);
   }
   {
     common::MutexLock lock(stats_mutex_);
@@ -317,7 +179,7 @@ std::int32_t CostModelLlmClient::peak_batch() const {
   std::int32_t peak = 0;
   for (const auto& r : replicas_) {
     common::MutexLock lock(r->mutex);
-    peak = std::max(peak, r->timeline.peak_batch());
+    peak = std::max(peak, r->replica.peak_batch());
   }
   return peak;
 }

@@ -1,38 +1,26 @@
-// A blocking LlmClient whose latencies come from the DES cost model.
+// A blocking LlmClient whose latencies come from the DES serving model.
 //
 // FakeLlmClient sleeps a fixed configured latency per call, so engine-
 // backend completion times measured with it say nothing about a real
-// serving platform. CostModelLlmClient instead prices every call on the
-// same llm::CostModel the discrete-event simulator uses and routes calls
-// across `data_parallel` replica queues the way llm::Cluster routes
-// requests (least-loaded replica, capacity-gated admission). The computed
-// latency is served on a runtime::SimClock: callers block for
+// serving platform. CostModelLlmClient instead serves every call on the
+// DES's own batching rule: each of its `data_parallel` replicas is an
+// llm::Batch (replica.h) stepped on the virtual axis of a
+// runtime::SimClock, and calls are routed across them the way llm::Cluster
+// routes requests (least loaded, lowest index on ties). Callers block for
 // latency/scale wall time while the full latency advances on the virtual
-// axis, so the threaded engine's serial and metropolis runs report
-// virtual seconds directly comparable to the DES backend's numbers.
+// axis, so the threaded engine's serial and metropolis runs report virtual
+// seconds directly comparable to the DES backend's numbers.
 //
-// Decode is priced *per iteration*, event-driven, exactly like the DES
-// Replica's continuous batching: each replica keeps a DecodeTimeline that
-// replays decode iterations on the virtual axis, and a request's decode
-// latency is the sum of iteration_time over the batches it actually
-// shares — a call admitted alone that is later joined by others gets
-// slower mid-flight, and vice versa. Prefill is chunked at
-// max_prefill_tokens_per_iter and runs as the request's own iterations
-// before its decode joins the batch.
-//
-// Remaining approximations vs. the event-driven Cluster (documented in
-// docs/ARCHITECTURE.md): prefill does not share iterations with
-// co-resident decodes, the KV-resident footprint counts whole requests
-// (prompt + full output) rather than growing token by token, and
-// capacity gating uses predicted finish times (later arrivals can shift
-// a predicted slot slightly).
+// What still separates the two backends (docs/ARCHITECTURE.md "Virtual
+// time envelope"): the engine's own host time lands on the virtual axis
+// multiplied by `time_scale`, and the engine runs at most `workers`
+// clusters at once while the DES has no worker limit.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <string>
-#include <utility>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -40,76 +28,68 @@
 #include "common/types.h"
 #include "llm/client.h"
 #include "llm/cost_model.h"
+#include "llm/replica.h"
 #include "runtime/sim_clock.h"
 
 namespace aimetro::llm {
 
-/// Event-driven continuous-batching decode timeline for one replica.
+/// One replica of CostModelLlmClient: a Batch stepped on a virtual cursor
+/// exactly as llm::Replica steps it on the event loop. Iterations run back
+/// to back while work remains; a call arriving at `now` joins at the next
+/// iteration boundary, or restarts an idle replica at `now`.
 ///
-/// Mirrors Replica::run_iteration on the virtual axis without an event
-/// loop: iterations run back to back whenever at least one admitted
-/// request is decoding; every iteration decodes one token per batch
-/// member and costs CostModel::iteration_time(batch, 0, kv) where kv is
-/// the batch's resident footprint. A request joins the first iteration
-/// whose start is >= its join time (admission happens at iteration
-/// boundaries, as in the DES replica) and finishes at the boundary of
-/// the iteration that produces its last token.
-///
-/// Not thread-safe by itself: CostModelLlmClient guards each replica's
-/// timeline with that replica's mutex (one lock per replica, so traffic
-/// on one replica never blocks another). Exposed for unit tests —
-/// deterministic, no clock, no threads.
-class DecodeTimeline {
+/// Not thread-safe by itself: CostModelLlmClient guards each replica with
+/// its own mutex. Exposed for unit tests — deterministic, no clock, no
+/// threads.
+class VirtualReplica {
  public:
-  explicit DecodeTimeline(const CostModel* cost);
+  VirtualReplica(const CostModel* cost, ReplicaConfig cfg);
 
-  /// Admit a request whose decode joins at virtual time `join`, needing
-  /// `output_tokens` iterations with `kv_footprint` tokens resident.
-  /// Returns the request's timeline id.
-  std::uint64_t admit(SimTime join, std::int64_t output_tokens,
-                      std::int64_t kv_footprint);
-
-  /// Complete every whole iteration that ends at or before `t` (partial
-  /// iterations do not advance the cursor).
+  /// Apply every whole iteration that ends at or before `t`.
   void advance(SimTime t);
 
-  /// This request's finish time assuming no further admissions — exact
-  /// once it is the latest-finishing request, a lower bound otherwise
-  /// (later arrivals can only lengthen shared iterations).
+  /// Advance to `now`, then queue a call arriving at `now`. Returns its
+  /// id. Check-fails when the call cannot fit in the KV cache.
+  std::uint64_t submit(SimTime now, std::int64_t prompt_tokens,
+                       std::int64_t output_tokens, std::int64_t priority);
+
+  /// `id`'s finish time if no further call arrives: exact once it has
+  /// finished, and exact for an unfinished call whose replica sees no
+  /// later arrival.
   SimTime predict_finish(std::uint64_t id) const;
 
-  /// Finish times of every admitted, un-reaped request: exact for those
-  /// already finished, predicted (per predict_finish) for active ones.
-  /// Unsorted. Feeds capacity-slot queueing.
-  std::vector<SimTime> predicted_finishes() const;
+  /// Pop `id`'s finish time once advance() has finished it.
+  std::optional<SimTime> take_finish(std::uint64_t id);
 
-  bool finished(std::uint64_t id) const;
-  /// Pop a finished request's exact finish time (checked: must be
-  /// finished).
-  SimTime take_finish(std::uint64_t id);
-
-  /// Admitted requests that have not yet finished decoding.
-  std::int32_t active() const { return static_cast<std::int32_t>(active_.size()); }
-  /// Largest decode batch any completed iteration actually ran with.
+  /// Queued plus running calls (the router's load).
+  std::size_t load() const;
+  /// Largest batch any iteration ran with.
   std::int32_t peak_batch() const { return peak_batch_; }
-  SimTime cursor() const { return cursor_; }
 
  private:
-  struct Req {
-    SimTime join = 0;
-    std::int64_t remaining = 0;
-    std::int64_t kv = 0;
+  /// Everything stepping reads and writes, so predict_finish can step a
+  /// copy: the batch's queue and running set, and the cursor.
+  struct Stepper {
+    enum class State {
+      kIdle,     // nothing queued or running
+      kPending,  // a boundary at `boundary` awaits admission
+      kRunning,  // an iteration composed earlier ends at `boundary`
+    };
+    Batch batch;
+    State state = State::kIdle;
+    SimTime boundary = 0;
+
+    /// Take the next step due by `t`: finish the running iteration if it
+    /// ends at or before `t` (writing the finished ids to `done`), or
+    /// admit and compose at a pending boundary before `t`. A boundary at
+    /// exactly `t` stays pending, so a call arriving at `t` still joins
+    /// it. Returns false when no step is due.
+    bool step(SimTime t, std::vector<std::uint64_t>* done);
   };
 
-  /// Unbounded replay of the stepping rule over a copy of active_ until
-  /// every request drains, reporting each (id, finish). The single
-  /// source of truth predict_finish and predicted_finishes share.
-  std::vector<std::pair<std::uint64_t, SimTime>> simulate_to_drain() const;
-
-  const CostModel* cost_;
-  std::map<std::uint64_t, Req> active_;
-  std::map<std::uint64_t, SimTime> finished_;
-  SimTime cursor_ = 0;
+  Stepper stepper_;
+  std::unordered_map<std::uint64_t, SimTime> finished_;
+  std::vector<std::uint64_t> done_;
   std::uint64_t next_id_ = 0;
   std::int32_t peak_batch_ = 0;
 };
@@ -117,8 +97,7 @@ class DecodeTimeline {
 struct CostModelClientConfig {
   /// Independent replica queues, as ParallelismConfig::data_parallel.
   std::int32_t data_parallel = 1;
-  /// Per-replica admission cap; calls past it queue for a slot in virtual
-  /// time (mirrors ReplicaConfig::max_running_requests).
+  /// Per-replica running cap (ReplicaConfig::max_running_requests).
   std::int32_t max_running_requests = 256;
   /// Chunked-prefill budget per iteration (mirrors ReplicaConfig).
   std::int64_t max_prefill_tokens_per_iter = 8192;
@@ -133,58 +112,38 @@ class CostModelLlmClient : public LlmClient {
   CostModelLlmClient(CostModel cost, const runtime::SimClock* clock,
                      CostModelClientConfig cfg = {});
 
+  /// Queues the call at CompletionRequest::priority (the simulation step,
+  /// as the DES's priority scheduling does) and blocks until its replica
+  /// finishes it on the virtual axis. Check-fails when the call cannot fit
+  /// in a replica's KV cache.
   CompletionResult complete(const CompletionRequest& request) override;
-
-  /// Constant-batch reference latency, exposed so tests can pin the
-  /// pricing against CostModel::iteration_time: chunked prefill of
-  /// `prompt_tokens`, then `output_tokens` decode iterations at a fixed
-  /// `decode_batch` with `kv_resident_tokens` of context resident. This
-  /// is exactly what complete() charges a call that shares every decode
-  /// iteration with the same batch (e.g. a call running alone prices at
-  /// decode_batch = 1, kv = its own footprint).
-  SimTime virtual_latency(std::int64_t prompt_tokens,
-                          std::int64_t output_tokens,
-                          std::int32_t decode_batch,
-                          std::int64_t kv_resident_tokens) const;
 
   const CostModel& cost_model() const { return cost_; }
   std::uint64_t calls() const;
   /// Latest virtual finish time across all completed calls.
   SimTime last_finish() const;
-  /// Largest decode batch any completed iteration actually ran with, from
-  /// the per-iteration accounting (diagnostics). Admission-time batch
-  /// snapshots are gone: this is the true peak concurrent batch.
+  /// Largest batch any replica's iteration ran with (diagnostics).
   std::int32_t peak_batch() const;
 
  private:
-  /// Chunked prefill time for `prompt_tokens` (the decode-free prefix of
-  /// virtual_latency).
-  SimTime prefill_time(std::int64_t prompt_tokens) const;
-
   struct ReplicaState {
-    explicit ReplicaState(const CostModel* cost) : timeline(cost) {}
-    /// Guards `timeline`. Per-replica, so the frequent per-wake replays
-    /// (advance + predict) on one replica never block traffic on
-    /// another.
+    ReplicaState(const CostModel* cost, ReplicaConfig cfg)
+        : replica(cost, cfg) {}
+    /// Per-replica, so the frequent per-wake steps and predictions on one
+    /// replica never block traffic on another.
     common::Mutex mutex{"llm.replica"};
-    DecodeTimeline timeline GUARDED_BY(mutex);
+    VirtualReplica replica GUARDED_BY(mutex);
   };
 
   CostModel cost_;
   const runtime::SimClock* clock_;
   CostModelClientConfig cfg_;
 
-  /// Serializes routing decisions and inflight bookkeeping (cheap, O(dp)
-  /// argmin) so least-loaded routing stays exact. Lock order:
-  /// route_mutex_ before a replica mutex — admission and reaping both
-  /// acquire in that order; the AIMETRO_LOCK_DEBUG validator enforces it.
+  /// Serializes routing, so least-loaded routing sees every earlier
+  /// admission. Lock order: route_mutex_ before a replica mutex, one
+  /// replica at a time; the AIMETRO_LOCK_DEBUG validator enforces it.
   mutable common::Mutex route_mutex_{"llm.route"};
   std::vector<std::unique_ptr<ReplicaState>> replicas_;
-  /// inflight_[i]: calls admitted to replica i and not yet reaped by
-  /// their waiting thread. Mutated only while replicas_[i]->mutex is also
-  /// held, so admission's slot math sees the count and the timeline
-  /// change together.
-  std::vector<std::int32_t> inflight_ GUARDED_BY(route_mutex_);
   mutable common::Mutex stats_mutex_{"llm.stats"};
   std::uint64_t calls_ GUARDED_BY(stats_mutex_) = 0;
   SimTime last_finish_ GUARDED_BY(stats_mutex_) = 0;

@@ -8,31 +8,21 @@
 
 namespace aimetro::llm {
 
-using RequestId = std::uint64_t;
-
 struct RequestOutcome {
-  RequestId id = 0;
   SimTime submit_time = 0;
-  SimTime admit_time = 0;   // when the request entered a running batch
   SimTime finish_time = 0;
   std::int32_t replica = -1;
-  bool prefix_cache_hit = false;
 };
 
 /// A single completion request. `priority` is the simulation step of the
 /// issuing task — the paper's priority scheduling serves smaller steps
 /// first (§3.5); with priorities disabled requests are FIFO.
 struct Request {
-  RequestId id = 0;
   SimTime submit_time = 0;  // stamped by Cluster::submit
   std::int64_t prompt_tokens = 0;
   std::int64_t output_tokens = 0;  // replay fixes exact lengths (ignore_eos)
   std::int64_t priority = 0;
   std::uint64_t prompt_hash = 0;   // prefix identity for the cache model
-  // Opaque caller tags carried into instrumentation (Gantt / Figure 1).
-  std::int32_t tag_agent = -1;
-  std::int32_t tag_step = -1;
-  std::int32_t tag_type = -1;
   std::function<void(const RequestOutcome&)> on_complete;
 };
 

@@ -43,7 +43,12 @@ namespace {
 using trace::LlmCall;
 using trace::SimulationTrace;
 
-SimTime us(double micros) { return static_cast<SimTime>(micros); }
+// CPU-side costs of the simulation engine itself. The paper's engine
+// keeps the controller's critical path in C++ precisely to keep these
+// small relative to LLM inference (§3.6).
+constexpr SimTime kControllerOpUs = 20;  // per dispatch/ack by the controller
+constexpr SimTime kWorkerStepUs = 500;   // per agent-step with LLM work
+constexpr SimTime kCommitUs = 50;        // per cluster commit transaction
 
 /// A free slot of `slab`: the last one freed, else a new one at the end.
 template <typename T>
@@ -63,8 +68,7 @@ class Executor {
   Executor(const SimulationTrace& trace, const ExperimentConfig& cfg)
       : trace_(trace),
         cfg_(cfg),
-        cluster_(&loop_, cfg.model, cfg.gpu, cfg.parallelism, cfg.cost,
-                 cfg.cluster) {
+        cluster_(&loop_, cfg.model, cfg.gpu, cfg.parallelism, cfg.cluster) {
     chains_.resize(static_cast<std::size_t>(trace.n_agents));
     for (std::size_t i = 0; i < chains_.size(); ++i) {
       chains_[i] = trace::group_calls_by_step(trace.agents[i]);
@@ -128,9 +132,6 @@ class Executor {
     req.output_tokens = call->output_tokens;
     req.priority = r.priority;
     req.prompt_hash = call->prompt_hash;
-    req.tag_agent = call->agent;
-    req.tag_step = call->step;
-    req.tag_type = static_cast<std::int32_t>(call->type);
     req.on_complete = [this, run](const llm::RequestOutcome& outcome) {
       call_done(run, outcome);
     };
@@ -216,7 +217,7 @@ class Executor {
       submitted_expected_ += chain->size() - 1;
       const Step abs_step = trace_.start_step + rel;
       loop_.schedule_after(
-          us(cfg_.overheads.worker_step_us),
+          kWorkerStepUs,
           [this, chain, abs_step, rel, agent_idx] {
             submit_chain(*chain, abs_step, [this, rel, agent_idx] {
               advance_single(rel, agent_idx + 1);
@@ -234,7 +235,7 @@ class Executor {
 
   void parallel_sync_step(Step rel) {
     if (rel >= trace_.n_steps) return;
-    loop_.schedule_after(us(cfg_.overheads.controller_op_us), [this, rel] {
+    loop_.schedule_after(kControllerOpUs, [this, rel] {
       auto remaining = std::make_shared<std::size_t>(0);
       const Step abs_step = trace_.start_step + rel;
       for (std::size_t a = 0; a < chains_.size(); ++a) {
@@ -243,7 +244,7 @@ class Executor {
         *remaining += 1;
         submitted_expected_ += chain->size();
         loop_.schedule_after(
-            us(cfg_.overheads.worker_step_us),
+            kWorkerStepUs,
             [this, chain, abs_step, rel, remaining] {
               submit_chain(*chain, abs_step, [this, rel, remaining] {
                 if (--*remaining == 0) {
@@ -300,7 +301,7 @@ class Executor {
           std::move(const_cast<ReadyEntry&>(ready_queue_.top()).cluster);
       ready_queue_.pop();
       ++in_flight_clusters_;
-      loop_.schedule_after(us(cfg_.overheads.controller_op_us),
+      loop_.schedule_after(kControllerOpUs,
                            [this, slot] { execute_cluster(slot); });
     }
   }
@@ -322,7 +323,7 @@ class Executor {
         continue;
       }
       submitted_expected_ += chain->size();
-      loop_.schedule_after(us(cfg_.overheads.worker_step_us),
+      loop_.schedule_after(kWorkerStepUs,
                            [this, slot, i] { run_member(slot, i); });
     }
   }
@@ -336,7 +337,7 @@ class Executor {
 
   void member_done(std::uint32_t slot) {
     if (--flights_[slot].remaining != 0) return;
-    loop_.schedule_after(us(cfg_.overheads.commit_us),
+    loop_.schedule_after(kCommitUs,
                          [this, slot] { commit_cluster(slot); });
   }
 
@@ -409,7 +410,7 @@ class Executor {
     auto remaining = std::make_shared<std::size_t>(task.members.size());
     const Step abs_step = trace_.start_step + rel;
     auto finish = [this, rel, members = task.members] {
-      loop_.schedule_after(us(cfg_.overheads.commit_us), [this, rel, members] {
+      loop_.schedule_after(kCommitUs, [this, rel, members] {
         for (AgentId m : members) oracle_committed(rel, m);
       });
     };
@@ -420,7 +421,7 @@ class Executor {
         continue;
       }
       submitted_expected_ += chain->size();
-      loop_.schedule_after(us(cfg_.overheads.worker_step_us),
+      loop_.schedule_after(kWorkerStepUs,
                            [this, chain, abs_step, remaining, finish] {
                              submit_chain(*chain, abs_step,
                                           [remaining, finish] {
@@ -452,9 +453,6 @@ class Executor {
         req.output_tokens = call.output_tokens;
         req.priority = call.step;
         req.prompt_hash = call.prompt_hash;
-        req.tag_agent = call.agent;
-        req.tag_step = call.step;
-        req.tag_type = static_cast<std::int32_t>(call.type);
         if (cfg_.record_gantt) {
           req.on_complete = [this, &call](const llm::RequestOutcome& o) {
             gantt_.push_back(GanttRecord{call.agent, call.step, call.type,

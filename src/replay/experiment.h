@@ -1,10 +1,9 @@
 // Experiment configuration and results for trace replay.
 //
 // One ExperimentConfig describes a single cell of the paper's evaluation
-// grid: a scheduling setting x model x GPU platform x parallelism, plus the
-// engine-overhead model. run_experiment() replays a trace under it in
-// virtual time and reports completion time, achieved parallelism, and
-// scheduler statistics.
+// grid: a scheduling setting x model x GPU platform x parallelism.
+// run_experiment() replays a trace under it in virtual time and reports
+// completion time, achieved parallelism, and scheduler statistics.
 #pragma once
 
 #include <cstdint>
@@ -30,23 +29,12 @@ enum class Mode {
 
 const char* mode_name(Mode mode);
 
-/// CPU-side cost model for the simulation engine itself. The paper's
-/// engine keeps the controller's critical path in C++ precisely to keep
-/// these small relative to LLM inference (§3.6).
-struct EngineOverheads {
-  double controller_op_us = 20.0;  // per dispatch/ack handled by controller
-  double worker_step_us = 500.0;   // per agent-step with LLM work (worker)
-  double commit_us = 50.0;         // per cluster commit transaction
-};
-
 struct ExperimentConfig {
   Mode mode = Mode::kMetropolis;
   llm::ModelSpec model = llm::ModelSpec::llama3_8b();
   llm::GpuSpec gpu = llm::GpuSpec::l4();
   llm::ParallelismConfig parallelism;       // replicas x TP group size
-  llm::CostModelConfig cost;
   llm::ClusterConfig cluster;               // priority_scheduling lives here
-  EngineOverheads overheads;
   /// Max clusters concurrently assigned to workers; 0 = unlimited.
   std::int32_t max_concurrent_clusters = 0;
   /// Scoreboard neighbor-scan implementation (Metropolis mode):

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -91,8 +94,7 @@ struct ClusterHarness {
   explicit ClusterHarness(std::int32_t dp = 1, ClusterConfig cfg = {}) {
     cluster = std::make_unique<Cluster>(&loop, ModelSpec::llama3_8b(),
                                         GpuSpec::l4(),
-                                        ParallelismConfig{1, dp},
-                                        CostModelConfig{}, cfg);
+                                        ParallelismConfig{1, dp}, cfg);
   }
 
   Request make(std::int64_t in, std::int64_t out, std::int64_t priority = 0) {
@@ -258,6 +260,34 @@ TEST(Cluster, KvCapacityLimitsAdmission) {
   EXPECT_EQ(completed, 4);
 }
 
+TEST(Cluster, RequestLargerThanTheKvCacheFailsAtSubmit) {
+  // It could never be admitted, and the queue behind it would stall
+  // silently; the failure names the footprint and the capacity.
+  ClusterHarness h;
+  const std::int64_t cap = h.cluster->cost_model().kv_capacity_tokens();
+  try {
+    h.cluster->submit(h.make(cap + 1, 1));
+    FAIL() << "an oversized request was queued";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(cap + 2)),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find(std::to_string(cap)),
+              std::string::npos)
+        << e.what();
+  }
+  // The cluster is untouched: requests that fit still complete.
+  int completed = 0;
+  for (int i = 0; i < 2; ++i) {
+    Request r = h.make(100, 5);
+    r.on_complete = [&](const RequestOutcome&) { ++completed; };
+    h.cluster->submit(std::move(r));
+  }
+  h.loop.run();
+  EXPECT_EQ(completed, 2);
+  EXPECT_EQ(h.cluster->outstanding(), 0u);
+}
+
 TEST(Cluster, PrefixCacheAcceleratesRepeatedPrompts) {
   SimTime cold = 0, warm = 0;
   for (auto* out : {&cold, &warm}) {
@@ -319,126 +349,173 @@ TEST(FakeClient, DeterministicAndThreadSafe) {
   EXPECT_EQ(client.calls(), 403u);  // 3 sequential + 4 threads x 100
 }
 
-// ---- DecodeTimeline: event-driven per-iteration decode pricing ----
+// ---- VirtualReplica: the DES batching rule on a virtual cursor ----
 
-TEST(DecodeTimeline, SoloRequestDecodesAtBatchOne) {
-  const CostModel cm(ModelSpec::llama3_8b(), GpuSpec::l4(), 1);
-  DecodeTimeline tl(&cm);
-  const SimTime dt = cm.iteration_time(1, 0, 54);
-  const std::uint64_t id = tl.admit(/*join=*/1000, /*output_tokens=*/4,
-                                    /*kv_footprint=*/54);
-  EXPECT_EQ(tl.predict_finish(id), 1000 + 4 * dt);
-  tl.advance(1000 + 4 * dt - 1);
-  EXPECT_FALSE(tl.finished(id));  // the last iteration has not completed
-  tl.advance(1000 + 4 * dt);
-  ASSERT_TRUE(tl.finished(id));
-  EXPECT_EQ(tl.take_finish(id), 1000 + 4 * dt);
-  EXPECT_EQ(tl.peak_batch(), 1);
-  EXPECT_EQ(tl.active(), 0);
+/// One call: when it arrives and what it asks for.
+struct Arrival {
+  SimTime at;
+  std::int64_t prompt_tokens;
+  std::int64_t output_tokens;
+  std::int64_t priority = 0;
+};
+
+ReplicaConfig replica_config(std::int32_t max_running = 256) {
+  ReplicaConfig cfg;
+  cfg.max_running_requests = max_running;
+  return cfg;
 }
 
-TEST(DecodeTimeline, LateArrivalRepricesSharedIterations) {
-  // THE behaviour the admission-time model got wrong: a request admitted
-  // alone must slow down for exactly the iterations it later shares.
-  const CostModel cm(ModelSpec::llama3_8b(), GpuSpec::l4(), 1);
-  DecodeTimeline tl(&cm);
-  const std::int64_t kv_a = 500, kv_b = 300;
-  const SimTime dt1 = cm.iteration_time(1, 0, kv_a);
-  const SimTime dt2 = cm.iteration_time(2, 0, kv_a + kv_b);
-  const SimTime dt1_after = cm.iteration_time(1, 0, kv_a);
-  const std::uint64_t a = tl.admit(0, 10, kv_a);
-  // B joins exactly at A's second iteration boundary.
-  const std::uint64_t b = tl.admit(2 * dt1, 5, kv_b);
-  // A decodes 2 tokens alone, shares 5 iterations with B, then finishes
-  // its last 3 alone again; B's 5 iterations are all shared.
-  EXPECT_EQ(tl.predict_finish(b), 2 * dt1 + 5 * dt2);
-  EXPECT_EQ(tl.predict_finish(a), 2 * dt1 + 5 * dt2 + 3 * dt1_after);
-  tl.advance(2 * dt1 + 5 * dt2 + 3 * dt1_after);
-  EXPECT_EQ(tl.take_finish(b), 2 * dt1 + 5 * dt2);
-  EXPECT_EQ(tl.take_finish(a), 2 * dt1 + 5 * dt2 + 3 * dt1_after);
-  EXPECT_EQ(tl.peak_batch(), 2);
+/// Finish times of `arrivals` on a one-replica DES Cluster (Llama-3-8B on
+/// one L4), each submitted by an event at its arrival time.
+std::vector<SimTime> des_finishes(const std::vector<Arrival>& arrivals,
+                                  ReplicaConfig cfg) {
+  des::EventLoop loop;
+  ClusterConfig cluster_cfg;
+  cluster_cfg.replica = cfg;
+  Cluster cluster(&loop, ModelSpec::llama3_8b(), GpuSpec::l4(),
+                  ParallelismConfig{1, 1}, cluster_cfg);
+  std::vector<SimTime> finish(arrivals.size(), -1);
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    loop.schedule_at(arrivals[i].at, [&, i] {
+      Request r;
+      r.prompt_tokens = arrivals[i].prompt_tokens;
+      r.output_tokens = arrivals[i].output_tokens;
+      r.priority = arrivals[i].priority;
+      r.on_complete = [&finish, i](const RequestOutcome& o) {
+        finish[i] = o.finish_time;
+      };
+      cluster.submit(std::move(r));
+    });
+  }
+  loop.run();
+  return finish;
 }
 
-TEST(DecodeTimeline, MidIterationJoinWaitsForTheNextBoundary) {
-  // Admission happens at iteration boundaries, as in the DES replica: a
-  // request joining mid-iteration starts with the next one.
+/// Finish times of the same arrivals (sorted by time) on the engine's
+/// replica, driven as CostModelLlmClient drives it. Every prediction made
+/// after an arrival for a call that finishes no later than the next
+/// arrival — so no further arrival can touch it — must be its actual
+/// finish.
+std::vector<SimTime> virtual_finishes(const std::vector<Arrival>& arrivals,
+                                      ReplicaConfig cfg) {
   const CostModel cm(ModelSpec::llama3_8b(), GpuSpec::l4(), 1);
-  DecodeTimeline tl(&cm);
-  const std::int64_t kv_a = 400, kv_b = 200;
-  const SimTime dt1 = cm.iteration_time(1, 0, kv_a);
-  const SimTime dt2 = cm.iteration_time(2, 0, kv_a + kv_b);
-  const std::uint64_t a = tl.admit(0, 6, kv_a);
-  const std::uint64_t b = tl.admit(2 * dt1 + 1, 2, kv_b);  // just past it
-  EXPECT_EQ(tl.predict_finish(b), 3 * dt1 + 2 * dt2);
-  EXPECT_EQ(tl.predict_finish(a), 3 * dt1 + 2 * dt2 + dt1);
-  tl.advance(kSimTimeMax / 2);
-  EXPECT_EQ(tl.take_finish(b), 3 * dt1 + 2 * dt2);
-  EXPECT_EQ(tl.take_finish(a), 3 * dt1 + 2 * dt2 + dt1);
+  VirtualReplica replica(&cm, cfg);
+  std::vector<std::uint64_t> ids;
+  std::vector<SimTime> predicted(arrivals.size(), -1);
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    const Arrival& a = arrivals[i];
+    ids.push_back(
+        replica.submit(a.at, a.prompt_tokens, a.output_tokens, a.priority));
+    const SimTime next =
+        i + 1 < arrivals.size() ? arrivals[i + 1].at : kSimTimeMax;
+    for (std::size_t j = 0; j <= i; ++j) {
+      const SimTime p = replica.predict_finish(ids[j]);
+      if (p <= next && predicted[j] < 0) predicted[j] = p;
+    }
+  }
+  replica.advance(kSimTimeMax);
+  std::vector<SimTime> finish;
+  for (std::size_t j = 0; j < ids.size(); ++j) {
+    const std::optional<SimTime> f = replica.take_finish(ids[j]);
+    EXPECT_TRUE(f.has_value()) << "call " << j;
+    finish.push_back(f.value_or(-1));
+    EXPECT_EQ(predicted[j], finish.back()) << "prediction for call " << j;
+  }
+  return finish;
 }
 
-TEST(DecodeTimeline, IdleGapRestartsIterationsAtTheNextJoin) {
-  const CostModel cm(ModelSpec::llama3_8b(), GpuSpec::l4(), 1);
-  DecodeTimeline tl(&cm);
-  const SimTime dt = cm.iteration_time(1, 0, 100);
-  const std::uint64_t a = tl.admit(0, 2, 100);
-  tl.advance(5 * dt);
-  EXPECT_EQ(tl.take_finish(a), 2 * dt);
-  // A later request must not inherit stale iteration boundaries from the
-  // idle gap: its decode starts at its own join time.
-  const std::uint64_t b = tl.admit(10 * dt, 3, 100);
-  EXPECT_EQ(tl.predict_finish(b), 10 * dt + 3 * dt);
-  tl.advance(20 * dt);
-  EXPECT_EQ(tl.take_finish(b), 13 * dt);
+/// The engine's replica and the DES replica finish every call at the same
+/// virtual time.
+std::vector<SimTime> expect_same_finishes(const std::vector<Arrival>& arrivals,
+                                          ReplicaConfig cfg = {}) {
+  const std::vector<SimTime> des = des_finishes(arrivals, cfg);
+  const std::vector<SimTime> engine = virtual_finishes(arrivals, cfg);
+  EXPECT_EQ(engine, des);
+  return des;
 }
 
-TEST(DecodeTimeline, PredictedFinishesCoverEveryUnreapedRequest) {
+TEST(VirtualReplica, SoloCallPricesPrefillChunksThenDecodes) {
   const CostModel cm(ModelSpec::llama3_8b(), GpuSpec::l4(), 1);
-  DecodeTimeline tl(&cm);
-  const SimTime dt = cm.iteration_time(1, 0, 50);
-  const std::uint64_t a = tl.admit(0, 1, 50);
-  tl.advance(dt);  // a finished but not reaped
-  ASSERT_TRUE(tl.finished(a));
-  // Three overlapping actives: the single-pass replay must produce the
-  // same finish for each as the per-request prediction.
-  const std::uint64_t b = tl.admit(2 * dt, 4, 50);
-  const std::uint64_t c = tl.admit(2 * dt, 7, 80);
-  const std::uint64_t d = tl.admit(3 * dt, 2, 60);
-  auto finishes = tl.predicted_finishes();
-  ASSERT_EQ(finishes.size(), 4u);  // one exact + three predicted
-  std::sort(finishes.begin(), finishes.end());
-  std::vector<SimTime> expected = {dt, tl.predict_finish(b),
-                                   tl.predict_finish(c),
-                                   tl.predict_finish(d)};
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(finishes, expected);
+  // Prefill runs in max_prefill_tokens_per_iter chunks; the decode joins
+  // the batch in the next iteration, one token per iteration, with its
+  // context growing by one token each time.
+  auto solo = [&](std::int64_t prompt, std::int64_t output) {
+    SimTime t = 0;
+    for (std::int64_t left = prompt; left > 0; left -= 8192) {
+      t += cm.iteration_time(0, std::min<std::int64_t>(left, 8192), 0);
+    }
+    for (std::int64_t g = 0; g < output; ++g) {
+      t += cm.iteration_time(1, 0, prompt + g);
+    }
+    return t;
+  };
+  const SimTime start = 1000;
+  EXPECT_EQ(expect_same_finishes({{start, 640, 22}})[0],
+            start + solo(640, 22));
+  EXPECT_EQ(expect_same_finishes({{start, 20000, 22}})[0],
+            start + solo(20000, 22));
 }
 
-// ---- CostModelLlmClient: cost-model latencies on a virtual clock ----
-
-TEST(CostModelClient, VirtualLatencyMatchesIterationTime) {
+TEST(VirtualReplica, StaggeredArrivalsMatchTheDesReplica) {
   const CostModel cm(ModelSpec::llama3_8b(), GpuSpec::l4(), 1);
-  const runtime::SimClock clock(1e6);  // compress sleeps away
-  CostModelClientConfig cfg;
-  cfg.max_prefill_tokens_per_iter = 8192;
-  const CostModelLlmClient client(cm, &clock, cfg);
-
-  // Single prefill chunk + one decode iteration per output token at the
-  // given batch: exactly the DES cost model's pricing.
-  const SimTime expected_small =
-      cm.iteration_time(0, 1000, 0) + 10 * cm.iteration_time(3, 0, 2100);
-  EXPECT_EQ(client.virtual_latency(1000, 10, 3, 2100), expected_small);
-
-  // Long prompts prefill in max_prefill_tokens_per_iter chunks.
-  const SimTime expected_chunked = cm.iteration_time(0, 8192, 0) +
-                                   cm.iteration_time(0, 8192, 0) +
-                                   cm.iteration_time(0, 3616, 0) +
-                                   22 * cm.iteration_time(1, 0, 20022);
-  EXPECT_EQ(client.virtual_latency(20000, 22, 1, 20022), expected_chunked);
-
-  // No prefill: decode only.
-  EXPECT_EQ(client.virtual_latency(0, 5, 2, 500),
-            5 * cm.iteration_time(2, 0, 500));
+  const SimTime prefill = cm.iteration_time(0, 640, 0);
+  // The second call lands mid-way through the first's prefill, the third
+  // mid-way through a shared decode iteration; each joins at the next
+  // boundary.
+  const std::vector<Arrival> arrivals = {
+      {0, 640, 40}, {prefill / 2, 300, 10}, {prefill * 3 + 7, 1200, 5}};
+  const std::vector<SimTime> finish = expect_same_finishes(arrivals);
+  // A call admitted alone slows down for the iterations it later shares:
+  // the first call finishes after its solo finish.
+  const std::vector<SimTime> alone = des_finishes({arrivals[0]}, {});
+  EXPECT_GT(finish[0], alone[0]);
 }
+
+TEST(VirtualReplica, LongPromptSharesThePrefillBudget) {
+  // A 20,000-token prompt takes the whole 8,192-token budget for two
+  // iterations; a short call arriving meanwhile prefills in the leftover
+  // of the third.
+  expect_same_finishes({{0, 20000, 8}, {5000, 300, 6}, {9000, 100, 3}});
+}
+
+TEST(VirtualReplica, RunningCapAdmitsByPriority) {
+  // Two slots, freed one at a time: the calls queued behind them are
+  // admitted smallest priority first, not in arrival order.
+  const std::vector<Arrival> arrivals = {
+      {0, 200, 10, 5}, {0, 200, 20, 3}, {1000, 200, 10, 9},
+      {1000, 200, 10, 1}, {2000, 200, 10, 2}};
+  const std::vector<SimTime> finish =
+      expect_same_finishes(arrivals, replica_config(2));
+  EXPECT_LT(finish[3], finish[4]);  // priority 1 before 2
+  EXPECT_LT(finish[4], finish[2]);  // priority 2 before 9
+}
+
+TEST(VirtualReplica, KvHeadOfLineBlocksTheQueue) {
+  // Three 15,000-token prompts fill an L4's KV cache; the fourth waits
+  // for one of them to finish, and the small call behind it waits too,
+  // although it would fit.
+  const CostModel cm(ModelSpec::llama3_8b(), GpuSpec::l4(), 1);
+  ASSERT_LT(cm.kv_capacity_tokens(), 4 * 15010);
+  ASSERT_GE(cm.kv_capacity_tokens(), 3 * 15010 + 105);
+  const std::vector<Arrival> arrivals = {{0, 15000, 10},
+                                         {0, 15000, 20},
+                                         {0, 15000, 30},
+                                         {100, 15000, 10},
+                                         {200, 100, 5}};
+  const std::vector<SimTime> finish = expect_same_finishes(arrivals);
+  EXPECT_GT(finish[4], finish[0]);  // blocked until the first big call left
+}
+
+TEST(VirtualReplica, IdleGapRestartsAtTheNextArrival) {
+  const std::vector<SimTime> first = des_finishes({{0, 100, 3}}, {});
+  const SimTime late = first[0] + 10'000'000;
+  const std::vector<SimTime> finish =
+      expect_same_finishes({{0, 100, 3}, {late, 100, 3}});
+  // The replica does not keep stale iteration boundaries across the gap.
+  EXPECT_EQ(finish[1], late + first[0]);
+}
+
+// ---- CostModelLlmClient: the batching rule on a virtual clock ----
 
 TEST(CostModelClient, CompleteAccountsVirtualTimeAndStaysDeterministic) {
   const CostModel cm(ModelSpec::llama3_8b(), GpuSpec::l4(), 1);
@@ -463,9 +540,9 @@ TEST(CostModelClient, CompleteAccountsVirtualTimeAndStaysDeterministic) {
   EXPECT_EQ(a.prompt_tokens, 640);
   EXPECT_EQ(client.calls(), 2u);
 
-  // Sequential calls accumulate at least their unbatched service time on
-  // the virtual axis.
-  const SimTime solo = client.virtual_latency(640, 20, 1, 660);
+  // Sequential calls accumulate at least the DES replica's solo latency
+  // each on the virtual axis.
+  const SimTime solo = des_finishes({{0, 640, 20}}, {})[0];
   EXPECT_GE(client.last_finish(), 2 * solo);
 
   std::vector<std::thread> threads;
@@ -493,7 +570,7 @@ TEST(CostModelClient, CapacityQueueingSerializesOverflow) {
   cfg.max_running_requests = 1;  // every concurrent call must queue
   CostModelLlmClient client(cm, &clock, cfg);
 
-  const SimTime solo = client.virtual_latency(50, 4, 1, 54);
+  const SimTime solo = des_finishes({{0, 50, 4}}, {})[0];
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&client] {
@@ -506,10 +583,21 @@ TEST(CostModelClient, CapacityQueueingSerializesOverflow) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(client.calls(), 20u);
-  EXPECT_EQ(client.peak_batch(), 1);  // the cap bounds the priced batch
-  // One slot serializes all 20 calls on the virtual axis — overflow
-  // arrivals each wait for their own slot, not just the earliest finish.
+  EXPECT_EQ(client.peak_batch(), 1);  // the cap bounds the running batch
+  // One slot serializes all 20 calls on the virtual axis.
   EXPECT_GE(client.last_finish(), 20 * solo);
+}
+
+TEST(CostModelClient, CallLargerThanTheKvCacheFails) {
+  const CostModel cm(ModelSpec::llama3_8b(), GpuSpec::l4(), 1);
+  const runtime::SimClock clock(1e6);
+  CostModelLlmClient client(cm, &clock);
+  CompletionRequest req;
+  req.prompt = "too long";
+  req.prompt_tokens =
+      static_cast<std::int32_t>(cm.kv_capacity_tokens() + 1);
+  EXPECT_THROW(client.complete(req), CheckError);
+  EXPECT_EQ(client.calls(), 0u);
 }
 
 }  // namespace

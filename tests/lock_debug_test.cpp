@@ -202,9 +202,9 @@ TEST_F(LockDebugTest, MutexWrapperFeedsTheRegistry) {
 }
 
 TEST_F(LockDebugTest, WrapperInversionMirroringRouteReplicaIsReported) {
-  // The exact production pair: CostModelLlmClient admission and reaping
-  // both take route before replica. Simulate the buggy opposite order and
-  // expect the validator to name both locks.
+  // The exact production pair: CostModelLlmClient admission takes route
+  // before replica. Simulate the buggy opposite order and expect the
+  // validator to name both locks.
   common::Mutex route{"llm.route"};
   common::Mutex replica{"llm.replica"};
   {
