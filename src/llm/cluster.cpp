@@ -22,7 +22,9 @@ Cluster::Cluster(des::EventLoop* loop, ModelSpec model, GpuSpec gpu,
 std::size_t Cluster::route() const {
   std::size_t best = 0;
   for (std::size_t i = 1; i < replicas_.size(); ++i) {
-    if (replicas_[i]->load() < replicas_[best]->load()) best = i;
+    if (replicas_[i]->batch().load() < replicas_[best]->batch().load()) {
+      best = i;
+    }
   }
   return best;
 }

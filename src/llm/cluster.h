@@ -30,6 +30,8 @@ class Cluster {
  public:
   Cluster(des::EventLoop* loop, ModelSpec model, GpuSpec gpu,
           ParallelismConfig parallelism, ClusterConfig cfg = {});
+  Cluster(const Cluster&) = delete;  // its replicas' hooks hold `this`
+  Cluster& operator=(const Cluster&) = delete;
 
   /// Submit a request to the least-loaded replica. `req.on_complete`
   /// fires when the last output token is produced. Check-fails when the

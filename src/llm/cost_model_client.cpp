@@ -83,11 +83,6 @@ std::optional<SimTime> VirtualReplica::take_finish(std::uint64_t id) {
   return t;
 }
 
-std::size_t VirtualReplica::load() const {
-  return stepper_.batch.queued() +
-         static_cast<std::size_t>(stepper_.batch.running_count());
-}
-
 // ---- CostModelLlmClient ----
 
 CostModelLlmClient::CostModelLlmClient(CostModel cost,

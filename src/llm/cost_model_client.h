@@ -62,7 +62,7 @@ class VirtualReplica {
   std::optional<SimTime> take_finish(std::uint64_t id);
 
   /// Queued plus running calls (the router's load).
-  std::size_t load() const;
+  std::size_t load() const { return stepper_.batch.load(); }
   /// Largest batch any iteration ran with.
   std::int32_t peak_batch() const { return peak_batch_; }
 

@@ -72,7 +72,8 @@ class Batch {
   /// admission order, to `done` (cleared first).
   void finish(std::vector<std::uint64_t>* done);
 
-  std::size_t queued() const { return waiting_.size(); }
+  /// Queued plus running requests (the router's load).
+  std::size_t load() const { return waiting_.size() + running_.size(); }
   std::int32_t running_count() const {
     return static_cast<std::int32_t>(running_.size());
   }
@@ -143,15 +144,13 @@ class Replica {
   /// own on_complete (the cluster's bookkeeping).
   Replica(std::int32_t index, des::EventLoop* loop, const CostModel* cost,
           ReplicaConfig cfg, std::function<void()> on_finish);
+  Replica(const Replica&) = delete;  // its events hold `this`
+  Replica& operator=(const Replica&) = delete;
 
   /// Queue `req` at `priority`; an idle replica starts an iteration at
   /// now().
   void submit(Request req, std::int64_t priority);
 
-  /// Queued plus running requests (the router's load).
-  std::size_t load() const {
-    return batch_.queued() + static_cast<std::size_t>(batch_.running_count());
-  }
   const Batch& batch() const { return batch_; }
 
  private:

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <functional>
 #include <optional>
 #include <set>
 #include <string>
@@ -8,6 +10,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/mutex.h"
 #include "des/event_loop.h"
 #include "llm/client.h"
 #include "llm/cluster.h"
@@ -260,22 +263,29 @@ TEST(Cluster, KvCapacityLimitsAdmission) {
   EXPECT_EQ(completed, 4);
 }
 
+/// `submit` must fail at once, naming the request's KV footprint and the
+/// replica's capacity: such a request could never be admitted, and the
+/// queue behind it would stall silently.
+void expect_kv_overflow(const std::function<void()>& submit,
+                        std::int64_t footprint, std::int64_t capacity) {
+  try {
+    submit();
+    ADD_FAILURE() << "a request larger than the KV cache was queued";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("needs " + std::to_string(footprint)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(std::to_string(capacity)), std::string::npos)
+        << what;
+  }
+}
+
 TEST(Cluster, RequestLargerThanTheKvCacheFailsAtSubmit) {
-  // It could never be admitted, and the queue behind it would stall
-  // silently; the failure names the footprint and the capacity.
   ClusterHarness h;
   const std::int64_t cap = h.cluster->cost_model().kv_capacity_tokens();
-  try {
-    h.cluster->submit(h.make(cap + 1, 1));
-    FAIL() << "an oversized request was queued";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find(std::to_string(cap + 2)),
-              std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find(std::to_string(cap)),
-              std::string::npos)
-        << e.what();
-  }
+  expect_kv_overflow([&] { h.cluster->submit(h.make(cap + 1, 1)); },
+                     cap + 2, cap);
   // The cluster is untouched: requests that fit still complete.
   int completed = 0;
   for (int i = 0; i < 2; ++i) {
@@ -503,7 +513,10 @@ TEST(VirtualReplica, KvHeadOfLineBlocksTheQueue) {
                                          {100, 15000, 10},
                                          {200, 100, 5}};
   const std::vector<SimTime> finish = expect_same_finishes(arrivals);
-  EXPECT_GT(finish[4], finish[0]);  // blocked until the first big call left
+  // Neither is admitted before the first big call leaves, and sharing
+  // iterations never makes a call faster than it runs alone.
+  EXPECT_GE(finish[3], finish[0] + des_finishes({{0, 15000, 10}}, {})[0]);
+  EXPECT_GE(finish[4], finish[0] + des_finishes({{0, 100, 5}}, {})[0]);
 }
 
 TEST(VirtualReplica, IdleGapRestartsAtTheNextArrival) {
@@ -588,15 +601,48 @@ TEST(CostModelClient, CapacityQueueingSerializesOverflow) {
   EXPECT_GE(client.last_finish(), 20 * solo);
 }
 
+TEST(CostModelClient, QueuedCallsAreAdmittedByPriority) {
+  // One slot, held by a long call; a priority-9 call queues behind it,
+  // then a priority-1 call. The slot goes to priority 1 first, so it
+  // returns first: about 70 ms of wall time apart at this scale.
+  const CostModel cm(ModelSpec::llama3_8b(), GpuSpec::l4(), 1);
+  const runtime::SimClock clock(100.0);
+  CostModelClientConfig cfg;
+  cfg.max_running_requests = 1;
+  CostModelLlmClient client(cm, &clock, cfg);
+  common::Mutex mu{"test.order"};
+  std::vector<std::int64_t> order;
+  auto call = [&](std::int64_t priority, std::int32_t output_tokens) {
+    CompletionRequest r;
+    r.prompt = "queued";
+    r.prompt_tokens = 100;
+    r.max_tokens = output_tokens;
+    r.priority = priority;
+    client.complete(r);
+    common::MutexLock lock(mu);
+    order.push_back(priority);
+  };
+  std::thread holder(call, 0, 400);  // ~27 virtual s, ~0.27 s of wall
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::thread late(call, 9, 100);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::thread urgent(call, 1, 100);
+  holder.join();
+  late.join();
+  urgent.join();
+  EXPECT_EQ(order, (std::vector<std::int64_t>{0, 1, 9}));
+}
+
 TEST(CostModelClient, CallLargerThanTheKvCacheFails) {
   const CostModel cm(ModelSpec::llama3_8b(), GpuSpec::l4(), 1);
   const runtime::SimClock clock(1e6);
   CostModelLlmClient client(cm, &clock);
+  const std::int64_t cap = cm.kv_capacity_tokens();
   CompletionRequest req;
   req.prompt = "too long";
-  req.prompt_tokens =
-      static_cast<std::int32_t>(cm.kv_capacity_tokens() + 1);
-  EXPECT_THROW(client.complete(req), CheckError);
+  req.prompt_tokens = static_cast<std::int32_t>(cap + 1);
+  req.max_tokens = 1;
+  expect_kv_overflow([&] { client.complete(req); }, cap + 2, cap);
   EXPECT_EQ(client.calls(), 0u);
 }
 
