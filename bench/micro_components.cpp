@@ -218,19 +218,16 @@ BENCHMARK(BM_ShardedCommit)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 // strips hand two of the eight pools ~4x their share of the commits
 // while the eastern pools idle. The hot band is kept wide relative to
 // the ~15-tile confinement radius so population quantiles (~270-wide hot
-// strips) still classify almost every commit as interior — the rebalance
-// moves load, it must not convert it into cross-shard escalations.
+// strips) still classify almost every commit as interior — the cuts
+// move load, they must not convert it into cross-shard escalations.
 // Variants:
 //   width       static equal-width strips (the degenerate baseline);
 //   population  boundaries at population quantiles of the initial
-//               positions (hot band split across all strips up front);
-//   episode     starts equal-width, then one contention-driven
-//               rebalance fires mid-run once the floor clears step 1 —
-//               the engine's episode-boundary reshard in miniature.
-// All three commit the identical moves; digests are checked equal in CI,
-// so the only thing moving here is commit wall-time.
+//               positions (hot band split across all strips up front).
+// Both commit the identical moves; digests are checked equal in CI, so
+// the only thing moving here is commit wall-time.
 void BM_ShardedCommitSkewed(benchmark::State& state,
-                            world::PartitionKind partition, bool episode) {
+                            world::PartitionKind partition) {
   const auto shards = static_cast<std::int32_t>(state.range(0));
   constexpr int kAgents = 10000;
   constexpr int kHot = kAgents * 95 / 100;
@@ -275,7 +272,6 @@ void BM_ShardedCommitSkewed(benchmark::State& state,
     cfg.n_workers = 8;
     cfg.shards = shards;
     cfg.partition = partition;
-    if (episode) cfg.reshard_at = {1};
     runtime::Engine engine(&world, cfg, step_fn);
     state.ResumeTiming();
     const auto stats = engine.run();
@@ -286,15 +282,11 @@ void BM_ShardedCommitSkewed(benchmark::State& state,
   state.counters["shards"] = shards;
 }
 BENCHMARK_CAPTURE(BM_ShardedCommitSkewed, width,
-                  world::PartitionKind::kEqualWidth, false)
+                  world::PartitionKind::kEqualWidth)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ShardedCommitSkewed, population,
-                  world::PartitionKind::kEqualPopulation, false)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ShardedCommitSkewed, episode,
-                  world::PartitionKind::kEqualWidth, true)
+                  world::PartitionKind::kEqualPopulation)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 

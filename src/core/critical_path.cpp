@@ -10,17 +10,14 @@ CriticalPathResult critical_path(const trace::SimulationTrace& trace,
                                  const OracleDependencies& oracle) {
   const auto n = static_cast<std::size_t>(trace.n_agents);
 
-  // Per-agent call groups by relative step, in chain order.
-  std::vector<trace::StepCalls> grouped(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    grouped[i] = trace::group_calls_by_step(trace.agents[i]);
-  }
+  // The calls of task (agent, rel), in chain order.
+  auto task_calls = [&](std::size_t agent, Step rel) {
+    return trace::calls_at(trace.agents[agent], trace.start_step + rel);
+  };
   auto task_tokens = [&](std::size_t agent, Step rel) -> std::int64_t {
-    auto it = grouped[agent].find(trace.start_step + rel);
-    if (it == grouped[agent].end()) return 0;
     std::int64_t tokens = 0;
-    for (const trace::LlmCall* c : it->second) {
-      tokens += c->input_tokens + c->output_tokens;
+    for (const trace::LlmCall& c : task_calls(agent, rel)) {
+      tokens += c.input_tokens + c.output_tokens;
     }
     return tokens;
   };
@@ -68,12 +65,11 @@ CriticalPathResult critical_path(const trace::SimulationTrace& trace,
   }
   std::reverse(chain.begin(), chain.end());
   for (const auto& [rel, a] : chain) {
-    auto it = grouped[static_cast<std::size_t>(a)].find(trace.start_step + rel);
-    if (it == grouped[static_cast<std::size_t>(a)].end()) continue;
-    for (const trace::LlmCall* c : it->second) {
+    for (const trace::LlmCall& c :
+         task_calls(static_cast<std::size_t>(a), rel)) {
       result.calls.push_back(c);
-      result.input_tokens += c->input_tokens;
-      result.output_tokens += c->output_tokens;
+      result.input_tokens += c.input_tokens;
+      result.output_tokens += c.output_tokens;
       ++result.call_count;
     }
   }

@@ -20,8 +20,8 @@ struct CriticalPathResult {
   std::int64_t input_tokens = 0;
   std::int64_t output_tokens = 0;
   std::size_t call_count = 0;
-  /// The chain's calls in execution order (pointers into the trace).
-  std::vector<const trace::LlmCall*> calls;
+  /// The chain's calls in execution order (copies of the trace's).
+  std::vector<trace::LlmCall> calls;
 };
 
 CriticalPathResult critical_path(const trace::SimulationTrace& trace,

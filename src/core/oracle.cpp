@@ -47,14 +47,6 @@ std::vector<AgentId> OracleDependencies::group_of(Step rel,
   return {agent};
 }
 
-std::size_t OracleDependencies::total_group_memberships() const {
-  std::size_t n = 0;
-  for (const auto& step_groups : groups_by_step) {
-    for (const auto& g : step_groups) n += g.size();
-  }
-  return n;
-}
-
 OracleDependencies mine_oracle(const trace::SimulationTrace& trace) {
   OracleDependencies out;
   out.groups_by_step.resize(static_cast<std::size_t>(trace.n_steps));

@@ -28,8 +28,6 @@ struct OracleDependencies {
   /// Group of `agent` at relative step `rel` including itself (singleton
   /// when it interacted with nobody).
   std::vector<AgentId> group_of(Step rel, AgentId agent) const;
-
-  std::size_t total_group_memberships() const;
 };
 
 OracleDependencies mine_oracle(const trace::SimulationTrace& trace);

@@ -276,14 +276,8 @@ void Scoreboard::live_step_remove(ShardData& sd, Step step) {
 void Scoreboard::update_border_registration(AgentId id, Step floor) {
   if (shards_ == 1) return;
   AgentNode& node = agent(id);
-  if (node.border_lo != node.border_hi) {
-    for (std::int32_t t = node.border_lo; t <= node.border_hi; ++t) {
-      shard(t).border_agents.erase(id);
-    }
-  }
-  const std::int32_t home = partition_.shard_of(node.pos);
   if (node.status == AgentStatus::kDone) {
-    node.border_lo = node.border_hi = home;
+    node.border_lo = node.border_hi = partition_.shard_of(node.pos);
     return;
   }
   const Step lead = node.step - floor;
@@ -292,97 +286,6 @@ void Scoreboard::update_border_registration(AgentId id, Step floor) {
       partition_.span_of_box(node.pos, params_.blocking_radius(lead));
   node.border_lo = span.lo;
   node.border_hi = span.hi;
-  if (!span.single()) {
-    for (std::int32_t t = span.lo; t <= span.hi; ++t) {
-      shard(t).border_agents.insert(id);
-    }
-  }
-}
-
-void Scoreboard::repartition(const world::RegionPartition& new_partition) {
-  AIM_CHECK_MSG(new_partition.shards() == shards_,
-                "repartition must preserve the strip count (the engine's "
-                "lock/pool/stats arrays are sized per strip): have "
-                    << shards_ << ", got " << new_partition.shards());
-  if (shards_ == 1) {
-    partition_ = new_partition;
-    return;
-  }
-  // 1. Detach every idle cluster, in deterministic (strip, slot) order.
-  //    Only step/members/blocked_members survive; homes and spans are
-  //    recomputed under the new boundaries.
-  struct SavedCluster {
-    Step step;
-    std::vector<AgentId> members;
-    std::int32_t blocked_members;
-  };
-  std::vector<SavedCluster> saved;
-  for (std::int32_t s = 0; s < shards_; ++s) {
-    for (ClusterRec& rec : shard(s).clusters) {
-      if (!rec.live) continue;
-      saved.push_back(
-          SavedCluster{rec.step, std::move(rec.members), rec.blocked_members});
-    }
-  }
-  // 2. Fresh strip slices. Counters that are *positional* — stats rows,
-  //    blocker-sample tallies — carry over by strip index: the engine's
-  //    mutex/pool/stats arrays alias strip i before and after. Every
-  //    cluster id is reissued below, so the fresh slabs start empty.
-  std::vector<std::unique_ptr<ShardData>> fresh;
-  fresh.reserve(static_cast<std::size_t>(shards_));
-  for (std::int32_t s = 0; s < shards_; ++s) {
-    fresh.push_back(
-        std::make_unique<ShardData>(index_cell_size(params_), target_step_));
-    ShardData& nd = *fresh.back();
-    const ShardData& od = shard(s);
-    nd.stats = od.stats;
-    nd.blocker_samples = od.blocker_samples;
-    nd.blocker_total = od.blocker_total;
-  }
-  shards_data_ = std::move(fresh);
-  partition_ = new_partition;
-  // 3. Re-home every live agent (idle or running): live index and
-  //    live-step counts. (A sharded board never takes the full-scan
-  //    path, so there are no idle buckets to rebuild.)
-  std::vector<std::vector<std::pair<AgentId, Pos>>> per_strip(
-      static_cast<std::size_t>(shards_));
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    AgentNode& node = agents_[i];
-    node.cluster = -1;
-    if (node.status == AgentStatus::kDone) continue;
-    const std::int32_t home = partition_.shard_of(node.pos);
-    per_strip[static_cast<std::size_t>(home)].emplace_back(
-        static_cast<AgentId>(i), node.pos);
-    live_step_add(shard(home), node.step);
-  }
-  for (std::int32_t s = 0; s < shards_; ++s) {
-    shard(s).live_index.bulk_insert(per_strip[static_cast<std::size_t>(s)]);
-  }
-  // 4. Re-home the clusters under fresh cids; dispatch order is
-  //    unaffected because pops sort by (step, first member), never by
-  //    cid. Marking everything dirty is also order-neutral: every
-  //    unblocked cluster was already dirty pre-repartition (commits mark
-  //    what they release), and a blocked dirty cluster is silently
-  //    skipped at the next pop.
-  for (SavedCluster& sc : saved) {
-    const std::int32_t strip =
-        partition_.shard_of(agent(sc.members.front()).pos);
-    const std::int64_t cid = new_cluster(sc.step, strip);
-    for (AgentId m : sc.members) {
-      agent(m).cluster = cid;
-      cluster_span_include(cid, partition_.shard_of(agent(m).pos));
-    }
-    ClusterRec& rec = cluster_rec(cid);
-    rec.members = std::move(sc.members);
-    rec.blocked_members = sc.blocked_members;
-    mark_dirty(cid);
-  }
-  // 5. Fresh border registrations under the new boundaries (erasing the
-  //    stale registration hits empty sets, harmlessly).
-  const Step floor = min_live_step();
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    update_border_registration(static_cast<AgentId>(i), floor);
-  }
 }
 
 std::int64_t Scoreboard::new_cluster(Step step, std::int32_t strip) {
@@ -719,9 +622,9 @@ std::int32_t Scoreboard::local_commit_shard(
     }
     if (strip < 0) strip = old_span.lo;
     if (old_span.lo != strip) return -1;
-    // A stale (wider) border registration means an earlier, smaller
-    // floor put this member's box across a boundary; deregistering it
-    // would touch the neighbor strip, so reconcile cross-shard.
+    // A registration wider than one strip means the member's blocking
+    // box reached across a boundary at its last commit (under an
+    // earlier, smaller floor); such a member reconciles cross-shard.
     if (node.border_lo != node.border_hi || node.border_lo != strip) {
       return -1;
     }
@@ -822,11 +725,6 @@ std::vector<AgentId> Scoreboard::cluster_of(AgentId id) const {
 }
 
 Step Scoreboard::min_step() const { return min_live_step(); }
-
-std::size_t Scoreboard::border_count(std::int32_t s) const {
-  AIM_CHECK(s >= 0 && s < shards_);
-  return shard(s).border_agents.size();
-}
 
 std::int32_t Scoreboard::cross_cluster_count(std::int32_t s) const {
   AIM_CHECK(s >= 0 && s < shards_);
@@ -965,8 +863,9 @@ void Scoreboard::check_invariants() const {
       }
     }
   }
-  // Live-step counts, the per-strip spatial indexes, the border sets and
-  // the cross-strip cluster counters must mirror the agent table.
+  // Live-step counts, the per-strip spatial indexes, the border
+  // registrations and the cross-strip cluster counters must mirror the
+  // agent table.
   std::vector<std::vector<std::int32_t>> expected_live(
       static_cast<std::size_t>(shards_),
       std::vector<std::int32_t>(static_cast<std::size_t>(target_step_), 0));
@@ -1001,14 +900,6 @@ void Scoreboard::check_invariants() const {
       AIM_CHECK_MSG(node.border_lo <= span.lo && span.hi <= node.border_hi,
                     "border registration of agent "
                         << id << " no longer covers its blocking box");
-      for (std::int32_t t = 0; t < shards_; ++t) {
-        const bool registered = shard(t).border_agents.count(id) > 0;
-        const bool expected = node.border_lo != node.border_hi &&
-                              t >= node.border_lo && t <= node.border_hi;
-        AIM_CHECK_MSG(registered == expected,
-                      "border-set drift for agent " << id << " in strip "
-                                                    << t);
-      }
     }
   }
   std::size_t indexed_total = 0;

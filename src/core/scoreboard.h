@@ -29,16 +29,16 @@
 // compile it out.
 //
 // Sharding (the boundary-lag protocol, docs/ARCHITECTURE.md "Sharded
-// world"): with `shards > 1` the world is cut into equal-width x-strips
-// (world::RegionPartition) and every per-position structure — spatial
-// index, live-step counts, idle clusters, dirty lists, stats — lives in
-// the strip that owns the position. Probes fan out over exactly the
-// strips their box overlaps and re-sort by id, so every observable bit
-// (edges, clusters, stats, dispatch order) is byte-identical to the
-// single-shard board. Agents whose blocking-radius box straddles a strip
-// border register in every overlapped strip's border set, and clusters
-// whose members span strips are counted per strip; both feed
-// local_commit_shard(), which tells a caller (core::MetroController)
+// world"): with `shards > 1` the world is cut into x-strips
+// (world::RegionPartition, equal-width or at population quantiles, fixed
+// at construction) and every per-position structure — spatial index,
+// live-step counts, idle clusters, dirty lists, stats — lives in the
+// strip that owns the position. Probes fan out over exactly the strips
+// their box overlaps and re-sort by id, so every observable bit (edges,
+// clusters, stats, dispatch order) is byte-identical to the single-shard
+// board. Every agent records the strip span of its blocking-radius box,
+// and clusters whose members span strips are counted per strip; both
+// feed local_commit_shard(), which tells a caller (core::MetroController)
 // whether a commit is provably confined to one strip — the precondition
 // for taking a per-shard lock instead of the exclusive one. The
 // scoreboard itself stays unsynchronized: callers serialize commits that
@@ -112,7 +112,7 @@ class Scoreboard {
   /// effect only on the spatial-index probe path (kIndexed with a
   /// Chebyshev-bounded metric) and silently collapses to 1 otherwise —
   /// observable behavior is identical either way. `partition` picks how
-  /// the initial strip boundaries are placed (equal-width, or at
+  /// the strip boundaries are placed (equal-width, or at
   /// population quantiles of the initial positions); it changes only
   /// which commits classify as interior, never any observable result.
   Scoreboard(DependencyParams params, std::shared_ptr<const Metric> metric,
@@ -157,24 +157,8 @@ class Scoreboard {
       const std::vector<std::pair<AgentId, Pos>>& moves,
       Step probe_floor) const;
 
-  /// Re-slice every per-strip structure (live indexes, live-step counts,
-  /// cluster slabs and dirty lists, border sets) onto `new_partition`,
-  /// which must have the same strip count. Not safe to call concurrently
-  /// with anything: a caller that shares the board holds it exclusively
-  /// (MetroController repartitions inside a cross commit, which the
-  /// engine runs under its topology writer lock).
-  /// Dispatched-but-uncommitted clusters are tolerated — their running
-  /// members carry no cluster record and simply re-home with the rest of
-  /// the live set. Per-strip stats rows stay attached to their strip
-  /// index (the engine's lock/pool/stats arrays are positional). Pure
-  /// scheduling state moves; agent steps/positions/edges are untouched,
-  /// so every observable result — digests included — is identical by the
-  /// superset-then-filter argument (see "Adaptive partitioning" in
-  /// docs/ARCHITECTURE.md). No-op when the board collapsed to one strip.
-  void repartition(const world::RegionPartition& new_partition);
-
-  /// The active region partition (equal-width at construction unless
-  /// kEqualPopulation was requested; later replaced by repartition()).
+  /// The region partition (equal-width unless kEqualPopulation was
+  /// requested).
   const world::RegionPartition& partition() const { return partition_; }
 
   // ---- Introspection ----
@@ -185,9 +169,6 @@ class Scoreboard {
   std::int32_t shards() const { return shards_; }
   /// Home strip of a position under the region partition.
   std::int32_t shard_of_pos(Pos pos) const { return partition_.shard_of(pos); }
-  /// Live agents currently registered in strip `shard`'s border set
-  /// (their blocking-radius box straddles a strip boundary).
-  std::size_t border_count(std::int32_t shard) const;
   /// Idle clusters whose members span multiple strips, counted against
   /// every strip they touch.
   std::int32_t cross_cluster_count(std::int32_t shard) const;
@@ -223,8 +204,8 @@ class Scoreboard {
 
   /// Throws CheckError if the Appendix A validity condition is violated
   /// for any agent pair, if internal edge/cluster bookkeeping is
-  /// inconsistent, or if the spatial index / live-step / border-set
-  /// bookkeeping has drifted from the agent table. O(n^2); meant for
+  /// inconsistent, or if the spatial index / live-step / border
+  /// registration bookkeeping has drifted from the agent table. O(n^2); meant for
   /// tests.
   void check_invariants() const;
 
@@ -245,8 +226,7 @@ class Scoreboard {
     std::vector<AgentId> blocks;
     std::int64_t cluster = -1;     // idle cluster id, -1 when not idle
     // Border registration: the strip span of the blocking-radius box at
-    // the last position/step change. Multi-strip spans are mirrored into
-    // the border sets of every strip they touch.
+    // the last position/step change.
     std::int32_t border_lo = 0;
     std::int32_t border_hi = 0;
   };
@@ -301,8 +281,6 @@ class Scoreboard {
     /// Idle agents bucketed by step: the coupling candidates of the
     /// full-scan path, maintained only there (see full_scan()).
     std::map<Step, std::set<AgentId>> idle_by_step;
-    /// Agents whose border registration includes this strip.
-    std::set<AgentId> border_agents;
     /// Idle clusters spanning this strip plus at least one other. A
     /// relaxed atomic: readers (local_commit_shard) are ordered against
     /// writers by the caller's locking protocol, not by this counter.

@@ -8,10 +8,9 @@
 // Metropolis mode drives core::MetroController — the object the threaded
 // engine drives under its locks — single-threaded: every commit is
 // classified, then committed on the interior (floor-bounded, one strip's
-// pops) or cross path, and reshard boundaries fire inside cross commits.
-// Interior commits release clusters only in their own strip and the DES
-// reports zero commit wait, so the schedule is the one a whole-board
-// commit and pop would give.
+// pops) or cross path. Interior commits release clusters only in their
+// own strip, so the schedule is the one a whole-board commit and pop
+// would give.
 //
 // The metropolis path runs once per cluster step, millions of times a
 // simulated day, so it keeps its state in slabs rather than in closures:
@@ -19,14 +18,16 @@
 // slot) or (this, slot, member index) — within std::function's inline
 // buffer — and every call chain advances through a slot of (chain,
 // index, priority, done), so a request's completion captures (this,
-// run). The commit reuses one move buffer. Each event keeps the delay
-// and the place in the order it had when closures carried copies, so
-// event counts and simulated times are unchanged.
+// run), and a chain is a span of the trace's own calls
+// (trace::calls_at). The commit reuses one move buffer.
+// Each event keeps the delay and the place in the order it had when
+// closures carried copies, so event counts and simulated times are
+// unchanged.
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <memory>
 #include <queue>
+#include <span>
 
 #include "common/check.h"
 #include "common/strings.h"
@@ -42,6 +43,7 @@ namespace {
 
 using trace::LlmCall;
 using trace::SimulationTrace;
+using Chain = std::span<const LlmCall>;
 
 // CPU-side costs of the simulation engine itself. The paper's engine
 // keeps the controller's critical path in C++ precisely to keep these
@@ -62,18 +64,13 @@ std::uint32_t take_slot(std::vector<T>* slab, std::vector<std::uint32_t>* free) 
   return slot;
 }
 
-/// Shared replay machinery: trace indexing, chain submission, gantt.
+/// Shared replay machinery: chain lookup and submission, gantt.
 class Executor {
  public:
   Executor(const SimulationTrace& trace, const ExperimentConfig& cfg)
       : trace_(trace),
         cfg_(cfg),
-        cluster_(&loop_, cfg.model, cfg.gpu, cfg.parallelism, cfg.cluster) {
-    chains_.resize(static_cast<std::size_t>(trace.n_agents));
-    for (std::size_t i = 0; i < chains_.size(); ++i) {
-      chains_[i] = trace::group_calls_by_step(trace.agents[i]);
-    }
-  }
+        cluster_(&loop_, cfg.model, cfg.gpu, cfg.parallelism, cfg.cluster) {}
 
   ExperimentResult run() {
     switch (cfg_.mode) {
@@ -103,35 +100,34 @@ class Executor {
  private:
   // ---- shared helpers ----
 
-  const std::vector<const LlmCall*>* chain_at(AgentId agent, Step rel) const {
-    const auto& by_step = chains_[static_cast<std::size_t>(agent)];
-    auto it = by_step.find(trace_.start_step + rel);
-    return it == by_step.end() ? nullptr : &it->second;
+  Chain chain_at(AgentId agent, Step rel) const {
+    return trace::calls_at(trace_.agents[static_cast<std::size_t>(agent)],
+                           trace_.start_step + rel);
   }
 
   /// Submit an agent's calls for one step, serially, then schedule
   /// `done` (zero delay). `priority` is the absolute simulation step
   /// (smaller = more urgent).
-  void submit_chain(const std::vector<const LlmCall*>& chain,
-                    std::int64_t priority, std::function<void()> done) {
+  void submit_chain(Chain chain, std::int64_t priority,
+                    std::function<void()> done) {
     if (chain.empty()) {
       loop_.schedule_after(0, std::move(done));
       return;
     }
     const std::uint32_t run = take_slot(&runs_, &free_runs_);
-    runs_[run] = ChainRun{&chain, 0, priority, std::move(done)};
+    runs_[run] = ChainRun{chain, 0, priority, std::move(done)};
     submit_call(run);
   }
 
   /// Submit the call `run` is at; its completion advances the run.
   void submit_call(std::uint32_t run) {
     const ChainRun& r = runs_[run];
-    const LlmCall* call = (*r.chain)[r.idx];
+    const LlmCall& call = r.chain[r.idx];
     llm::Request req;
-    req.prompt_tokens = call->input_tokens;
-    req.output_tokens = call->output_tokens;
+    req.prompt_tokens = call.input_tokens;
+    req.output_tokens = call.output_tokens;
     req.priority = r.priority;
-    req.prompt_hash = call->prompt_hash;
+    req.prompt_hash = call.prompt_hash;
     req.on_complete = [this, run](const llm::RequestOutcome& outcome) {
       call_done(run, outcome);
     };
@@ -141,11 +137,11 @@ class Executor {
   void call_done(std::uint32_t run, const llm::RequestOutcome& outcome) {
     ChainRun& r = runs_[run];
     if (cfg_.record_gantt) {
-      const LlmCall* call = (*r.chain)[r.idx];
-      gantt_.push_back(GanttRecord{call->agent, call->step, call->type,
+      const LlmCall& call = r.chain[r.idx];
+      gantt_.push_back(GanttRecord{call.agent, call.step, call.type,
                                    outcome.submit_time, outcome.finish_time});
     }
-    if (++r.idx < r.chain->size()) {
+    if (++r.idx < r.chain.size()) {
       submit_call(run);
       return;
     }
@@ -202,24 +198,23 @@ class Executor {
 
   void advance_single(Step rel, std::size_t agent_idx) {
     while (rel < trace_.n_steps) {
-      if (agent_idx >= chains_.size()) {
+      if (agent_idx >= trace_.agents.size()) {
         step_marks_.push_back(loop_.now());
         rel += 1;
         agent_idx = 0;
         continue;
       }
-      const auto* chain = chain_at(static_cast<AgentId>(agent_idx), rel);
-      if (chain == nullptr) {
+      const Chain chain = chain_at(static_cast<AgentId>(agent_idx), rel);
+      if (chain.empty()) {
         ++agent_idx;
         continue;
       }
-      ++submitted_expected_;
-      submitted_expected_ += chain->size() - 1;
+      submitted_expected_ += chain.size();
       const Step abs_step = trace_.start_step + rel;
       loop_.schedule_after(
           kWorkerStepUs,
           [this, chain, abs_step, rel, agent_idx] {
-            submit_chain(*chain, abs_step, [this, rel, agent_idx] {
+            submit_chain(chain, abs_step, [this, rel, agent_idx] {
               advance_single(rel, agent_idx + 1);
             });
           });
@@ -238,15 +233,15 @@ class Executor {
     loop_.schedule_after(kControllerOpUs, [this, rel] {
       auto remaining = std::make_shared<std::size_t>(0);
       const Step abs_step = trace_.start_step + rel;
-      for (std::size_t a = 0; a < chains_.size(); ++a) {
-        const auto* chain = chain_at(static_cast<AgentId>(a), rel);
-        if (chain == nullptr) continue;
+      for (std::size_t a = 0; a < trace_.agents.size(); ++a) {
+        const Chain chain = chain_at(static_cast<AgentId>(a), rel);
+        if (chain.empty()) continue;
         *remaining += 1;
-        submitted_expected_ += chain->size();
+        submitted_expected_ += chain.size();
         loop_.schedule_after(
             kWorkerStepUs,
             [this, chain, abs_step, rel, remaining] {
-              submit_chain(*chain, abs_step, [this, rel, remaining] {
+              submit_chain(chain, abs_step, [this, rel, remaining] {
                 if (--*remaining == 0) {
                   step_marks_.push_back(loop_.now());
                   parallel_sync_step(rel + 1);
@@ -277,7 +272,7 @@ class Executor {
     controller_ = std::make_unique<core::MetroController>(
         core::DependencyParams{trace_.radius_p, trace_.max_vel},
         std::move(metric), std::move(initial), trace_.n_steps, cfg_.scan_mode,
-        cfg_.shards, cfg_.partition, cfg_.reshard_at);
+        cfg_.shards, cfg_.partition);
     metropolis_dispatch(controller_->pop_ready());
   }
 
@@ -317,12 +312,12 @@ class Executor {
       flight.chains.push_back(chain_at(m, cluster.step));
     }
     for (std::uint32_t i = 0; i < flight.chains.size(); ++i) {
-      const auto* chain = flight.chains[i];
-      if (chain == nullptr) {
+      const Chain chain = flight.chains[i];
+      if (chain.empty()) {
         member_done(slot);
         continue;
       }
-      submitted_expected_ += chain->size();
+      submitted_expected_ += chain.size();
       loop_.schedule_after(kWorkerStepUs,
                            [this, slot, i] { run_member(slot, i); });
     }
@@ -330,7 +325,7 @@ class Executor {
 
   void run_member(std::uint32_t slot, std::uint32_t member) {
     const InFlight& flight = flights_[slot];
-    submit_chain(*flight.chains[member],
+    submit_chain(flight.chains[member],
                  trace_.start_step + flight.cluster.step,
                  [this, slot] { member_done(slot); });
   }
@@ -349,10 +344,9 @@ class Executor {
           m, trace_.position_at(m, trace_.start_step + cluster.step + 1)
                  .center());
     }
-    const core::MetroController::Path path =
-        controller_->classify(cluster.step, moves_);
+    const core::MetroController::Path path = controller_->classify(moves_);
     auto released = path.interior()
-                        ? controller_->commit_interior(path, moves_, 0)
+                        ? controller_->commit_interior(path, moves_)
                         : controller_->commit_cross(moves_);
     if (cfg_.validate_invariants) {
       controller_->scoreboard().check_invariants();
@@ -415,15 +409,15 @@ class Executor {
       });
     };
     for (AgentId m : task.members) {
-      const auto* chain = chain_at(m, rel);
-      if (chain == nullptr) {
+      const Chain chain = chain_at(m, rel);
+      if (chain.empty()) {
         if (--*remaining == 0) finish();
         continue;
       }
-      submitted_expected_ += chain->size();
+      submitted_expected_ += chain.size();
       loop_.schedule_after(kWorkerStepUs,
                            [this, chain, abs_step, remaining, finish] {
-                             submit_chain(*chain, abs_step,
+                             submit_chain(chain, abs_step,
                                           [remaining, finish] {
                                             if (--*remaining == 0) finish();
                                           });
@@ -480,14 +474,13 @@ class Executor {
   ExperimentConfig cfg_;
   des::EventLoop loop_;
   llm::Cluster cluster_;
-  std::vector<trace::StepCalls> chains_;
   std::vector<GanttRecord> gantt_;
   std::vector<SimTime> step_marks_;
   std::uint64_t submitted_expected_ = 0;
   /// Chains in progress: each request's completion names its run, so the
   /// closure handed to the serving cluster carries two words.
   struct ChainRun {
-    const std::vector<const LlmCall*>* chain = nullptr;
+    Chain chain;
     std::size_t idx = 0;
     std::int64_t priority = 0;
     std::function<void()> done;
@@ -515,7 +508,7 @@ class Executor {
   /// buffer, and a freed slot keeps its chain list's capacity.
   struct InFlight {
     core::AgentCluster cluster;
-    std::vector<const std::vector<const LlmCall*>*> chains;  // per member
+    std::vector<Chain> chains;  // per member
     std::size_t remaining = 0;  // members whose chain has not finished
   };
   std::vector<InFlight> flights_;

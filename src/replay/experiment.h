@@ -45,16 +45,9 @@ struct ExperimentConfig {
   /// replay can certify that a sharded board replays byte-identically to
   /// shards=1 before the threaded engine trusts the same partition.
   std::int32_t shards = 1;
-  /// Initial strip-boundary placement (equal-width or population
-  /// quantiles); replay certifies digest-invariance for the engine here
-  /// too.
+  /// Strip-boundary placement (equal-width or population quantiles);
+  /// replay certifies digest-invariance for the engine here too.
   world::PartitionKind partition = world::PartitionKind::kEqualWidth;
-  /// Trace-relative steps (sorted ascending, each > 0; check-fails
-  /// otherwise) at which the scoreboard is repartitioned once min_step()
-  /// clears them — the same core::MetroController trigger and weights as
-  /// EngineConfig::reshard_at (the DES reports no commit wait). Empty =
-  /// never.
-  std::vector<Step> reshard_at;
   bool record_gantt = false;
   /// Run O(n^2) scoreboard invariant checks after every commit (tests).
   bool validate_invariants = false;

@@ -33,8 +33,7 @@ Engine::Engine(world::WorldState* world, EngineConfig config, StepFn step_fn)
   }
   controller_ = std::make_unique<core::MetroController>(
       config_.params, config_.metric, std::move(initial), config_.target_step,
-      config_.scan_mode, config_.shards, config_.partition,
-      config_.reshard_at);
+      config_.scan_mode, config_.shards, config_.partition);
   // The scoreboard may collapse the partition (graph metrics, brute
   // scans); size everything to what it actually runs.
   shards_ = controller_->shards();
@@ -139,14 +138,14 @@ void Engine::execute_cluster(core::AgentCluster cluster) {
       std::vector<core::MetroController::Routed> released;
       {
         common::ReaderLock tlock(topology_mutex_);
-        path = controller_->classify(cluster.step, moves);
+        path = controller_->classify(moves);
         if (path.interior()) {
           common::MutexLock slock(
               *shard_mutexes_[static_cast<std::size_t>(path.strip)]);
           const auto acquired = std::chrono::steady_clock::now();
           wait_us = elapsed_us(wait_begin, acquired);
           if (!failed_.load(std::memory_order_acquire)) {
-            released = controller_->commit_interior(path, moves, wait_us);
+            released = controller_->commit_interior(path, moves);
           }
           hold_us = elapsed_us(acquired, std::chrono::steady_clock::now());
         }
@@ -154,7 +153,7 @@ void Engine::execute_cluster(core::AgentCluster cluster) {
       if (!path.interior()) {
         // Exclusive over the whole board (with shards=1 every commit
         // lands here) — the only hold under which the controller may
-        // read every strip, refresh the floor and reshard.
+        // read every strip and refresh the floor.
         common::WriterLock tlock(topology_mutex_);
         const auto acquired = std::chrono::steady_clock::now();
         wait_us = elapsed_us(wait_begin, acquired);
@@ -216,7 +215,6 @@ EngineStats Engine::run() {
   }
   common::MutexLock slock(stats_mutex_);
   EngineStats out = stats_;
-  out.reshards = controller_->reshards();
   for (const EngineStats& row : shard_rows_) {
     out.commits += row.commits;
     out.commit_wait_us += row.commit_wait_us;

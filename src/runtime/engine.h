@@ -11,7 +11,7 @@
 // variable sits on the controller's critical path.
 //
 // Every scheduling decision — scoreboard, interior/cross classification,
-// probe floor, reshard trigger and weights, home-strip routing — belongs
+// probe floor, home-strip routing — belongs
 // to core::MetroController, the same object the DES replay drives
 // single-threaded. The engine adds only locks, timing, pools and stats
 // around the controller's phases (boundary-lag commit protocol):
@@ -21,11 +21,10 @@
 //     calls commit_interior(), which pops strip s only. Interior commits
 //     in different strips run fully concurrently — the hot path that
 //     removes the global commit lock.
-//   cross-shard commit — anything near a strip border or a reshard
-//     boundary (or with shards=1, everything) holds topology_mutex_
-//     EXCLUSIVE, which excludes every interior commit: exactly the old
-//     global-commit-lock behavior. commit_cross() refreshes the probe
-//     floor and may repartition the board.
+//   cross-shard commit — anything near a strip border (or with
+//     shards=1, everything) holds topology_mutex_ EXCLUSIVE, which
+//     excludes every interior commit: exactly the old global-commit-lock
+//     behavior. commit_cross() refreshes the probe floor.
 //
 // World writes serialize on the world's own shared_mutex, outside any
 // engine lock. Lock order: engine.topology -> engine.shard -> task_pool ->
@@ -81,17 +80,11 @@ struct EngineConfig {
   /// case every commit takes the cross-shard path and behavior matches
   /// shards=1 exactly.
   std::int32_t shards = 1;
-  /// Initial strip-boundary placement, passed through to the scoreboard:
+  /// Strip-boundary placement, passed through to the scoreboard:
   /// equal-width strips, or boundaries at population quantiles of the
   /// initial agent positions. Affects only which commits classify as
   /// interior — never any observable result.
   world::PartitionKind partition = world::PartitionKind::kEqualWidth;
-  /// Rebalance points (sorted ascending, each > 0): engine-relative steps
-  /// — in practice the episode (midnight) boundaries between `days` —
-  /// at which the partition is re-quantiled against per-strip commits
-  /// and commit-wait time since the previous rebalance (see
-  /// core::MetroController for the trigger). Empty = never reshard.
-  std::vector<Step> reshard_at;
   /// Pin each strip's pool to a contiguous CPU core group (strip s gets
   /// cores [s*C/shards, (s+1)*C/shards)), keeping a strip's scoreboard
   /// slice in one cache/NUMA domain. Linux only; ignored with shards = 1.
@@ -112,9 +105,6 @@ struct EngineStats {
   std::uint64_t commit_wait_us = 0;
   std::uint64_t commit_hold_us = 0;
   std::uint64_t max_commit_wait_us = 0;
-  /// Partition rebalances performed (config.reshard_at boundaries whose
-  /// trigger actually fired). Aggregate only; zero in the per-strip rows.
-  std::uint64_t reshards = 0;
 };
 
 class Engine {

@@ -220,23 +220,6 @@ world::PartitionKind partition_kind_of(const ScenarioSpec& spec) {
              : world::PartitionKind::kEqualWidth;
 }
 
-/// Trace-relative rebalance points for reshard = episode: every midnight
-/// boundary strictly inside the replay window. The trace slice renumbers
-/// steps so step 0 is window_begin; day d's boundary sits at
-/// d * steps_per_day - window_start. Empty when reshard is off or the
-/// window straddles no midnight (days = 1, or a within-day window).
-std::vector<Step> reshard_boundaries(const ScenarioSpec& spec) {
-  std::vector<Step> out;
-  if (spec.reshard != ReshardMode::kEpisode) return out;
-  const Step start = spec.window_start();
-  const Step n_steps = spec.sim_steps();
-  for (std::int32_t d = 1; d < spec.days; ++d) {
-    const Step abs = static_cast<Step>(d) * spec.steps_per_day;
-    if (abs > start && abs < start + n_steps) out.push_back(abs - start);
-  }
-  return out;
-}
-
 std::int32_t sign(std::int32_t d) { return d > 0 ? 1 : (d < 0 ? -1 : 0); }
 
 /// One 4-neighbor step from `from` toward `to` (axis with the larger gap
@@ -401,7 +384,6 @@ replay::ExperimentConfig ScenarioDriver::experiment_config() const {
   cfg.scan_mode = scan_mode_of(spec_);
   cfg.shards = spec_.resolved_shards();
   cfg.partition = partition_kind_of(spec_);
-  cfg.reshard_at = reshard_boundaries(spec_);
   return cfg;
 }
 
@@ -585,12 +567,6 @@ RunPair run_engine_trace(const ScenarioDriver& driver,
       graph ? std::make_shared<core::GraphMetric>(tr.graph_adjacency)
             : nullptr;
 
-  std::vector<trace::StepCalls> chains(
-      static_cast<std::size_t>(tr.n_agents));
-  for (std::size_t i = 0; i < chains.size(); ++i) {
-    chains[i] = trace::group_calls_by_step(tr.agents[i]);
-  }
-
   // Replay the generated trace through the live threaded engine: movement
   // follows the trace (one step toward the trace position, so a move lost
   // to a conflict just lags and retries), and every traced LLM call is
@@ -614,21 +590,20 @@ RunPair run_engine_trace(const ScenarioDriver& driver,
     ecfg.metric = metric;  // null = Euclidean
     ecfg.shards = spec.resolved_shards();
     ecfg.partition = partition_kind_of(spec);
-    ecfg.reshard_at = reshard_boundaries(spec);
     ecfg.pin_cores = spec.pin == PinMode::kCores;
 
     // One agent's traced calls for a step, issued in chain order (calls
     // within a chain are serial by definition).
+    auto chain_of = [&tr](AgentId m, Step abs_step) {
+      return trace::calls_at(tr.agents[static_cast<std::size_t>(m)], abs_step);
+    };
     auto issue_chain = [&](AgentId m, Step abs_step) {
-      const auto& by_step = chains[static_cast<std::size_t>(m)];
-      const auto it = by_step.find(abs_step);
-      if (it == by_step.end()) return;
-      for (const trace::LlmCall* call : it->second) {
+      for (const trace::LlmCall& call : chain_of(m, abs_step)) {
         llm::CompletionRequest req;
         req.prompt = strformat("agent=%d step=%d type=%s", m, abs_step,
-                               trace::call_type_name(call->type));
-        req.prompt_tokens = call->input_tokens;
-        req.max_tokens = call->output_tokens;
+                               trace::call_type_name(call.type));
+        req.prompt_tokens = call.input_tokens;
+        req.max_tokens = call.output_tokens;
         req.priority = abs_step;
         client.complete(req);
       }
@@ -667,8 +642,7 @@ RunPair run_engine_trace(const ScenarioDriver& driver,
       const Step abs_step = tr.start_step + cluster.step;
       std::vector<AgentId> with_calls;
       for (AgentId m : cluster.members) {
-        const auto& by_step = chains[static_cast<std::size_t>(m)];
-        if (by_step.count(abs_step) != 0) with_calls.push_back(m);
+        if (!chain_of(m, abs_step).empty()) with_calls.push_back(m);
       }
       if (parallel_chains && with_calls.size() > 1) {
         std::vector<runtime::TaskPool::Task> tasks;

@@ -170,10 +170,10 @@ ScenarioSpec skewed_ville(std::int32_t n_agents) {
   ScenarioSpec s;
   s.name = strformat("skewed_ville%d", n_agents);
   s.description = strformat(
-      "Hotspot stress for adaptive partitioning: %d townsfolk packed "
+      "Hotspot stress for population-quantile strips: %d townsfolk packed "
       "geometrically toward the west segments (segment_skew 0.3) on %d "
       "concatenated SmallVilles, a two-day episode replayed across the "
-      "midnight boundary so episode resharding fires (N in [100, 100000])",
+      "midnight boundary (N in [100, 100000])",
       n_agents, (n_agents + 24) / 25);
   s.map = MapKind::kSmallville;
   s.homes = 25;
@@ -186,15 +186,14 @@ ScenarioSpec skewed_ville(std::int32_t n_agents) {
   s.profile = "townsfolk";
   s.calls_scale = 0.25;
   // Two days with a 40-minute window straddling midnight (day 0 step
-  // 8520 .. day 1 step 120): reshard = episode gets exactly one boundary
-  // to rebalance at, and the digest checks cover both sides of it.
+  // 8520 .. day 1 step 120): the digest checks cover the day carry-over
+  // on both sides of it.
   s.days = 2;
   s.window_begin = 8520;
   s.window_end = 8760;
   s.backend = Backend::kDes;
   s.data_parallel = 8;
   s.partition = PartitionChoice::kPopulation;
-  s.reshard = ReshardMode::kEpisode;
   return s;
 }
 

@@ -119,22 +119,6 @@ std::optional<PartitionChoice> partition_from_name(const std::string& name) {
   return std::nullopt;
 }
 
-const char* reshard_name(ReshardMode r) {
-  switch (r) {
-    case ReshardMode::kOff:
-      return "off";
-    case ReshardMode::kEpisode:
-      return "episode";
-  }
-  return "?";
-}
-
-std::optional<ReshardMode> reshard_from_name(const std::string& name) {
-  if (name == "off") return ReshardMode::kOff;
-  if (name == "episode") return ReshardMode::kEpisode;
-  return std::nullopt;
-}
-
 const char* pin_name(PinMode p) {
   switch (p) {
     case PinMode::kNone:
@@ -232,13 +216,6 @@ bool conv(const std::string& v, PartitionChoice* out) {
   return true;
 }
 
-bool conv(const std::string& v, ReshardMode* out) {
-  const auto r = reshard_from_name(v);
-  if (!r) return false;
-  *out = *r;
-  return true;
-}
-
 bool conv(const std::string& v, PinMode* out) {
   const auto p = pin_from_name(v);
   if (!p) return false;
@@ -258,7 +235,6 @@ std::string render(WorldKind v) { return world_name(v); }
 std::string render(ClockKind v) { return clock_name(v); }
 std::string render(ScoreboardKind v) { return scoreboard_name(v); }
 std::string render(PartitionChoice v) { return partition_name(v); }
-std::string render(ReshardMode v) { return reshard_name(v); }
 std::string render(PinMode v) { return pin_name(v); }
 std::string render(double v) {
   // Shortest representation that from_chars converts back exactly.
@@ -324,7 +300,6 @@ const std::vector<Field>& fields() {
               return s.shards == 0 ? std::string("auto") : render(s.shards);
             }},
       AIM_SPEC_FIELD("partition", partition),
-      AIM_SPEC_FIELD("reshard", reshard),
       AIM_SPEC_FIELD("pin", pin),
       AIM_SPEC_FIELD("model", model),
       AIM_SPEC_FIELD("gpu", gpu),

@@ -79,17 +79,10 @@ enum class PartitionChoice : std::uint8_t { kWidth, kPopulation };
 const char* partition_name(PartitionChoice p);
 std::optional<PartitionChoice> partition_from_name(const std::string& name);
 
-/// Whether the partition is rebalanced against observed contention.
-///  - kOff: the construction-time partition is final.
-///  - kEpisode: re-quantile the strip boundaries at each midnight
-///    carry-over point between `days`, weighting every strip by the
-///    commit/wait contention it accumulated over the previous day. A
-///    scenario with no interior midnight in its window simply never
-///    fires. Digest-invariant, like every partition setting.
-enum class ReshardMode : std::uint8_t { kOff, kEpisode };
-
-const char* reshard_name(ReshardMode r);
-std::optional<ReshardMode> reshard_from_name(const std::string& name);
+/// Ignored: strip boundaries never move after construction. The type
+/// remains only because metro_bench/metro_bench.cpp reads
+/// ScenarioSpec::reshard; drop both together with that read.
+enum class ReshardMode : std::uint8_t { kOff };
 
 /// CPU placement of the engine backend's per-strip worker pools.
 ///  - kNone: leave thread placement to the OS scheduler.
@@ -170,9 +163,9 @@ struct ScenarioSpec {
   /// `population` (equal agent share per strip). Matters only when the
   /// effective shard count exceeds 1; digests are identical either way.
   PartitionChoice partition = PartitionChoice::kWidth;
-  /// Contention-driven rebalancing: `off`, or `episode` to re-quantile
-  /// the strips at each midnight boundary from the previous day's
-  /// per-strip commit/wait statistics. Digest-invariant.
+  /// Ignored, and not a spec key: the field remains only because
+  /// metro_bench/metro_bench.cpp reads it; drop it together with that
+  /// read.
   ReshardMode reshard = ReshardMode::kOff;
   /// `cores` pins each per-strip engine pool to a contiguous CPU core
   /// group; `none` (the default) leaves placement to the OS.

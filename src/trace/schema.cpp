@@ -29,16 +29,6 @@ const char* call_type_name(CallType t) {
   return "?";
 }
 
-const char* world_kind_name(WorldKind k) {
-  switch (k) {
-    case WorldKind::kGrid:
-      return "grid";
-    case WorldKind::kGraph:
-      return "graph";
-  }
-  return "?";
-}
-
 std::size_t SimulationTrace::total_calls() const {
   std::size_t n = 0;
   for (const AgentTrace& a : agents) n += a.calls.size();
@@ -135,6 +125,16 @@ void SimulationTrace::validate() const {
     AIM_CHECK(in.a != in.b);
     AIM_CHECK(in.step >= start_step && in.step < start_step + n_steps);
   }
+}
+
+std::span<const LlmCall> calls_at(const AgentTrace& agent, Step step) {
+  struct ByStep {
+    bool operator()(const LlmCall& c, Step s) const { return c.step < s; }
+    bool operator()(Step s, const LlmCall& c) const { return s < c.step; }
+  };
+  const auto [first, last] = std::equal_range(
+      agent.calls.begin(), agent.calls.end(), step, ByStep{});
+  return {first, last};
 }
 
 StepCalls group_calls_by_step(const AgentTrace& agent) {

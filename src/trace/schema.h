@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,8 +75,6 @@ struct AgentTrace {
 /// `Tile::x` (y always 0), with `radius_p`/`max_vel` measured in hops.
 enum class WorldKind : std::uint8_t { kGrid = 0, kGraph = 1 };
 
-const char* world_kind_name(WorldKind k);
-
 /// A complete simulation trace (possibly a slice of a day, possibly a
 /// concatenation of independent segments).
 struct SimulationTrace {
@@ -105,8 +104,14 @@ struct SimulationTrace {
   Tile position_at(AgentId id, Step step) const;
 };
 
+/// The chain `agent` runs at absolute step `step`: its calls at that
+/// step in seq order, found by binary search over `agent.calls`. Empty
+/// when the step has no calls.
+std::span<const LlmCall> calls_at(const AgentTrace& agent, Step step);
+
 /// Calls of one agent grouped by step, in chain order. Steps with no calls
-/// have no entry.
+/// have no entry. Kept only because metro_bench/metro_bench.cpp calls it;
+/// src/ reads chains with calls_at.
 using StepCalls = std::map<Step, std::vector<const LlmCall*>>;
 StepCalls group_calls_by_step(const AgentTrace& agent);
 

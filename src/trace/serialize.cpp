@@ -5,7 +5,6 @@
 #include <ostream>
 
 #include "common/check.h"
-#include "common/strings.h"
 
 namespace aimetro::trace {
 
@@ -158,49 +157,6 @@ void save_binary_file(const SimulationTrace& trace, const std::string& path) {
   std::ofstream os(path, std::ios::binary);
   AIM_CHECK_MSG(os.is_open(), "cannot open " << path << " for writing");
   save_binary(trace, os);
-}
-
-SimulationTrace load_binary_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  AIM_CHECK_MSG(is.is_open(), "cannot open " << path);
-  return load_binary(is);
-}
-
-void export_jsonl(const SimulationTrace& trace, std::ostream& os) {
-  if (trace.world_kind == WorldKind::kGraph) {
-    // Graph worlds lead with their kind so a reader never mistakes node
-    // ids for tile coordinates; grid headers keep the historical shape.
-    os << strformat(
-        "{\"type\":\"header\",\"world\":\"graph\",\"n_agents\":%d,"
-        "\"n_steps\":%d,\"start_step\":%d,\"radius_p\":%.3f,"
-        "\"max_vel\":%.3f,\"nodes\":%d}\n",
-        trace.n_agents, trace.n_steps, trace.start_step, trace.radius_p,
-        trace.max_vel, trace.map_width);
-  } else {
-    os << strformat(
-        "{\"type\":\"header\",\"n_agents\":%d,\"n_steps\":%d,\"start_step\":"
-        "%d,\"radius_p\":%.3f,\"max_vel\":%.3f,\"map\":[%d,%d]}\n",
-        trace.n_agents, trace.n_steps, trace.start_step, trace.radius_p,
-        trace.max_vel, trace.map_width, trace.map_height);
-  }
-  for (const AgentTrace& a : trace.agents) {
-    for (const LlmCall& c : a.calls) {
-      os << strformat(
-          "{\"type\":\"call\",\"agent\":%d,\"step\":%d,\"seq\":%d,"
-          "\"fn\":\"%s\",\"in\":%d,\"out\":%d,\"conv\":%d}\n",
-          c.agent, c.step, c.seq, call_type_name(c.type), c.input_tokens,
-          c.output_tokens, c.conversation_id);
-    }
-    // Movement is delta-encoded: only emit steps where the tile changes.
-    for (std::size_t i = 1; i < a.positions.size(); ++i) {
-      if (!(a.positions[i] == a.positions[i - 1])) {
-        os << strformat(
-            "{\"type\":\"move\",\"agent\":%d,\"step\":%d,\"x\":%d,\"y\":%d}\n",
-            a.agent, trace.start_step + static_cast<Step>(i), a.positions[i].x,
-            a.positions[i].y);
-      }
-    }
-  }
 }
 
 }  // namespace aimetro::trace

@@ -1,6 +1,6 @@
-// Trace persistence: a compact binary format (round-trip exact) plus a
-// JSONL export for human inspection, mirroring how the paper releases
-// collected traces as an LLM-serving benchmark artifact.
+// Trace persistence: a compact binary format (round-trip exact),
+// mirroring how the paper releases collected traces as an LLM-serving
+// benchmark artifact.
 #pragma once
 
 #include <iosfwd>
@@ -15,9 +15,5 @@ void save_binary(const SimulationTrace& trace, std::ostream& os);
 SimulationTrace load_binary(std::istream& is);
 
 void save_binary_file(const SimulationTrace& trace, const std::string& path);
-SimulationTrace load_binary_file(const std::string& path);
-
-/// One JSON object per line: a header line, then movement and call events.
-void export_jsonl(const SimulationTrace& trace, std::ostream& os);
 
 }  // namespace aimetro::trace

@@ -13,16 +13,13 @@
 //   - equal-width (the historical default): strip boundaries at
 //     x_min + k * width/shards, classified with one floor division;
 //   - arbitrary sorted cuts: interior boundaries anywhere in
-//     [x_min, x_max], classified with a binary search. Built either from
-//     an agent-position histogram (equal_population — every strip holds
-//     the same share of agents) or by re-quantiling an existing partition
-//     against per-strip load weights (rebalanced — hot strips shrink,
-//     idle strips widen; see "Adaptive partitioning" in
+//     [x_min, x_max], classified with a binary search. Built from an
+//     agent-position histogram (equal_population — every strip holds the
+//     same share of agents; see "Adaptive partitioning" in
 //     docs/ARCHITECTURE.md).
 // Both use the same half-open convention (a position exactly on a
-// boundary belongs to the right strip), and the strip count never
-// changes: adaptivity moves boundaries, it does not resize the lock /
-// pool / stats arrays built per strip.
+// boundary belongs to the right strip). A partition is fixed for the
+// whole run.
 //
 // Positions outside [x_min, x_max] clamp to the edge strips, so the
 // partition stays total as agents wander: shard_of is defined for every
@@ -112,45 +109,6 @@ class RegionPartition {
     return RegionPartition(std::move(cuts), x_min, x_max);
   }
 
-  /// Re-quantile this partition against per-strip load weights (commit
-  /// counts, wait time — any nonnegative measure): the new boundaries
-  /// split the total weight evenly, assuming uniform weight density
-  /// within each current strip. A strip that carried 3x its share of the
-  /// load splits into ~3 new strips' worth of boundary density (split);
-  /// adjacent idle strips end up sharing one new strip (merge). The strip
-  /// count is preserved. Returns *this unchanged when every weight is
-  /// zero or the x-range is degenerate.
-  RegionPartition rebalanced(const std::vector<double>& weights) const {
-    AIM_CHECK(weights.size() == static_cast<std::size_t>(shards_));
-    if (shards_ == 1) return *this;
-    double total = 0.0;
-    for (double w : weights) {
-      AIM_CHECK(w >= 0.0);
-      total += w;
-    }
-    if (!(total > 0.0) || !(x_max_ > x_min_)) return *this;
-    std::vector<double> cuts;
-    cuts.reserve(static_cast<std::size_t>(shards_) - 1);
-    double cum = 0.0;   // weight left of strip j
-    std::int32_t j = 0;  // current strip under the walk
-    for (std::int32_t k = 1; k < shards_; ++k) {
-      const double t =
-          total * static_cast<double>(k) / static_cast<double>(shards_);
-      while (j < shards_ - 1 &&
-             cum + weights[static_cast<std::size_t>(j)] < t) {
-        cum += weights[static_cast<std::size_t>(j)];
-        ++j;
-      }
-      const double w = weights[static_cast<std::size_t>(j)];
-      const double frac = w > 0.0 ? (t - cum) / w : 1.0;
-      double cut = boundary(j) + frac * (boundary(j + 1) - boundary(j));
-      cut = std::clamp(cut, x_min_, x_max_);
-      if (!cuts.empty()) cut = std::max(cut, cuts.back());
-      cuts.push_back(cut);
-    }
-    return RegionPartition(std::move(cuts), x_min_, x_max_);
-  }
-
   std::int32_t shards() const { return shards_; }
   double x_min() const { return x_min_; }
   double x_max() const { return x_max_; }
@@ -188,9 +146,6 @@ class RegionPartition {
     return Span{shard_of(Pos{center.x - radius, center.y}),
                 shard_of(Pos{center.x + radius, center.y})};
   }
-
-  friend bool operator==(const RegionPartition&,
-                         const RegionPartition&) = default;
 
  private:
   std::int32_t clamp_strip(double raw) const {

@@ -412,7 +412,7 @@ TEST(CriticalPath, BoundedByTotalsOnRealTrace) {
   EXPECT_EQ(cp.total_tokens, cp.input_tokens + cp.output_tokens);
   // The chain is executable: steps never decrease.
   for (std::size_t i = 1; i < cp.calls.size(); ++i) {
-    EXPECT_LE(cp.calls[i - 1]->step, cp.calls[i]->step);
+    EXPECT_LE(cp.calls[i - 1].step, cp.calls[i].step);
   }
 }
 

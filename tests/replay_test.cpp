@@ -8,15 +8,12 @@
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "core/metro_controller.h"
 #include "replay/experiment.h"
-#include "runtime/engine.h"
 #include "scenario/driver.h"
 #include "scenario/registry.h"
 #include "trace/generator.h"
 #include "world/grid_map.h"
-#include "world/world_state.h"
 
 namespace aimetro::replay {
 namespace {
@@ -118,10 +115,10 @@ TEST(Replay, MetropolisInvariantsHoldDuringReplay) {
   EXPECT_LT(r.mean_blockers, 10.0);  // sparse, as §2.2 measures
 }
 
-TEST(Replay, ShardedMetropolisInvariantsHoldAcrossAReshard) {
-  // The same per-commit check on a four-strip board whose partition is
-  // rebuilt mid-run: skewed_ville100's window straddles midnight (step
-  // 8640), where reshard = episode re-cuts the population strips.
+TEST(Replay, ShardedMetropolisInvariantsHoldAcrossMidnight) {
+  // The same per-commit check on a four-strip board with population
+  // cuts, over a window of skewed_ville100 that straddles its midnight
+  // (step 8640).
   std::string error;
   auto spec = scenario::find_scenario("skewed_ville100", &error);
   ASSERT_TRUE(spec.has_value()) << error;
@@ -132,7 +129,6 @@ TEST(Replay, ShardedMetropolisInvariantsHoldAcrossAReshard) {
   ExperimentConfig cfg = driver.experiment_config();
   cfg.mode = Mode::kMetropolis;
   cfg.validate_invariants = true;
-  ASSERT_EQ(cfg.reshard_at, std::vector<Step>{20});
   const auto r = run_experiment(driver.build_trace(), cfg);
   EXPECT_EQ(r.shards, 4);
   EXPECT_GT(r.scoreboard.commits, 0u);
@@ -278,8 +274,7 @@ TEST(Replay, GoldenOutputsAreBitExact) {
       {"metro_ville100", 2, Mode::kMetropolis, 240.240996, 23118,
        5.9524081862042264, 0.65061355410797583, 2342, 1396,
        0.23661016949152541},
-      // A two-day window across midnight whose DES run repartitions once
-      // (population cuts, reshard = episode).
+      // A two-day window across midnight on population cuts.
       {"skewed_ville100", 4, Mode::kMetropolis, 37.426361999999997, 42402,
        2.4103973131720058, 0.30129547790405065, 20520, 6522,
        0.27288702928870295},
@@ -347,30 +342,13 @@ TEST(Replay, GoldenOutputsAreBitExact) {
 
 // ---- The metropolis controller both backends drive ----
 
-/// Six agents on a 4001-wide strip of tiles: two at the x extremes (which
-/// fix a 1000-wide equal-width strip each at shards = 4) and one deep
-/// inside every strip, far beyond any blocking radius from each other.
-std::vector<Tile> far_apart_tiles() {
-  return {{0, 4}, {500, 4}, {1500, 4}, {2500, 4}, {3500, 4}, {4000, 4}};
-}
-
-core::MetroController far_apart_controller(std::vector<Step> reshard_at) {
-  std::vector<Pos> initial;
-  for (const Tile& t : far_apart_tiles()) initial.push_back(t.center());
-  return core::MetroController(core::DependencyParams{4.0, 1.0}, nullptr,
-                               std::move(initial), /*target_step=*/10,
-                               core::ScanMode::kIndexed, /*shards=*/4,
-                               world::PartitionKind::kEqualWidth,
-                               std::move(reshard_at));
-}
-
 struct PathCounts {
   std::uint64_t interior = 0;
   std::uint64_t cross = 0;
 };
 
 /// Runs `ctl` to completion single-threaded, calling its phases as the DES
-/// does: pop, then per commit classify and commit_interior (zero wait) or
+/// does: pop, then per commit classify and commit_interior or
 /// commit_cross, queueing what each commit releases. The earliest-step
 /// ready cluster commits next; members move to `pos_after(member, step)`.
 PathCounts drive_single_threaded(
@@ -392,10 +370,10 @@ PathCounts drive_single_threaded(
     for (AgentId m : cluster.members) {
       moves.emplace_back(m, pos_after(m, cluster.step));
     }
-    const core::MetroController::Path path = ctl.classify(cluster.step, moves);
+    const core::MetroController::Path path = ctl.classify(moves);
     if (path.interior()) {
       ++counts.interior;
-      push(ctl.commit_interior(path, moves, /*wait_us=*/0));
+      push(ctl.commit_interior(path, moves));
     } else {
       ++counts.cross;
       push(ctl.commit_cross(moves));
@@ -403,69 +381,6 @@ PathCounts drive_single_threaded(
   }
   EXPECT_TRUE(ctl.scoreboard().all_done());
   return counts;
-}
-
-TEST(MetroController, ClassifyForcesTheCrossPathAtTheReshardBoundary) {
-  auto ctl = far_apart_controller({6});
-  ASSERT_EQ(ctl.shards(), 4);
-  // Agent 2 sits mid-strip 1 ([1000, 2000)): confined, so interior, with
-  // the initial probe floor — until the commit could reach the boundary.
-  const core::MetroController::Moves stay = {{2, Tile{1500, 4}.center()}};
-  for (Step step : {0, 3, 4}) {
-    const auto path = ctl.classify(step, stay);
-    EXPECT_TRUE(path.interior()) << "step " << step;
-    EXPECT_EQ(path.strip, 1) << "step " << step;
-    EXPECT_EQ(path.floor, 0) << "step " << step;
-  }
-  for (Step step : {5, 6, 9}) {  // step + 1 >= 6
-    EXPECT_FALSE(ctl.classify(step, stay).interior()) << "step " << step;
-  }
-}
-
-TEST(MetroController, ABoundaryFiresExactlyOncePerBackend) {
-  // The DES calling pattern: one boundary inside the run, one past its
-  // end (never reached), both validated up front.
-  auto ctl = far_apart_controller({5, 50});
-  const auto stay = [](AgentId a, Step) {
-    return far_apart_tiles()[static_cast<std::size_t>(a)].center();
-  };
-  const PathCounts counts = drive_single_threaded(ctl, stay);
-  EXPECT_EQ(ctl.reshards(), 1u);
-  EXPECT_GT(counts.interior, 0u);
-  EXPECT_GT(counts.cross, 0u);
-
-  // The threaded engine over the same world and schedule.
-  const world::GridMap map(4001, 8);
-  world::WorldState world(&map, far_apart_tiles());
-  runtime::EngineConfig cfg;
-  cfg.params = core::DependencyParams{4.0, 1.0};
-  cfg.target_step = 10;
-  cfg.n_workers = 4;
-  cfg.shards = 4;
-  cfg.reshard_at = {5, 50};
-  runtime::Engine engine(&world, cfg,
-                         [](const core::AgentCluster& cluster,
-                            const world::WorldState&) {
-                           std::vector<world::StepIntent> intents;
-                           for (AgentId m : cluster.members) {
-                             world::StepIntent intent;
-                             intent.agent = m;
-                             intents.push_back(intent);
-                           }
-                           return intents;
-                         });
-  const runtime::EngineStats stats = engine.run();
-  EXPECT_EQ(stats.reshards, 1u);
-  EXPECT_EQ(stats.agent_steps, 6u * 10u);
-}
-
-TEST(MetroController, DesRejectsAnInvalidReshardSchedule) {
-  for (const std::vector<Step>& bad :
-       {std::vector<Step>{5, 3}, std::vector<Step>{0}}) {
-    auto cfg = base_config(Mode::kMetropolis);
-    cfg.reshard_at = bad;
-    EXPECT_THROW(run_experiment(small_busy_trace(), cfg), CheckError);
-  }
 }
 
 TEST(MetroController, ShardedDesTakesInteriorCommitsAndKeepsTheSchedule) {
@@ -501,8 +416,7 @@ TEST(MetroController, ShardedDesTakesInteriorCommitsAndKeepsTheSchedule) {
   }
   core::MetroController ctl(core::DependencyParams{tr.radius_p, tr.max_vel},
                             nullptr, std::move(initial), tr.n_steps,
-                            cfg.scan_mode, cfg.shards, cfg.partition,
-                            cfg.reshard_at);
+                            cfg.scan_mode, cfg.shards, cfg.partition);
   const PathCounts counts =
       drive_single_threaded(ctl, [&tr](AgentId a, Step step) {
         return tr.position_at(a, tr.start_step + step + 1).center();

@@ -359,14 +359,12 @@ TEST(Runtime, BoundaryLagProtocolMatchesGlobalLockUnderConcurrency) {
       << "sharded commits diverged from the global-lock reference";
 }
 
-TEST(Runtime, EpisodeReshardRebalancesWithoutChangingTheWorld) {
-  // Adaptive partitioning at the engine layer: a hotspot crowd (18 of 24
+TEST(Runtime, StripPlacementLeavesTheWorldUnchanged) {
+  // Strip placement at the engine layer: a hotspot crowd (18 of 24
   // wanderers in the west quarter of a wide map) run under three
-  // settings — static equal-width strips, population-quantile strips,
-  // and equal-width with one mid-run contention-driven reshard plus
-  // core-pinned strip pools — must produce identical final worlds.
-  // The reshard setting must genuinely fire: one reshard counted, and a
-  // non-uniform partition left behind.
+  // settings — equal-width strips, population-quantile strips, and
+  // equal-width strips with core-pinned strip pools — must produce
+  // identical final worlds.
   world::GridMap map(400, 12);
   std::vector<Tile> starts;
   for (int i = 0; i < 18; ++i) {
@@ -377,13 +375,12 @@ TEST(Runtime, EpisodeReshardRebalancesWithoutChangingTheWorld) {
   }
   struct Setting {
     world::PartitionKind partition;
-    bool reshard;
     bool pin;
   };
   const Setting settings[] = {
-      {world::PartitionKind::kEqualWidth, false, false},
-      {world::PartitionKind::kEqualPopulation, false, false},
-      {world::PartitionKind::kEqualWidth, true, true},
+      {world::PartitionKind::kEqualWidth, false},
+      {world::PartitionKind::kEqualPopulation, false},
+      {world::PartitionKind::kEqualWidth, true},
   };
   std::uint64_t hashes[3];
   int idx = 0;
@@ -401,7 +398,6 @@ TEST(Runtime, EpisodeReshardRebalancesWithoutChangingTheWorld) {
     cfg.n_workers = 8;
     cfg.shards = 8;
     cfg.partition = setting.partition;
-    if (setting.reshard) cfg.reshard_at = {8};
     cfg.pin_cores = setting.pin;
     auto step_fn = [&](const core::AgentCluster& cluster,
                        const world::WorldState& w) {
@@ -425,15 +421,8 @@ TEST(Runtime, EpisodeReshardRebalancesWithoutChangingTheWorld) {
     runtime::Engine engine(&world, cfg, step_fn);
     const auto stats = engine.run();
     EXPECT_EQ(stats.agent_steps, 24u * 15u);
-    if (setting.reshard) {
-      EXPECT_EQ(stats.reshards, 1u);
-      EXPECT_FALSE(engine.scoreboard().partition().uniform());
-    } else {
-      EXPECT_EQ(stats.reshards, 0u);
-    }
-    if (setting.partition == world::PartitionKind::kEqualPopulation) {
-      EXPECT_FALSE(engine.scoreboard().partition().uniform());
-    }
+    EXPECT_EQ(engine.scoreboard().partition().uniform(),
+              setting.partition == world::PartitionKind::kEqualWidth);
     EXPECT_TRUE(engine.scoreboard().all_done());
     engine.scoreboard().check_invariants();
     {
@@ -444,7 +433,7 @@ TEST(Runtime, EpisodeReshardRebalancesWithoutChangingTheWorld) {
   EXPECT_EQ(hashes[0], hashes[1])
       << "population partition diverged from equal-width";
   EXPECT_EQ(hashes[0], hashes[2])
-      << "episode reshard diverged from the static partition";
+      << "pinned strip pools diverged from unpinned ones";
 }
 
 TEST(Runtime, ScanModesProduceIdenticalGymWorlds) {

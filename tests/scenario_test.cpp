@@ -470,7 +470,7 @@ TEST(Registry, MetroVilleIsParameterizedToOneHundredThousand) {
   EXPECT_FALSE(find_scenario("metro_villeXXL", &error).has_value());
 }
 
-TEST(Registry, SkewedVilleIsAHotspotReshardEpisode) {
+TEST(Registry, SkewedVilleIsAPopulationCutHotspotEpisode) {
   std::string error;
   const auto s1k = find_scenario("skewed_ville1000", &error);
   ASSERT_TRUE(s1k.has_value()) << error;
@@ -478,10 +478,9 @@ TEST(Registry, SkewedVilleIsAHotspotReshardEpisode) {
   EXPECT_EQ(s1k->segments, 40);
   EXPECT_DOUBLE_EQ(s1k->segment_skew, 0.3);
   EXPECT_EQ(s1k->partition, PartitionChoice::kPopulation);
-  EXPECT_EQ(s1k->reshard, ReshardMode::kEpisode);
   EXPECT_EQ(validate_spec(*s1k), "");
-  // The replay window must straddle the day-0/day-1 midnight so the
-  // episode reshard has a boundary to fire at.
+  // The replay window straddles the day-0/day-1 midnight, so the strips
+  // carry the day's positions across it.
   EXPECT_EQ(s1k->days, 2);
   EXPECT_LT(s1k->window_begin, s1k->steps_per_day);
   EXPECT_GT(s1k->window_end, s1k->steps_per_day);
@@ -1020,14 +1019,13 @@ INSTANTIATE_TEST_SUITE_P(ScanModes, RegistryTraceScenario,
                          ::testing::ValuesIn(registry_names(/*arena=*/false)),
                          param_name);
 
-class MidnightReshard : public ::testing::TestWithParam<Backend> {};
+class StripPlacement : public ::testing::TestWithParam<Backend> {};
 
-TEST_P(MidnightReshard, KeepsDigestsAcrossTheBoundary) {
-  // The adaptive-partitioning guarantee end to end: a hotspot scenario
-  // replayed across its day-0/day-1 midnight — where reshard = episode
-  // moves the strip boundaries mid-run — must reach the same final state
-  // as the unsharded board, the static equal-width partition, and the
-  // pinned-pool configuration.
+TEST_P(StripPlacement, KeepsDigestsAcrossPlacements) {
+  // Strip placement is digest-invariant end to end: a hotspot scenario
+  // replayed across its day-0/day-1 midnight must reach the same final
+  // state on one strip, on equal-width strips, on population-quantile
+  // strips, and on population-quantile strips with pinned pools.
   std::string error;
   auto spec = find_scenario("skewed_ville100", &error);
   ASSERT_TRUE(spec.has_value()) << error;
@@ -1040,20 +1038,18 @@ TEST_P(MidnightReshard, KeepsDigestsAcrossTheBoundary) {
   struct Variant {
     std::int32_t shards;
     PartitionChoice partition;
-    ReshardMode reshard;
     PinMode pin;
   };
   const Variant variants[] = {
-      {1, PartitionChoice::kWidth, ReshardMode::kOff, PinMode::kNone},
-      {4, PartitionChoice::kWidth, ReshardMode::kOff, PinMode::kNone},
-      {4, PartitionChoice::kPopulation, ReshardMode::kEpisode, PinMode::kNone},
-      {4, PartitionChoice::kWidth, ReshardMode::kEpisode, PinMode::kCores},
+      {1, PartitionChoice::kWidth, PinMode::kNone},
+      {4, PartitionChoice::kWidth, PinMode::kNone},
+      {4, PartitionChoice::kPopulation, PinMode::kNone},
+      {4, PartitionChoice::kPopulation, PinMode::kCores},
   };
   std::uint64_t reference = 0;
   for (std::size_t v = 0; v < std::size(variants); ++v) {
     spec->shards = variants[v].shards;
     spec->partition = variants[v].partition;
-    spec->reshard = variants[v].reshard;
     spec->pin = variants[v].pin;
     const auto report = ScenarioDriver(*spec).run(/*serial_baseline=*/false);
     if (v == 0) {
@@ -1066,7 +1062,7 @@ TEST_P(MidnightReshard, KeepsDigestsAcrossTheBoundary) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ScanModes, MidnightReshard,
+    ScanModes, StripPlacement,
     ::testing::Values(Backend::kDes, Backend::kEngine),
     [](const ::testing::TestParamInfo<Backend>& info) {
       return std::string(backend_name(info.param));

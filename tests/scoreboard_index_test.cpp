@@ -74,15 +74,15 @@ const std::vector<DiffShape>& sweep_shapes() {
       // Graph metric with shards requested: the partition must collapse
       // to one strip and behave exactly like the unsharded board.
       {24, 0.0, 12, DependencyParams{2.0, 1.0}, "graph", 120, 4, 0.1, 8},
-      // Mid-run resharding: every 7 commits the sharded board is
-      // re-sliced to population quantiles with clusters in flight; state
-      // must track the never-resharded reference through every move.
+      // Population-quantile cuts: strip boundaries at arbitrary x
+      // positions instead of equal-width ones, classified by binary
+      // search.
       {48, 400.0, 15, DependencyParams{4.0, 1.0}, "euclidean", 0, 4, 0.1, 4,
-       7},
-      // Aggressive resharding on border-heavy narrow strips: boundary
-      // sets are rebuilt almost continuously.
+       world::PartitionKind::kEqualPopulation},
+      // Population cuts on border-heavy narrow strips: most blocking
+      // boxes straddle a cut.
       {32, 60.0, 12, DependencyParams{4.0, 1.0}, "euclidean", 0, 4, 0.1, 8,
-       3},
+       world::PartitionKind::kEqualPopulation},
   };
   return kShapes;
 }
@@ -125,13 +125,6 @@ TEST(ScoreboardShards, PartitionClassifiesInteriorAndBorderCommits) {
   EXPECT_EQ(sb.shard_of_pos(Pos{625.0, 0.0}), 2);
   EXPECT_EQ(sb.shard_of_pos(Pos{-40.0, 0.0}), 0);    // clamped
   EXPECT_EQ(sb.shard_of_pos(Pos{2000.0, 0.0}), 3);   // clamped
-
-  // Border registration: agent 2's blocking box straddles the 250 line,
-  // so it sits in both strip 0's and strip 1's border sets; agents 1 and
-  // 3 are interior and the edge anchors only touch their own strips.
-  EXPECT_GE(sb.border_count(0), 1u);
-  EXPECT_GE(sb.border_count(1), 1u);
-  EXPECT_EQ(sb.border_count(2), 0u);
 
   // Interior commit: agent 3 deep inside strip 2, staying there.
   const std::vector<std::pair<AgentId, Pos>> interior = {
@@ -214,144 +207,6 @@ TEST(ScoreboardShards, ShardedRunToCompletionHoldsInvariants) {
   }
   EXPECT_EQ(shard_commits, sb.stats().commits);
   EXPECT_EQ(sb.stats().commits, commits);
-}
-
-TEST(ScoreboardShards, RepartitionConservesObservableState) {
-  // Moving the strip boundaries is pure re-bookkeeping: every externally
-  // observable bit — steps, positions, statuses, blockers, cluster
-  // memberships, the lazy min, the stats rollup — must survive a
-  // repartition unchanged, even with clusters dispatched and lag built up.
-  Rng rng(99);
-  std::vector<Pos> initial;
-  for (int i = 0; i < 120; ++i) {
-    initial.push_back(Pos{rng.uniform(0.0, 800.0), rng.uniform(0.0, 60.0)});
-  }
-  Scoreboard sb(DependencyParams{4.0, 1.0}, make_euclidean(), initial, 6,
-                ScanMode::kIndexed, 8);
-  ASSERT_EQ(sb.shards(), 8);
-
-  // Build real lag: dispatch everything, commit only every other cluster,
-  // keep the rest in flight across the repartition.
-  std::vector<AgentCluster> in_flight;
-  for (int round = 0; round < 3; ++round) {
-    for (auto& c : sb.pop_ready_clusters()) in_flight.push_back(std::move(c));
-    for (std::size_t k = 0; k + 1 < in_flight.size(); k += 2) {
-      std::vector<std::pair<AgentId, Pos>> moves;
-      for (AgentId m : in_flight[k].members) {
-        Pos pos = sb.pos_of(m);
-        pos.x += rng.uniform(-0.9, 0.9);
-        moves.emplace_back(m, pos);
-      }
-      sb.commit(moves);
-      in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(k));
-    }
-  }
-  ASSERT_FALSE(in_flight.empty());
-
-  const std::size_t n = sb.agent_count();
-  std::vector<Step> steps(n);
-  std::vector<Pos> positions(n);
-  std::vector<AgentStatus> statuses(n);
-  std::vector<std::vector<AgentId>> blockers(n), clusters(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto id = static_cast<AgentId>(i);
-    steps[i] = sb.step_of(id);
-    positions[i] = sb.pos_of(id);
-    statuses[i] = sb.status_of(id);
-    blockers[i] = sb.blockers_of(id);
-    clusters[i] = sb.cluster_of(id);
-  }
-  const Step min_before = sb.min_step();
-  const ScoreboardStats stats_before = sb.stats();
-  const double blockers_before = sb.mean_blockers();
-
-  std::vector<double> xs;
-  for (std::size_t i = 0; i < n; ++i) {
-    xs.push_back(sb.pos_of(static_cast<AgentId>(i)).x);
-  }
-  const auto quantiles = world::RegionPartition::equal_population(8, xs);
-  sb.repartition(quantiles);
-  EXPECT_EQ(sb.partition(), quantiles);
-  sb.check_invariants();
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto id = static_cast<AgentId>(i);
-    EXPECT_EQ(sb.step_of(id), steps[i]) << "agent " << id;
-    EXPECT_EQ(sb.pos_of(id), positions[i]) << "agent " << id;
-    EXPECT_EQ(sb.status_of(id), statuses[i]) << "agent " << id;
-    EXPECT_EQ(sb.blockers_of(id), blockers[i]) << "agent " << id;
-    EXPECT_EQ(sb.cluster_of(id), clusters[i]) << "agent " << id;
-  }
-  EXPECT_EQ(sb.min_step(), min_before);
-  EXPECT_EQ(sb.mean_blockers(), blockers_before);
-  const ScoreboardStats stats_after = sb.stats();
-  EXPECT_EQ(stats_after.commits, stats_before.commits);
-  EXPECT_EQ(stats_after.clusters_dispatched, stats_before.clusters_dispatched);
-  EXPECT_EQ(stats_after.edges_added, stats_before.edges_added);
-  EXPECT_EQ(stats_after.edges_removed, stats_before.edges_removed);
-  EXPECT_EQ(stats_after.sum_cluster_sizes, stats_before.sum_cluster_sizes);
-
-  // Per-strip stats rows stayed positional: the rollup still sums to the
-  // same totals (checked above), and each strip's commits are unchanged
-  // by the boundary move itself.
-  std::uint64_t strip_commits = 0;
-  for (std::int32_t s = 0; s < sb.shards(); ++s) {
-    strip_commits += sb.shard_stats(s).commits;
-  }
-  EXPECT_EQ(strip_commits, stats_before.commits);
-
-  // The run still completes: in-flight clusters commit against the new
-  // boundaries, and the re-homed ready queues drain everything else.
-  std::uint64_t safety = 0;
-  while (!sb.all_done()) {
-    ASSERT_LT(++safety, 100000u) << "scheduler stalled after repartition";
-    for (auto& c : sb.pop_ready_clusters()) in_flight.push_back(std::move(c));
-    ASSERT_FALSE(in_flight.empty());
-    AgentCluster cluster = std::move(in_flight.back());
-    in_flight.pop_back();
-    std::vector<std::pair<AgentId, Pos>> moves;
-    for (AgentId m : cluster.members) {
-      Pos pos = sb.pos_of(m);
-      pos.x += rng.uniform(-0.9, 0.9);
-      moves.emplace_back(m, pos);
-    }
-    sb.commit(moves, /*probe_floor=*/sb.min_step());
-  }
-  sb.check_invariants();
-  EXPECT_EQ(sb.min_step(), 6);
-}
-
-TEST(ScoreboardShards, RepartitionRebuildsBorderSetsUnderTheNewCuts) {
-  // Same five far-apart agents as the classifier test: under the uniform
-  // partition agent 2 (x=245) straddles the 250 boundary; after moving
-  // the cuts away from it, no blocking box straddles any boundary and the
-  // border sets must empty out.
-  const DependencyParams params{4.0, 1.0};
-  const std::vector<Pos> initial = {{0.0, 0.0},
-                                    {125.0, 0.0},
-                                    {245.0, 0.0},
-                                    {625.0, 0.0},
-                                    {1000.0, 0.0}};
-  Scoreboard sb(params, make_euclidean(), initial, 5, ScanMode::kIndexed, 4);
-  ASSERT_EQ(sb.shards(), 4);
-  EXPECT_GE(sb.border_count(0), 1u);
-  EXPECT_GE(sb.border_count(1), 1u);
-
-  // Cuts at 60 / 500 / 900: every agent sits > 15 (the confinement
-  // radius at floor 0) from every boundary.
-  sb.repartition(world::RegionPartition({60.0, 500.0, 900.0}, 0.0, 1000.0));
-  sb.check_invariants();
-  for (std::int32_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(sb.border_count(s), 0u) << "strip " << s;
-  }
-  EXPECT_EQ(sb.shard_of_pos(Pos{125.0, 0.0}), 1);
-  EXPECT_EQ(sb.shard_of_pos(Pos{245.0, 0.0}), 1);
-  EXPECT_EQ(sb.shard_of_pos(Pos{625.0, 0.0}), 2);
-  // Interior commits classify under the new cuts: agent 2 now commits
-  // locally in strip 1, agent 0 is within 15 of the x_min edge (edges are
-  // not boundaries) and stays local too.
-  EXPECT_EQ(sb.local_commit_shard({{2, Pos{246.0, 0.0}}}, 0), 1);
-  EXPECT_EQ(sb.local_commit_shard({{0, Pos{1.0, 0.0}}}, 0), 0);
 }
 
 TEST(ScoreboardIndex, GraphMetricRunsIndexedNotFallback) {

@@ -54,16 +54,13 @@ struct DiffShape {
   double graph_rewire = 0.1;
   /// Region partition of the *indexed* board; the brute board always runs
   /// unsharded, so shards > 1 differentially tests the sharded strip
-  /// structure (border sets, per-strip cluster homes, lazy min) against
-  /// the flat reference through the same executor schedule.
+  /// structure (border registrations, per-strip cluster homes, lazy min)
+  /// against the flat reference through the same executor schedule.
   int shards = 1;
-  /// Repartition period in commits (0 = never): every `reshard` commits
-  /// the indexed board is re-sliced to population quantiles of the live
-  /// positions *mid-run*, with clusters dispatched and lag spreads built
-  /// up — the adversarial version of the engine's quiescent episode
-  /// reshard. State must stay equal to the never-resharded brute board
-  /// after every boundary move. Ignored when shards <= 1.
-  int reshard = 0;
+  /// Where the indexed board's strip boundaries go: equal-width, or cut
+  /// at population quantiles of the initial positions. Ignored when
+  /// shards <= 1.
+  world::PartitionKind partition = world::PartitionKind::kEqualWidth;
 };
 
 /// A shape pinned to one seed: the unit of repro.
@@ -75,11 +72,14 @@ struct DiffCase {
 inline std::string repro_string(const DiffCase& c) {
   return strformat(
       "metric=%s agents=%d spread=%g target=%lld radius=%g vel=%g "
-      "nodes=%d degree=%d rewire=%g shards=%d reshard=%d seed=%llu",
+      "nodes=%d degree=%d rewire=%g shards=%d partition=%s seed=%llu",
       c.shape.metric, c.shape.n_agents, c.shape.spread,
       static_cast<long long>(c.shape.target), c.shape.params.radius_p,
       c.shape.params.max_vel, c.shape.graph_nodes, c.shape.graph_degree,
-      c.shape.graph_rewire, c.shape.shards, c.shape.reshard,
+      c.shape.graph_rewire, c.shape.shards,
+      c.shape.partition == world::PartitionKind::kEqualPopulation
+          ? "population"
+          : "width",
       static_cast<unsigned long long>(c.seed));
 }
 
@@ -116,8 +116,14 @@ inline std::optional<DiffCase> parse_repro(const std::string& text) {
         c.shape.graph_rewire = std::stod(value);
       } else if (key == "shards") {
         c.shape.shards = std::stoi(value);
-      } else if (key == "reshard") {
-        c.shape.reshard = std::stoi(value);
+      } else if (key == "partition") {
+        if (value == "width") {
+          c.shape.partition = world::PartitionKind::kEqualWidth;
+        } else if (value == "population") {
+          c.shape.partition = world::PartitionKind::kEqualPopulation;
+        } else {
+          return std::nullopt;
+        }
       } else if (key == "seed") {
         c.seed = std::stoull(value);
       } else {
@@ -193,7 +199,8 @@ inline void run_differential_case(const DiffCase& c) {
   }
 
   core::Scoreboard indexed(shape.params, metric, initial, shape.target,
-                           core::ScanMode::kIndexed, shape.shards);
+                           core::ScanMode::kIndexed, shape.shards,
+                           shape.partition);
   core::Scoreboard brute(shape.params, metric, initial, shape.target,
                          core::ScanMode::kBruteForce);
   if (graph) {
@@ -263,21 +270,6 @@ inline void run_differential_case(const DiffCase& c) {
     }
     brute.commit(moves);
     ++commits;
-    if (shape.reshard > 0 && indexed.shards() > 1 &&
-        commits % static_cast<std::uint64_t>(shape.reshard) == 0) {
-      // Mid-run strip-boundary move, with clusters still in flight: the
-      // indexed board alone is re-sliced to population quantiles of the
-      // current positions, and must remain indistinguishable from the
-      // never-resharded reference.
-      std::vector<double> xs;
-      xs.reserve(indexed.agent_count());
-      for (std::size_t i = 0; i < indexed.agent_count(); ++i) {
-        xs.push_back(indexed.pos_of(static_cast<AgentId>(i)).x);
-      }
-      indexed.repartition(world::RegionPartition::equal_population(
-          indexed.shards(), std::move(xs)));
-      indexed.check_invariants();
-    }
     expect_scoreboards_equal(indexed, brute);
     if (commits % 11 == 0) {
       indexed.check_invariants();

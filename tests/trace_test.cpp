@@ -138,6 +138,29 @@ TEST(Concatenate, OffsetsAgentsAndSpace) {
   }
 }
 
+TEST(GroupCalls, CallsAtReturnsEachStepsChain) {
+  // calls_at must agree with the grouped map at every step of the trace,
+  // including steps with no calls (an empty span), and before and after
+  // the first and last calls.
+  const SimulationTrace trace = day_trace(3, 8);
+  for (const AgentTrace& agent : trace.agents) {
+    const StepCalls grouped = group_calls_by_step(agent);
+    for (Step step = trace.start_step - 1;
+         step <= trace.start_step + trace.n_steps; ++step) {
+      const auto chain = calls_at(agent, step);
+      const auto it = grouped.find(step);
+      if (it == grouped.end()) {
+        EXPECT_TRUE(chain.empty()) << "step " << step;
+        continue;
+      }
+      ASSERT_EQ(chain.size(), it->second.size()) << "step " << step;
+      for (std::size_t i = 0; i < chain.size(); ++i) {
+        EXPECT_EQ(&chain[i], it->second[i]) << "step " << step;
+      }
+    }
+  }
+}
+
 TEST(GroupCalls, ChainsOrderedWithinStep) {
   const SimulationTrace trace = day_trace(3, 8);
   const StepCalls grouped = group_calls_by_step(trace.agents[0]);
@@ -293,23 +316,6 @@ TEST(Serialize, RejectsGarbage) {
   EXPECT_THROW(load_binary(ss), CheckError);
 }
 
-TEST(Serialize, JsonlExportHasHeaderAndEvents) {
-  const SimulationTrace trace = day_trace(2, 4);
-  std::stringstream ss;
-  export_jsonl(trace, ss);
-  std::string line;
-  ASSERT_TRUE(std::getline(ss, line));
-  EXPECT_NE(line.find("\"type\":\"header\""), std::string::npos);
-  EXPECT_NE(line.find("\"n_agents\":4"), std::string::npos);
-  std::size_t calls = 0, moves = 0;
-  while (std::getline(ss, line)) {
-    if (line.find("\"type\":\"call\"") != std::string::npos) ++calls;
-    if (line.find("\"type\":\"move\"") != std::string::npos) ++moves;
-  }
-  EXPECT_EQ(calls, trace.total_calls());
-  EXPECT_GT(moves, 0u);
-}
-
 TEST(Stats, HourHistogramSumsToTotal) {
   const SimulationTrace trace = day_trace(10, 10);
   const TraceStats stats = compute_stats(trace);
@@ -390,16 +396,6 @@ TEST(GraphTrace, BinaryRoundTripKeepsWorldKindAndAdjacency) {
     EXPECT_EQ(loaded.agents[i].calls, trace.agents[i].calls);
   }
   EXPECT_EQ(loaded.interactions, trace.interactions);
-}
-
-TEST(GraphTrace, JsonlHeaderNamesTheGraphWorld) {
-  const SimulationTrace trace = graph_trace(3, 2, 30);
-  std::stringstream ss;
-  export_jsonl(trace, ss);
-  std::string header;
-  ASSERT_TRUE(std::getline(ss, header));
-  EXPECT_NE(header.find("\"world\":\"graph\""), std::string::npos);
-  EXPECT_NE(header.find("\"nodes\":30"), std::string::npos);
 }
 
 TEST(GraphTrace, SliceKeepsGraphFieldsAndSegmentsReject) {

@@ -763,7 +763,7 @@ TEST_F(WorldStateTest, StateHashDetectsDifferences) {
   EXPECT_EQ(a.state_hash(), b.state_hash());
 }
 
-// ---- Region partitions (adaptive strip boundaries) ----
+// ---- Region partitions (strip boundaries) ----
 
 TEST(RegionPartition, CutsClassifyLikeTheEquivalentUniformPartition) {
   // A cuts-based partition whose boundaries sit exactly at the uniform
@@ -811,52 +811,6 @@ TEST(RegionPartition, EqualPopulationBalancesASkewedHistogram) {
       RegionPartition::equal_population(4, std::vector<double>(8, 5.0));
   for (double x : {-1.0, 5.0, 9.0}) {
     EXPECT_EQ(flat.shard_of(Pos{x, 0.0}), 0);
-  }
-}
-
-TEST(RegionPartition, RebalancedMovesBoundariesTowardTheLoad) {
-  // Strip 0 carried 3x the load of each other strip: after re-quantiling,
-  // the first boundary must move left (strip 0 shrinks) and every
-  // boundary stays sorted inside the range. Equal weights on a uniform
-  // partition must reproduce the uniform boundaries.
-  const RegionPartition uniform(4, 0.0, 100.0);
-  const auto even = uniform.rebalanced({1.0, 1.0, 1.0, 1.0});
-  for (std::int32_t k = 0; k <= 4; ++k) {
-    EXPECT_NEAR(even.boundary(k), uniform.boundary(k), 1e-9) << k;
-  }
-  const auto skewed = uniform.rebalanced({3.0, 1.0, 1.0, 1.0});
-  EXPECT_LT(skewed.boundary(1), uniform.boundary(1));
-  EXPECT_LT(skewed.boundary(2), uniform.boundary(2));
-  for (std::int32_t k = 1; k <= 4; ++k) {
-    EXPECT_GE(skewed.boundary(k), skewed.boundary(k - 1)) << k;
-  }
-  EXPECT_GE(skewed.boundary(1), 0.0);
-  EXPECT_LE(skewed.boundary(3), 100.0);
-  // Hot strip 0 now splits across the first two new strips: the second
-  // boundary lands inside old strip 0's [0, 25) span scaled by weight —
-  // total 6, targets at 1.5/3.0/4.5 → cuts 12.5, 25, 62.5.
-  EXPECT_NEAR(skewed.boundary(1), 12.5, 1e-9);
-  EXPECT_NEAR(skewed.boundary(2), 25.0, 1e-9);
-  EXPECT_NEAR(skewed.boundary(3), 62.5, 1e-9);
-  // Degenerate inputs return the partition unchanged.
-  const auto zero = uniform.rebalanced({0.0, 0.0, 0.0, 0.0});
-  EXPECT_EQ(zero, uniform);
-}
-
-TEST(RegionPartition, RebalancedHandlesZeroWeightEdgeStrips) {
-  // Idle edge strips merge into their neighbors without producing
-  // out-of-range or unsorted cuts.
-  const RegionPartition uniform(4, 0.0, 80.0);
-  const auto part = uniform.rebalanced({0.0, 5.0, 0.0, 0.0});
-  for (std::int32_t k = 1; k <= 4; ++k) {
-    EXPECT_GE(part.boundary(k), part.boundary(k - 1)) << k;
-    EXPECT_GE(part.boundary(k), 0.0);
-    EXPECT_LE(part.boundary(k), 80.0);
-  }
-  // All load sat in strip 1 ([20, 40)): every new boundary lands there.
-  for (std::int32_t k = 1; k < 4; ++k) {
-    EXPECT_GE(part.boundary(k), 20.0) << k;
-    EXPECT_LE(part.boundary(k), 40.0) << k;
   }
 }
 
