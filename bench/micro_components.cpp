@@ -16,9 +16,7 @@
 #include "llm/cost_model.h"
 #include "runtime/engine.h"
 #include "runtime/task_pool.h"
-#include "world/graph_index.h"
 #include "world/pathfinding.h"
-#include "world/social_graph.h"
 #include "world/spatial_index.h"
 #include "world/world_state.h"
 
@@ -103,55 +101,6 @@ BENCHMARK_CAPTURE(BM_ScoreboardCommit, indexed, core::ScanMode::kIndexed)
     ->Arg(1000)
     ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
-
-// "Who is within r hops of here" on a social graph, one agent per node:
-// the graph-metric neighbor probe the scoreboard issues on every
-// dispatch/commit. `brute` is exactly the full-scan reference path — a
-// GraphMetric distance test against every agent (the metric's lazy BFS
-// row cache included, so this is the real cost, not a strawman); the
-// indexed probe walks the GraphIndex ball, touching only the ~d^r nodes
-// inside it. The gap is the reason social_net10000 is tractable.
-void BM_GraphNeighborQuery(benchmark::State& state, bool indexed) {
-  const auto n = static_cast<int>(state.range(0));
-  const auto adjacency = world::newman_watts_graph(n, 4, 0.1, 17);
-  const core::GraphMetric metric(adjacency);
-  world::GraphIndex index(&adjacency);
-  std::vector<Pos> positions;
-  for (int i = 0; i < n; ++i) {
-    positions.push_back(Pos{static_cast<double>(i), 0});
-    index.insert(i, positions.back());
-  }
-  constexpr double kRadius = 2.0;  // social_net's perception radius
-  Rng rng(3);
-  std::vector<AgentId> out;
-  for (auto _ : state) {
-    const Pos center{static_cast<double>(rng.uniform_int(0, n - 1)), 0};
-    if (indexed) {
-      index.query_ball_into(center, kRadius, &out);
-    } else {
-      out.clear();
-      for (int i = 0; i < n; ++i) {
-        if (metric.distance(center, positions[static_cast<std::size_t>(i)]) <=
-            kRadius) {
-          out.push_back(i);
-        }
-      }
-    }
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["N"] = n;
-  state.counters["shards"] = 1;
-}
-BENCHMARK_CAPTURE(BM_GraphNeighborQuery, brute, false)
-    ->Arg(100)
-    ->Arg(1000)
-    ->Arg(10000);
-BENCHMARK_CAPTURE(BM_GraphNeighborQuery, indexed, true)
-    ->Arg(100)
-    ->Arg(1000)
-    ->Arg(10000);
 
 // End-to-end engine commits under the boundary-lag protocol: 10k agents
 // random-walking a wide arena (2048 tiles across — each of 8 strips is

@@ -1,22 +1,16 @@
 #include "core/metric.h"
 
-#include <utility>
-
 #include "common/check.h"
 
 namespace aimetro::core {
 
-GraphMetric::GraphMetric(std::vector<std::vector<std::int32_t>> adjacency)
-    : n_(static_cast<std::int32_t>(adjacency.size())),
-      adjacency_(std::move(adjacency)) {
-  AIM_CHECK(n_ > 0);
+GraphMetric::GraphMetric(
+    const std::vector<std::vector<std::int32_t>>& adjacency)
+    : graph_(adjacency) {
   // A shortest path visits each node at most once, so any connected
   // distance fits in a Depth as long as the node count does.
-  AIM_CHECK_MSG(static_cast<std::uint64_t>(n_) < kUnreached,
+  AIM_CHECK_MSG(static_cast<std::uint64_t>(node_count()) < kUnreached,
                 "graph too large for BFS depth labels");
-  for (const auto& neighbors : adjacency_) {
-    for (std::int32_t v : neighbors) AIM_CHECK(v >= 0 && v < n_);
-  }
 }
 
 GraphMetric::BfsRow& GraphMetric::row_for(std::int32_t src) const {
@@ -24,7 +18,7 @@ GraphMetric::BfsRow& GraphMetric::row_for(std::int32_t src) const {
   if (it != rows_.end()) return it->second;
   if (rows_.size() >= max_cached_rows()) rows_.clear();
   BfsRow& row = rows_[src];
-  row.dist.assign(static_cast<std::size_t>(n_), kUnreached);
+  row.dist.assign(static_cast<std::size_t>(node_count()), kUnreached);
   row.dist[static_cast<std::size_t>(src)] = 0;
   row.frontier.push_back(src);
   return row;
@@ -33,7 +27,7 @@ GraphMetric::BfsRow& GraphMetric::row_for(std::int32_t src) const {
 double GraphMetric::distance(const Pos& a, const Pos& b) const {
   const auto ia = static_cast<std::int32_t>(a.x);
   const auto ib = static_cast<std::int32_t>(b.x);
-  AIM_CHECK(ia >= 0 && ia < n_ && ib >= 0 && ib < n_);
+  AIM_CHECK(ia >= 0 && ia < node_count() && ib >= 0 && ib < node_count());
   if (ia == ib) return 0.0;
   common::MutexLock lock(cache_mutex_);
   BfsRow& row = row_for(ia);
@@ -45,7 +39,7 @@ double GraphMetric::distance(const Pos& a, const Pos& b) const {
     next.clear();
     const Depth depth = row.depth_done + 1;
     for (std::int32_t u : row.frontier) {
-      for (std::int32_t v : adjacency_[static_cast<std::size_t>(u)]) {
+      for (std::int32_t v : graph_.neighbors(u)) {
         if (row.dist[static_cast<std::size_t>(v)] == kUnreached) {
           row.dist[static_cast<std::size_t>(v)] = depth;
           next.push_back(v);

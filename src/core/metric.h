@@ -18,6 +18,7 @@
 
 #include "common/mutex.h"
 #include "common/types.h"
+#include "world/csr_graph.h"
 
 namespace aimetro::core {
 
@@ -36,16 +37,14 @@ class Metric {
   virtual bool lower_bounded_by_chebyshev() const { return false; }
 
   /// Non-null when this metric is hop count over a fixed undirected graph
-  /// whose positions encode node ids in `Pos::x`. The scoreboard uses the
-  /// adjacency to build a world::GraphIndex and answer "who is within r of
-  /// a" with a hop-bounded BFS ball probe (hop distances are integral, so
-  /// the depth-floor(r) ball IS the metric ball — see "Dependency core" in
-  /// docs/ARCHITECTURE.md), reading each candidate's hop distance from
-  /// that walk. The pointer must stay valid for the metric's lifetime.
-  virtual const std::vector<std::vector<std::int32_t>>* graph_adjacency()
-      const {
-    return nullptr;
-  }
+  /// whose positions encode node ids in `Pos::x`: the flat (CSR) graph.
+  /// The scoreboard builds a world::GraphIndex over it and answers "who
+  /// is within r of a" with a hop-bounded BFS ball probe (hop distances
+  /// are integral, so the depth-floor(r) ball IS the metric ball — see
+  /// "Dependency core" in docs/ARCHITECTURE.md), reading each candidate's
+  /// hop distance from that walk. The pointer must stay valid for the
+  /// metric's lifetime.
+  virtual const world::CsrGraph* graph_adjacency() const { return nullptr; }
 };
 
 class EuclideanMetric final : public Metric {
@@ -83,28 +82,28 @@ class ChebyshevMetric final : public Metric {
 /// and tests. An indexed scoreboard never calls distance(): it reads hop
 /// distances from its own world::GraphIndex ball walks.
 ///
-/// Distances come from per-source BFS rows expanded lazily, level by
-/// level, only until the queried target is labeled, so a 10k-node world
-/// never materializes the all-pairs table (which would be O(N^2) memory).
+/// The metric keeps the graph once, flat (world::CsrGraph), built from the
+/// nested adjacency it is handed; the scoreboard's GraphIndex walks that
+/// same copy. Distances come from per-source BFS rows over it, expanded
+/// lazily, level by level, only until the queried target is labeled, so
+/// a 10k-node world never materializes the all-pairs table (which would
+/// be O(N^2) memory).
 /// Rows are cached up to a bounded budget and rebuilt on demand after a
 /// flush. Thread-safe: the cache sits behind its own lock
 /// (uncontended in practice — both backends call the metric under their
 /// scheduling locks).
 class GraphMetric final : public Metric {
  public:
-  /// `adjacency[i]` lists the neighbors of node i (undirected: j in
-  /// adjacency[i] must imply i in adjacency[j] for distances to be
-  /// symmetric).
-  explicit GraphMetric(std::vector<std::vector<std::int32_t>> adjacency);
+  /// `adjacency[i]` lists the neighbors of node i. The graph must be
+  /// undirected: a one-way edge (j in adjacency[i] but i not in
+  /// adjacency[j]) check-fails, naming the edge.
+  explicit GraphMetric(const std::vector<std::vector<std::int32_t>>& adjacency);
 
   double distance(const Pos& a, const Pos& b) const override;
   std::string name() const override { return "graph"; }
-  const std::vector<std::vector<std::int32_t>>* graph_adjacency()
-      const override {
-    return &adjacency_;
-  }
+  const world::CsrGraph* graph_adjacency() const override { return &graph_; }
 
-  std::int32_t node_count() const { return n_; }
+  std::int32_t node_count() const { return graph_.node_count(); }
   static constexpr double kDisconnected = 1e9;
 
  private:
@@ -128,14 +127,13 @@ class GraphMetric final : public Metric {
 
   std::size_t max_cached_rows() const {
     const std::size_t row_bytes =
-        static_cast<std::size_t>(n_) * sizeof(Depth);
+        static_cast<std::size_t>(node_count()) * sizeof(Depth);
     return std::max<std::size_t>(1, kMaxCachedRowBytes / row_bytes);
   }
 
   BfsRow& row_for(std::int32_t src) const REQUIRES(cache_mutex_);
 
-  std::int32_t n_;
-  std::vector<std::vector<std::int32_t>> adjacency_;
+  world::CsrGraph graph_;
   mutable common::Mutex cache_mutex_{"metric.graph"};
   mutable std::unordered_map<std::int32_t, BfsRow> rows_
       GUARDED_BY(cache_mutex_);

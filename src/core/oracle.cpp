@@ -1,6 +1,7 @@
 #include "core/oracle.h"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <unordered_map>
 
@@ -60,25 +61,30 @@ OracleDependencies mine_oracle(const trace::SimulationTrace& trace) {
   const bool graph = trace.world_kind == trace::WorldKind::kGraph;
   const auto n = static_cast<std::size_t>(trace.n_agents);
   std::vector<AgentId> ball;
-  // Grid worlds move every agent in one index from step to step, so the
-  // index's grid is laid out once rather than per step.
+  // Both kinds of world move every agent in one index from step to step,
+  // so the index is laid out once rather than per step.
   world::SpatialIndex grid_index(std::max(4.0, trace.radius_p));
+  std::unique_ptr<const world::CsrGraph> csr;
+  std::unique_ptr<world::GraphIndex> graph_index;
+  if (graph) {
+    csr = std::make_unique<const world::CsrGraph>(trace.graph_adjacency);
+    graph_index = std::make_unique<world::GraphIndex>(csr.get());
+  }
   for (Step rel = 0; rel < trace.n_steps; ++rel) {
     UnionFind uf(n);
     // Observation proximity at the start of the step: Euclidean tile
     // distance on grids, hop distance over the social graph otherwise.
     if (graph) {
-      world::GraphIndex index(&trace.graph_adjacency);
       for (std::size_t i = 0; i < n; ++i) {
-        index.insert(static_cast<AgentId>(i),
-                     trace.agents[i]
-                         .positions[static_cast<std::size_t>(rel)]
-                         .center());
+        graph_index->update(static_cast<AgentId>(i),
+                            trace.agents[i]
+                                .positions[static_cast<std::size_t>(rel)]
+                                .center());
       }
       for (std::size_t i = 0; i < n; ++i) {
         const Pos p =
             trace.agents[i].positions[static_cast<std::size_t>(rel)].center();
-        index.query_ball_into(p, trace.radius_p, &ball);
+        graph_index->query_ball_into(p, trace.radius_p, &ball);
         for (AgentId j : ball) {
           if (static_cast<std::size_t>(j) > i) {
             uf.unite(i, static_cast<std::size_t>(j));

@@ -68,12 +68,12 @@ Scoreboard::Scoreboard(DependencyParams params,
   indexable_ = metric_->lower_bounded_by_chebyshev();
   if (mode_ == ScanMode::kIndexed && !indexable_) {
     // Graph metrics can't be probed with Chebyshev boxes, but they expose
-    // their adjacency: live agents go into a GraphIndex instead, and every
-    // probe site walks a hop-bounded ball (an exact metric ball — hop
-    // distances are integral). A metric with neither property runs the
-    // full-scan path even in indexed mode.
-    if (const auto* adjacency = metric_->graph_adjacency()) {
-      graph_live_index_ = std::make_unique<world::GraphIndex>(adjacency);
+    // their flat graph: live agents go into a GraphIndex over it instead,
+    // and every probe site walks a hop-bounded ball (an exact metric ball
+    // — hop distances are integral). A metric with neither property runs
+    // the full-scan path even in indexed mode.
+    if (const world::CsrGraph* graph = metric_->graph_adjacency()) {
+      graph_live_index_ = std::make_unique<world::GraphIndex>(graph);
     }
   }
   // The region partition only pays off where probes are strip-local box
@@ -376,18 +376,36 @@ void Scoreboard::remove_edge(AgentId blocker, AgentId blocked) {
   if (a.blocked_by.empty()) on_blocked_count_change(blocked, false);
 }
 
-void Scoreboard::recompute_blockers(AgentId id, Step floor) {
+void Scoreboard::walk_edge_ball(AgentId id, Step floor) {
+  const AgentNode& node = agent(id);
+  // Both radii grow with lag, so the larger lag names the deeper ball.
+  Step lag = -1;
+  for (AgentId w : node.blocks) {
+    lag = std::max({lag, Step{0}, agent(w).step - node.step});
+  }
+  if (node.status != AgentStatus::kDone) {
+    AIM_CHECK(node.step >= floor);
+    lag = std::max(lag, node.step - floor);
+  }
+  if (lag < 0) return;
+  graph_live_index_->query_ball_into(node.pos, params_.blocking_radius(lag),
+                                     &shard(0).probe_buf);
+}
+
+void Scoreboard::recompute_blockers(AgentId id, Step floor,
+                                    std::vector<Coupling>* coupling) {
   AgentNode& node = agent(id);
   // Drop all existing incoming edges, then rebuild. Indexed mode probes
   // the largest radius any live agent could block from: blocking_radius(
   // own step - min live step). Any blocker B at lag L satisfies dist <=
   // blocking_radius(L) <= blocking_radius(max lag), and every such metric
   // ball is inside the probe — a Chebyshev box for metrics with the
-  // Chebyshev lower bound, a hop-bounded BFS ball for graph metrics — so
-  // the probe is a superset of the brute-force candidate set; a graph walk
-  // also hands back each candidate's hop distance (probe_distance).
-  // Candidates arrive sorted by id — the same order the full scan visits
-  // them — so edge bookkeeping is byte-identical (see docs/ARCHITECTURE.md,
+  // Chebyshev lower bound, a hop-bounded BFS ball for graph metrics (the
+  // one walk_edge_ball took, at least this deep) — so the probe is a
+  // superset of the brute-force candidate set; a graph walk also hands
+  // back each candidate's hop distance (probe_distance). Candidates
+  // arrive sorted by id — the same order the full scan visits them — so
+  // edge bookkeeping is byte-identical (see docs/ARCHITECTURE.md,
   // "Dependency core"). Commits carrying a probe_floor use that lower
   // bound instead of the exact minimum; the box only widens, and the
   // exact blocks() predicate filters the extras.
@@ -407,8 +425,13 @@ void Scoreboard::recompute_blockers(AgentId id, Step floor) {
       add_edge(b, id);
       ++found;
     }
+    if (coupling != nullptr && dist <= params_.coupling_radius()) {
+      coupling->push_back({b, dist});
+    }
   };
-  if (use_index() || use_graph_index()) {
+  if (use_graph_index()) {
+    for (AgentId b : shard(0).probe_buf) consider(b);
+  } else if (use_index()) {
     const Step max_lag = node.step - floor;
     AIM_CHECK(max_lag >= 0);
     for (AgentId b : probe_into(node.pos, params_.blocking_radius(max_lag))) {
@@ -429,20 +452,13 @@ void Scoreboard::refresh_outgoing(AgentId id) {
   if (node.blocks.empty()) return;
   std::vector<AgentId>& watchers = scratch_of(id).edge_buf;
   watchers.assign(node.blocks.begin(), node.blocks.end());
-  if (use_graph_index()) {
-    // One ball around the committed agent (hops are symmetric on the
-    // undirected graph), as deep as the laggiest watcher's blocking
-    // radius, decides every watcher: one outside it is beyond its own
-    // radius, where the walk's +inf fails blocks() exactly as its true
-    // distance does.
-    Step max_lag = 0;
-    for (AgentId w : watchers) {
-      max_lag = std::max(max_lag, agent(w).step - node.step);
-    }
-    probe_into(node.pos, params_.blocking_radius(max_lag));
-  }
   for (AgentId w : watchers) {
     const AgentNode& watcher = agent(w);
+    // A graph board reads walk_edge_ball's walk around the committed agent
+    // (hops are symmetric: CsrGraph rejects one-way edges). It is at least
+    // as deep as the laggiest watcher's blocking radius, so a watcher
+    // outside it is beyond its own radius, where the walk's +inf fails
+    // blocks() exactly as its true distance does.
     const double dist = use_graph_index()
                             ? graph_live_index_->hop_distance(watcher.pos)
                             : metric_->distance(watcher.pos, node.pos);
@@ -453,37 +469,43 @@ void Scoreboard::refresh_outgoing(AgentId id) {
   }
 }
 
-void Scoreboard::cluster_in(AgentId id) {
+void Scoreboard::cluster_in(AgentId id, std::span<const Coupling> coupling) {
   AgentNode& node = agent(id);
   AIM_CHECK(node.status == AgentStatus::kIdle && node.cluster < 0);
   const std::int32_t home = partition_.shard_of(node.pos);
   if (full_scan()) shard(0).idle_by_step[node.step].insert(id);
 
   // Find idle same-step agents within the coupling radius; `id` may bridge
-  // several existing clusters into one. Indexed mode probes a
-  // coupling-radius box and filters to idle same-step agents — the same
-  // candidates the brute path reads out of idle_by_step.
+  // several existing clusters into one. Indexed mode reads the coupling
+  // candidates its blocker probe collected and filters them to idle
+  // same-step agents — the same candidates the brute path reads out of
+  // idle_by_step.
   std::vector<std::int64_t>& neighbors_clusters = shard(home).merge_buf;
   neighbors_clusters.clear();
-  auto consider = [&](AgentId other) {
-    if (other == id) return;
+  // Mid-commit, sibling members can already be idle but not yet clustered
+  // (their own cluster_in hasn't run; they are not in idle_by_step yet).
+  // Skip them — they will see us when they cluster in — so both scan
+  // modes read the same candidate set.
+  auto joinable = [&](AgentId other) {
     const AgentNode& o = agent(other);
-    // Mid-commit, sibling members can already be idle but not yet
-    // clustered (their own cluster_in hasn't run; they are not in
-    // idle_by_step yet). Skip them — they will see us when they cluster
-    // in — so both scan modes read the same candidate set.
-    if (o.status != AgentStatus::kIdle || o.cluster < 0) return;
-    if (coupled(probe_distance(node.pos, o.pos), node.step, o.step,
-                params_)) {
+    return other != id && o.status == AgentStatus::kIdle && o.cluster >= 0;
+  };
+  auto join = [&](AgentId other, double dist) {
+    const AgentNode& o = agent(other);
+    if (coupled(dist, node.step, o.step, params_)) {
       neighbors_clusters.push_back(o.cluster);
     }
   };
-  if (use_index() || use_graph_index()) {
-    for (AgentId other : probe_into(node.pos, params_.coupling_radius())) {
-      consider(other);
+  if (full_scan()) {
+    for (AgentId other : shard(0).idle_by_step.at(node.step)) {
+      if (joinable(other)) {
+        join(other, metric_->distance(node.pos, agent(other).pos));
+      }
     }
   } else {
-    for (AgentId other : shard(0).idle_by_step.at(node.step)) consider(other);
+    for (const auto& [other, dist] : coupling) {
+      if (joinable(other)) join(other, dist);
+    }
   }
 
   std::sort(neighbors_clusters.begin(), neighbors_clusters.end());
@@ -647,17 +669,25 @@ void Scoreboard::commit(const std::vector<std::pair<AgentId, Pos>>& moves,
   // floor merely widens probe boxes (the exact predicates filter the
   // extras — observable state is floor-independent).
   const Step floor = probe_floor >= 0 ? probe_floor : min_live_step();
-  ++shard(partition_.shard_of(agent(moves.front().first).pos)).stats.commits;
+  // The commit's strip: every member is homed in it before and after an
+  // interior commit, and a cross commit holds the whole board.
+  ShardData& scratch =
+      shard(partition_.shard_of(agent(moves.front().first).pos));
+  ++scratch.stats.commits;
   // Phase 1: advance state (agent table, live-step counts, live index,
   // border registration).
   for (const auto& [id, pos] : moves) {
     AgentNode& node = agent(id);
     AIM_CHECK_MSG(node.status == AgentStatus::kRunning,
                   "commit of non-running agent " << id);
-    // A graph board decides the speed check with a depth-floor(max_vel)
-    // walk: a move outside it reads +inf and fails, as it must.
-    if (use_graph_index()) probe_into(node.pos, params_.max_vel);
-    AIM_CHECK_MSG(probe_distance(node.pos, pos) <= params_.max_vel + 1e-9,
+    // A graph board counts the hops with a walk that stops once the new
+    // node is labeled (none for a stay): a move beyond max_vel hops reads
+    // +inf and fails, as it must.
+    const double moved =
+        use_graph_index()
+            ? graph_live_index_->hops_within(node.pos, pos, params_.max_vel)
+            : metric_->distance(node.pos, pos);
+    AIM_CHECK_MSG(moved <= params_.max_vel + 1e-9,
                   "agent " << id << " moved faster than max_vel");
     AIM_CHECK(node.step >= floor);
     const std::int32_t old_strip = partition_.shard_of(node.pos);
@@ -692,17 +722,32 @@ void Scoreboard::commit(const std::vector<std::pair<AgentId, Pos>>& moves,
   }
   // Phase 2: re-examine relationships. Outgoing edges of committed agents
   // can only shrink (they advanced / are no longer running); incoming edges
-  // must be rebuilt because their step and position changed.
+  // must be rebuilt because their step and position changed. On a graph
+  // board one walk per member serves both. The blocker probes also
+  // collect each member's coupling candidates for phase 3: a blocker probe
+  // reaches blocking_radius(lag) >= coupling_radius() for every lag >= 0,
+  // and no position moves between the phases. Full scans collect nothing.
+  std::vector<Coupling>* coupling =
+      full_scan() ? nullptr : &scratch.couple_buf;
+  scratch.couple_buf.clear();
+  scratch.couple_begin.clear();
   for (const auto& [id, pos] : moves) {
     (void)pos;
+    scratch.couple_begin.push_back(scratch.couple_buf.size());
+    if (use_graph_index()) walk_edge_ball(id, floor);
     refresh_outgoing(id);
-    recompute_blockers(id, floor);
+    recompute_blockers(id, floor, coupling);
   }
+  scratch.couple_begin.push_back(scratch.couple_buf.size());
   // Phase 3: idle clustering for members still in flight toward target.
-  for (const auto& [id, pos] : moves) {
-    (void)pos;
+  for (std::size_t k = 0; k < moves.size(); ++k) {
+    const AgentId id = moves[k].first;
     AgentNode& node = agent(id);
-    if (node.status == AgentStatus::kIdle) cluster_in(id);
+    if (node.status == AgentStatus::kIdle) {
+      const Coupling* run = scratch.couple_buf.data();
+      cluster_in(id, {run + scratch.couple_begin[k],
+                      run + scratch.couple_begin[k + 1]});
+    }
     if (node.status == AgentStatus::kDone) {
       // A done agent blocks nobody and is blocked by nobody.
       std::vector<AgentId>& watchers = scratch_of(id).edge_buf;

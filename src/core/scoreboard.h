@@ -22,7 +22,11 @@
 // neighbor index, so blocker recomputation and idle clustering are local
 // probes rather than full scans: Chebyshev-bounded metrics use a
 // world::SpatialIndex (box probes), graph metrics use a world::GraphIndex
-// (hop-bounded BFS ball probes) — see "Dependency core" in
+// (hop-bounded BFS ball probes over the metric's flat graph). A commit
+// probes once per member: the blocker probe also collects the coupling
+// candidates its clustering pass reads, and on a graph board the same
+// walk serves the outgoing-edge refresh (a member that leaves its node
+// adds a label-only walk for the speed check) — see "Dependency core" in
 // docs/ARCHITECTURE.md for the index structures and the radius math. A
 // brute-force full-scan reference path is retained for differential
 // testing (ScanMode::kBruteForce); define AIMETRO_SCOREBOARD_NO_BRUTE to
@@ -51,6 +55,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -78,7 +83,7 @@ enum class AgentStatus : std::uint8_t { kIdle, kRunning, kDone };
 ///  - kIndexed: index probes bounded by the live lag spread (near-O(1)
 ///    per commit at the paper's sparsity). Metrics with the Chebyshev
 ///    lower bound probe spatial-index boxes; graph metrics (those
-///    exposing an adjacency) probe hop-bounded GraphIndex balls. A metric
+///    exposing a flat graph) probe hop-bounded GraphIndex balls. A metric
 ///    with neither property silently falls back to full scans — results
 ///    are identical in every case.
 ///  - kBruteForce: the historical O(n) full scan; the reference
@@ -231,6 +236,13 @@ class Scoreboard {
     std::int32_t border_hi = 0;
   };
 
+  /// A coupling candidate of a committed agent: an agent within the
+  /// coupling radius of its new position, with that distance.
+  struct Coupling {
+    AgentId id = 0;
+    double dist = 0.0;
+  };
+
   /// One slot of a strip's cluster slab. A free slot (live == false)
   /// sits on the strip's free list; one freed by a merge keeps its member
   /// vector's capacity for the next cluster that takes it (a dispatch
@@ -293,6 +305,14 @@ class Scoreboard {
     std::vector<AgentId> probe_buf;
     std::vector<AgentId> edge_buf;
     std::vector<std::int64_t> merge_buf;
+    /// The coupling candidates one commit's blocker probes collected for
+    /// its phase-3 cluster_in calls: member k's run is
+    /// couple_buf[couple_begin[k] .. couple_begin[k + 1]). A commit uses
+    /// the buffers of the strip its first member was homed in (the one
+    /// whose commit counter it bumps), so concurrent interior commits in
+    /// other strips never share them.
+    std::vector<Coupling> couple_buf;
+    std::vector<std::size_t> couple_begin;
     ScoreboardStats stats;
     // mean_blockers bookkeeping
     std::uint64_t blocker_samples = 0;
@@ -327,9 +347,10 @@ class Scoreboard {
   /// use_graph_index().
   const std::vector<AgentId>& probe_into(const Pos& center, double radius);
   /// metric_->distance(center, p). On a graph-index board it is read from
-  /// the ball probe_into just walked around `center` instead: exact inside
-  /// the ball, +inf beyond it, so it tests the same as the metric against
-  /// any threshold no larger than the probe radius.
+  /// the last ball walked around `center` instead (probe_into or
+  /// walk_edge_ball): exact inside the ball, +inf beyond it, so it tests
+  /// the same as the metric against any threshold no larger than the
+  /// probe radius.
   double probe_distance(const Pos& center, const Pos& p) const;
   /// Smallest step among live (non-done) agents; target_step when all
   /// done. The tight bound for the blocking-radius box probe. Reads
@@ -346,16 +367,28 @@ class Scoreboard {
 
   void add_edge(AgentId blocker, AgentId blocked);
   void remove_edge(AgentId blocker, AgentId blocked);
+  /// Graph boards only: walk the one ball around committed agent `id`
+  /// that both refresh_outgoing (its laggiest watcher's blocking radius)
+  /// and recompute_blockers (blocking_radius(step - floor)) read, into
+  /// shard(0).probe_buf and the index's hop distances. Walks nothing when
+  /// `id` is done and blocks nobody.
+  void walk_edge_ball(AgentId id, Step floor);
   /// Recompute blocked_by for `id` from scratch: a blocking_radius(max
   /// live lag) box probe in indexed mode (lag bounded below by `floor`),
-  /// a full scan otherwise.
-  void recompute_blockers(AgentId id, Step floor);
-  /// Re-check the agents `id` currently blocks; drop stale edges.
+  /// the walk_edge_ball candidates on a graph board, a full scan
+  /// otherwise. Appends every candidate within the coupling radius, with
+  /// its distance, to `coupling` when it is non-null.
+  void recompute_blockers(AgentId id, Step floor,
+                          std::vector<Coupling>* coupling);
+  /// Re-check the agents `id` currently blocks; drop stale edges. A graph
+  /// board reads the distances from walk_edge_ball's walk.
   void refresh_outgoing(AgentId id);
   void on_blocked_count_change(AgentId id, bool now_blocked);
   /// Place a newly idle agent into the idle clustering (may merge several
-  /// existing clusters).
-  void cluster_in(AgentId id);
+  /// existing clusters). Indexed boards take their candidates from
+  /// `coupling`, which recompute_blockers collected for `id` in the same
+  /// commit; full scans read idle_by_step instead.
+  void cluster_in(AgentId id, std::span<const Coupling> coupling);
   /// Take a slot in `strip`'s slab for an empty cluster at `step`.
   std::int64_t new_cluster(Step step, std::int32_t strip);
   /// Return `cid`'s slot to its strip's free list.

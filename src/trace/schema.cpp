@@ -64,6 +64,16 @@ void SimulationTrace::validate() const {
                     "graph adjacency lists must be sorted");
       for (std::int32_t v : neighbors) AIM_CHECK(v >= 0 && v < n_nodes);
     }
+    // The graph is undirected: hop distances read from either end of an
+    // edge must agree.
+    for (std::int32_t u = 0; u < n_nodes; ++u) {
+      for (std::int32_t v : graph_adjacency[static_cast<std::size_t>(u)]) {
+        const auto& back = graph_adjacency[static_cast<std::size_t>(v)];
+        AIM_CHECK_MSG(std::binary_search(back.begin(), back.end(), u),
+                      "one-way graph edge " << u << " -> " << v << ": node "
+                                            << v << " does not list " << u);
+      }
+    }
   } else {
     AIM_CHECK_MSG(graph_adjacency.empty(),
                   "grid trace carries a graph adjacency");

@@ -3,23 +3,27 @@
 //
 // SpatialIndex answers "who is within r of here" for Chebyshev-bounded
 // metrics with a uniform-grid box probe; GraphIndex answers the same
-// question for hop-count metrics with a bounded BFS: each graph node keeps
-// a bucket of the agents standing on it, and query_ball_into walks the
-// graph outward floor(r) levels, collecting every bucket it touches. Hop
-// distances are integral, so the depth-floor(r) ball is not merely a
-// superset of the metric ball — it IS the metric ball; callers still apply
-// their exact predicates on the candidates, exactly as they do with box
-// probes. The walk also labels every node it reaches with its BFS level,
-// so those predicates read each candidate's hop distance from the walk
-// (hop_distance) instead of running a second BFS.
+// question for hop-count metrics with a bounded BFS over a flat
+// world::CsrGraph: each graph node keeps a bucket of the agents standing
+// on it, and query_ball_into walks the graph outward floor(r) levels,
+// collecting the bucket of every occupied node it touches (a per-node
+// occupancy count lets the walk pass empty nodes without reading their
+// bucket). Hop distances are integral, so the depth-floor(r) ball is not
+// merely a superset of the metric ball — it IS the metric ball; callers
+// still apply their exact predicates on the candidates, exactly as they
+// do with box probes. The walk also labels every node it reaches with its
+// BFS level, so those predicates read each candidate's hop distance from
+// the walk (hop_distance) instead of running a second BFS. hops_within
+// runs the same walk without collecting, stopping at its target: the
+// scoreboard's speed check.
 //
 // Hot-path design mirrors SpatialIndex: query_ball_into fills a
 // caller-owned buffer sorted by id (the order the historical full scan
 // visited agents, which is what keeps indexed scoreboard bookkeeping
 // byte-identical to brute force), and the BFS scratch (epoch-stamped
-// visited marks, frontier vectors) is reused across calls so steady-state
-// queries allocate nothing. Not internally synchronized — callers
-// serialize access, as the scoreboard's owners already do.
+// visited marks, the level-ordered queue) is reused across calls so
+// steady-state queries allocate nothing. Not internally synchronized —
+// callers serialize access, as the scoreboard's owners already do.
 #pragma once
 
 #include <cstdint>
@@ -28,15 +32,15 @@
 #include <vector>
 
 #include "common/types.h"
+#include "world/csr_graph.h"
 
 namespace aimetro::world {
 
 class GraphIndex {
  public:
-  /// `adjacency` is non-owning and must outlive the index;
-  /// (*adjacency)[i] lists the neighbors of node i. Positions encode node
-  /// ids in `Pos::x` (y ignored), matching core::GraphMetric.
-  explicit GraphIndex(const std::vector<std::vector<std::int32_t>>* adjacency);
+  /// `graph` is non-owning and must outlive the index. Positions encode
+  /// node ids in `Pos::x` (y ignored), matching core::GraphMetric.
+  explicit GraphIndex(const CsrGraph* graph);
 
   void insert(AgentId id, Pos pos);
   /// Insert every (id, pos) pair at once (ids must be distinct and not
@@ -49,9 +53,7 @@ class GraphIndex {
   bool contains(AgentId id) const { return positions_.count(id) > 0; }
   Pos position(AgentId id) const;
   std::size_t size() const { return positions_.size(); }
-  std::int32_t node_count() const {
-    return static_cast<std::int32_t>(adjacency_->size());
-  }
+  std::int32_t node_count() const { return graph_->node_count(); }
 
   /// All agents within floor(hop_radius) hops of `center`'s node, sorted
   /// by id, into a caller-owned buffer (cleared first; keeps its capacity
@@ -70,6 +72,12 @@ class GraphIndex {
   /// call.
   double hop_distance(Pos pos) const;
 
+  /// Hop distance from `from` to `to` when it is at most
+  /// floor(hop_radius), +inf otherwise. A stay (same node) walks nothing;
+  /// otherwise the walk labels levels only until `to` is labeled and
+  /// collects no agents. It may replace the walk hop_distance reads.
+  double hops_within(Pos from, Pos to, double hop_radius) const;
+
  private:
   /// A node's mark from the last walk that reached it.
   struct Visit {
@@ -78,17 +86,27 @@ class GraphIndex {
   };
 
   std::int32_t node_of(Pos p) const;
+  /// The one BFS: labels nodes level by level out to `depth` hops from
+  /// `start`, appends the agents on every labeled node to `out` when it
+  /// is non-null (unsorted), and stops as soon as node `stop` is labeled
+  /// (-1: never).
+  void walk(std::int32_t start, std::int32_t depth, std::vector<AgentId>* out,
+            std::int32_t stop) const;
 
-  const std::vector<std::vector<std::int32_t>>* adjacency_;  // non-owning
+  const CsrGraph* graph_;  // non-owning
   std::vector<std::vector<AgentId>> buckets_;  // agents standing on node i
+  /// buckets_[i].size(), in one dense array so a walk skips empty nodes
+  /// without touching their bucket.
+  std::vector<std::int32_t> occupancy_;
   std::unordered_map<AgentId, Pos> positions_;
   // BFS scratch, epoch-stamped so no per-query clearing is needed. The
   // stamps start at 0 and epoch_ at 1, so before the first walk no node
   // reads as visited.
   mutable std::vector<Visit> visits_;
   mutable std::uint32_t epoch_ = 1;
-  mutable std::vector<std::int32_t> frontier_;
-  mutable std::vector<std::int32_t> next_frontier_;
+  /// Labeled nodes to expand, in BFS order, each level a contiguous run
+  /// (the deepest level is never expanded, so never queued).
+  mutable std::vector<std::int32_t> queue_;
 };
 
 }  // namespace aimetro::world

@@ -249,8 +249,7 @@ class CountingGraphMetric final : public Metric {
     return inner_.distance(a, b);
   }
   std::string name() const override { return "counting-graph"; }
-  const std::vector<std::vector<std::int32_t>>* graph_adjacency()
-      const override {
+  const world::CsrGraph* graph_adjacency() const override {
     return inner_.graph_adjacency();
   }
   mutable std::uint64_t calls = 0;
@@ -321,17 +320,53 @@ TEST(ScoreboardIndex, GraphProbesNeverCallTheMetric) {
 }
 
 TEST(ScoreboardIndex, GraphSpeedCheckRejectsMultiHopMoves) {
-  // The max_vel check reads a depth-floor(max_vel) walk on an indexed
-  // graph board; a move beyond it must still fail loudly.
+  // On an indexed graph board the max_vel check counts hops with a walk
+  // that stops once the new node is labeled (none for a stay); a move
+  // beyond max_vel hops must still fail loudly. Each case runs on a fresh
+  // board: a rejected member leaves the members before it committed.
   auto metric = std::make_shared<GraphMetric>(
-      std::vector<std::vector<std::int32_t>>{{1}, {0, 2}, {1, 3}, {2}});
-  Scoreboard sb(DependencyParams{1.0, 1.0}, metric, {Pos{0.0, 0.0}}, 3);
-  ASSERT_TRUE(sb.use_graph_index());
-  ASSERT_EQ(sb.pop_ready_clusters().size(), 1u);
-  EXPECT_THROW(sb.commit({{0, Pos{2.0, 0.0}}}), CheckError);
-  sb.commit({{0, Pos{1.0, 0.0}}});
-  EXPECT_EQ(sb.step_of(0), 1);
-  EXPECT_EQ(sb.pos_of(0), (Pos{1.0, 0.0}));
+      std::vector<std::vector<std::int32_t>>{{1}, {0, 2}, {1, 3}, {2, 4}, {3}});
+  auto fresh = [&](double max_vel, std::vector<Pos> initial) {
+    auto sb = std::make_unique<Scoreboard>(DependencyParams{1.0, max_vel},
+                                           metric, std::move(initial), 3);
+    EXPECT_TRUE(sb->use_graph_index());
+    return sb;
+  };
+  auto node = [](double x) { return Pos{x, 0.0}; };
+  {
+    auto sb = fresh(1.0, {node(0)});
+    ASSERT_EQ(sb->pop_ready_clusters().size(), 1u);
+    EXPECT_THROW(sb->commit({{0, node(2)}}), CheckError);
+    sb->commit({{0, node(1)}});
+    EXPECT_EQ(sb->step_of(0), 1);
+    EXPECT_EQ(sb->pos_of(0), node(1));
+  }
+  {
+    // A stay.
+    auto sb = fresh(1.0, {node(2)});
+    ASSERT_EQ(sb->pop_ready_clusters().size(), 1u);
+    sb->commit({{0, node(2)}});
+    EXPECT_EQ(sb->step_of(0), 1);
+    EXPECT_EQ(sb->pos_of(0), node(2));
+  }
+  {
+    // max_vel = 2: the walk labels past depth 1. Two hops land, three
+    // fail.
+    auto sb = fresh(2.0, {node(0)});
+    ASSERT_EQ(sb->pop_ready_clusters().size(), 1u);
+    EXPECT_THROW(sb->commit({{0, node(3)}}), CheckError);
+    sb->commit({{0, node(2)}});
+    EXPECT_EQ(sb->step_of(0), 1);
+    EXPECT_EQ(sb->pos_of(0), node(2));
+  }
+  {
+    // A two-member commit whose second member jumps.
+    auto sb = fresh(1.0, {node(0), node(1)});
+    const auto ready = sb->pop_ready_clusters();
+    ASSERT_EQ(ready.size(), 1u);
+    ASSERT_EQ(ready[0].members, (std::vector<AgentId>{0, 1}));
+    EXPECT_THROW(sb->commit({{0, node(1)}, {1, node(3)}}), CheckError);
+  }
 }
 
 TEST(ScoreboardIndex, MinStepIsMaintainedIncrementally) {

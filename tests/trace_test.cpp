@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "common/check.h"
 #include "scenario/driver.h"
@@ -479,6 +480,22 @@ TEST(GraphTrace, ValidateCatchesNonEdgeHopsAndBadAdjacency) {
     ASSERT_GE(nbrs.size(), 2u);
     std::swap(nbrs[0], nbrs[1]);
     EXPECT_THROW(bad.validate(), CheckError);
+  }
+  {
+    // Edges are undirected: drop one end of 0 -- j and the other end is a
+    // one-way edge, named in the error.
+    SimulationTrace bad = trace;
+    const std::int32_t j = bad.graph_adjacency[0].front();
+    auto& back = bad.graph_adjacency[static_cast<std::size_t>(j)];
+    back.erase(std::find(back.begin(), back.end(), 0));
+    try {
+      bad.validate();
+      ADD_FAILURE() << "a one-way edge must fail validation";
+    } catch (const CheckError& e) {
+      const std::string edge = "0 -> " + std::to_string(j);
+      EXPECT_NE(std::string(e.what()).find(edge), std::string::npos)
+          << e.what();
+    }
   }
   {
     // Graph traces carry map dims = nodes x 1.

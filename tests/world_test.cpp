@@ -5,6 +5,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "common/rng.h"
 #include "core/metric.h"
 #include "support/reference_pathfinding.h"
+#include "world/csr_graph.h"
 #include "world/graph_index.h"
 #include "world/grid_map.h"
 #include "world/pathfinding.h"
@@ -331,11 +333,31 @@ TEST(SocialGraph, NewmanWattsIsConnectedSortedAndDeterministic) {
   EXPECT_THROW(newman_watts_graph(10, 10, 0.1, 1), CheckError);  // >= nodes
 }
 
+TEST(CsrGraph, SortsRowsAndRejectsOneWayEdges) {
+  const CsrGraph graph({{2, 1}, {0}, {0}, {}});
+  EXPECT_EQ(graph.node_count(), 4);
+  const auto row = graph.neighbors(0);
+  EXPECT_EQ(std::vector<std::int32_t>(row.begin(), row.end()),
+            (std::vector<std::int32_t>{1, 2}));
+  EXPECT_TRUE(graph.neighbors(3).empty());
+  EXPECT_THROW(CsrGraph(std::vector<std::vector<std::int32_t>>{}), CheckError);
+  EXPECT_THROW(CsrGraph({{1}, {0, 2}}), CheckError);  // no node 2
+  try {
+    CsrGraph({{1, 2}, {0}, {}});
+    ADD_FAILURE() << "a one-way edge must fail";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("one-way graph edge 0 -> 2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(GraphIndex, InsertRemoveUpdateAndBallProbes) {
   // 0-1-2-3-4 chain: hop balls are exactly id ranges.
   const std::vector<std::vector<std::int32_t>> adj{
       {1}, {0, 2}, {1, 3}, {2, 4}, {3}};
-  GraphIndex idx(&adj);
+  const CsrGraph graph(adj);
+  GraphIndex idx(&graph);
   EXPECT_EQ(idx.node_count(), 5);
   // No walk yet: no node has a hop distance.
   EXPECT_EQ(idx.hop_distance(Pos{0, 0}),
@@ -374,42 +396,96 @@ TEST(GraphIndex, RandomizedBallMatchesBruteMetricScan) {
   // depth-floor(r) BFS ball equals the set of agents whose GraphMetric
   // distance is <= r, and the walk's hop_distance equals that distance
   // inside the ball and is +inf outside it — for random small-world
-  // graphs, placements, centers, and (fractional) radii. Odd rounds add
-  // an isolated node and stand agent 0 on it, so every other center sees
-  // it at the metric's kDisconnected.
+  // graphs, placements, centers, and (fractional) radii. Between probes
+  // agents move and leave: each round empties one node (its agents
+  // scatter), crowds another, removes an agent and, every other probe,
+  // refills the emptied node, and probes center on the emptied and the
+  // crowded node in turn, so an occupancy count that drifted from the
+  // buckets would hide or invent agents. Odd rounds add an isolated node
+  // and stand agent 0 on it (agent 0 never churns), so every other center
+  // sees it at the metric's kDisconnected.
   Rng rng(77);
   for (int round = 0; round < 8; ++round) {
     auto adj = newman_watts_graph(20 + 15 * round, 4, 0.15, 900 + round);
     if (round % 2 == 1) adj.emplace_back();
     const auto nodes = static_cast<int>(adj.size());
     const core::GraphMetric metric(adj);
-    GraphIndex idx(&adj);
-    std::vector<Pos> pos;
+    const CsrGraph graph(adj);
+    GraphIndex idx(&graph);
+    auto random_node = [&] {
+      return Pos{static_cast<double>(rng.uniform_int(0, nodes - 1)), 0};
+    };
     const int n_agents = 10 + 7 * round;
+    auto random_churner = [&] {
+      return static_cast<AgentId>(rng.uniform_int(1, n_agents - 1));
+    };
+    std::vector<std::optional<Pos>> pos;  // nullopt: removed
+    auto at = [&](AgentId i) -> std::optional<Pos>& {
+      return pos[static_cast<std::size_t>(i)];
+    };
     for (AgentId i = 0; i < n_agents; ++i) {
-      pos.push_back(Pos{static_cast<double>(rng.uniform_int(0, nodes - 1)), 0});
-      if (i == 0 && round % 2 == 1) pos.back().x = nodes - 1;
-      idx.insert(i, pos.back());
+      pos.push_back(random_node());
+      if (i == 0 && round % 2 == 1) pos.back()->x = nodes - 1;
+      idx.insert(i, *pos.back());
     }
-    for (double radius : {0.0, 1.0, 1.5, 2.0, 2.9, 3.0, 6.0}) {
-      const Pos center{static_cast<double>(rng.uniform_int(0, nodes - 1)), 0};
-      std::vector<AgentId> brute;
-      for (AgentId i = 0; i < n_agents; ++i) {
-        if (metric.distance(center, pos[static_cast<std::size_t>(i)]) <=
-            radius) {
-          brute.push_back(i);
+    Pos emptied = *at(1);
+    Pos crowd = *at(1);
+    const double radii[] = {0.0, 1.0, 1.5, 2.0, 2.9, 3.0, 6.0};
+    for (int probe = 0; probe < 21; ++probe) {
+      if (probe > 0) {
+        std::optional<Pos> scatter_from;
+        while (!scatter_from) scatter_from = at(random_churner());
+        emptied = *scatter_from;
+        for (AgentId i = 1; i < n_agents; ++i) {
+          if (at(i) != emptied) continue;
+          do {
+            at(i) = random_node();
+          } while (at(i) == emptied);
+          idx.update(i, *at(i));
+        }
+        crowd = random_node();
+        for (int k = 0; k < 4; ++k) {
+          const AgentId i = random_churner();
+          if (!at(i)) continue;
+          at(i) = crowd;
+          idx.update(i, crowd);
+        }
+        const AgentId gone = random_churner();
+        if (at(gone)) {
+          idx.remove(gone);
+          at(gone).reset();
+        }
+        if (probe % 2 == 0) {
+          for (AgentId i = 1; i < n_agents; ++i) {
+            if (at(i)) continue;
+            at(i) = emptied;
+            idx.insert(i, emptied);
+            break;
+          }
         }
       }
-      EXPECT_EQ(idx.query_ball(center, radius), brute)
-          << "round " << round << " radius " << radius;
+      const double radius = radii[probe % 7];
+      const Pos center = probe % 3 == 0   ? emptied
+                         : probe % 3 == 1 ? crowd
+                                          : random_node();
+      std::vector<AgentId> brute;
+      std::size_t live = 0;
       for (AgentId i = 0; i < n_agents; ++i) {
-        const Pos p = pos[static_cast<std::size_t>(i)];
-        const double dist = metric.distance(center, p);
-        EXPECT_EQ(idx.hop_distance(p),
+        if (!at(i)) continue;
+        ++live;
+        if (metric.distance(center, *at(i)) <= radius) brute.push_back(i);
+      }
+      ASSERT_EQ(idx.size(), live);
+      EXPECT_EQ(idx.query_ball(center, radius), brute)
+          << "round " << round << " probe " << probe << " radius " << radius;
+      for (AgentId i = 0; i < n_agents; ++i) {
+        if (!at(i)) continue;
+        const double dist = metric.distance(center, *at(i));
+        EXPECT_EQ(idx.hop_distance(*at(i)),
                   dist <= radius ? dist
                                  : std::numeric_limits<double>::infinity())
-            << "round " << round << " radius " << radius << " agent " << i
-            << " metric " << dist;
+            << "round " << round << " probe " << probe << " radius "
+            << radius << " agent " << i << " metric " << dist;
       }
     }
   }
