@@ -30,7 +30,8 @@ int main() {
     for (int j = i + 1; j < 8; ++j) link(i, j);          // clique 2: 4-7
   }
 
-  auto metric = std::make_shared<core::GraphMetric>(follows);
+  auto metric =
+      std::make_shared<core::GraphMetric>(world::CsrGraph(follows));
   const core::DependencyParams params{/*radius_p=*/1.0, /*max_vel=*/0.0};
   std::vector<Pos> nodes;
   for (int i = 0; i < 9; ++i) nodes.push_back(Pos{static_cast<double>(i), 0});

@@ -1,12 +1,13 @@
 #include "core/metric.h"
 
+#include <utility>
+
 #include "common/check.h"
 
 namespace aimetro::core {
 
-GraphMetric::GraphMetric(
-    const std::vector<std::vector<std::int32_t>>& adjacency)
-    : graph_(adjacency) {
+GraphMetric::GraphMetric(world::CsrGraph graph) : graph_(std::move(graph)) {
+  AIM_CHECK_MSG(!graph_.empty(), "graph metric over a graph with no nodes");
   // A shortest path visits each node at most once, so any connected
   // distance fits in a Depth as long as the node count does.
   AIM_CHECK_MSG(static_cast<std::uint64_t>(node_count()) < kUnreached,

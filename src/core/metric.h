@@ -82,22 +82,21 @@ class ChebyshevMetric final : public Metric {
 /// and tests. An indexed scoreboard never calls distance(): it reads hop
 /// distances from its own world::GraphIndex ball walks.
 ///
-/// The metric keeps the graph once, flat (world::CsrGraph), built from the
-/// nested adjacency it is handed; the scoreboard's GraphIndex walks that
-/// same copy. Distances come from per-source BFS rows over it, expanded
-/// lazily, level by level, only until the queried target is labeled, so
-/// a 10k-node world never materializes the all-pairs table (which would
-/// be O(N^2) memory).
+/// The metric keeps its own copy of the graph (world::CsrGraph), so it
+/// never points into a trace that may move or die before it; the
+/// scoreboard's GraphIndex walks that same copy. Distances come from
+/// per-source BFS rows over it, expanded lazily, level by level, only
+/// until the queried target is labeled, so a 10k-node world never
+/// materializes the all-pairs table (which would be O(N^2) memory).
 /// Rows are cached up to a bounded budget and rebuilt on demand after a
 /// flush. Thread-safe: the cache sits behind its own lock
 /// (uncontended in practice — both backends call the metric under their
 /// scheduling locks).
 class GraphMetric final : public Metric {
  public:
-  /// `adjacency[i]` lists the neighbors of node i. The graph must be
-  /// undirected: a one-way edge (j in adjacency[i] but i not in
-  /// adjacency[j]) check-fails, naming the edge.
-  explicit GraphMetric(const std::vector<std::vector<std::int32_t>>& adjacency);
+  /// Keeps `graph` (already shape-checked by its constructor): pass a
+  /// trace's graph_adjacency to copy it, or move a graph in.
+  explicit GraphMetric(world::CsrGraph graph);
 
   double distance(const Pos& a, const Pos& b) const override;
   std::string name() const override { return "graph"; }

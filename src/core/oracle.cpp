@@ -1,7 +1,6 @@
 #include "core/oracle.h"
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
 #include <unordered_map>
 
@@ -62,49 +61,33 @@ OracleDependencies mine_oracle(const trace::SimulationTrace& trace) {
   const auto n = static_cast<std::size_t>(trace.n_agents);
   std::vector<AgentId> ball;
   // Both kinds of world move every agent in one index from step to step,
-  // so the index is laid out once rather than per step.
+  // so the index is laid out once rather than per step. The graph index
+  // walks the trace's own graph (a grid trace's has no nodes).
   world::SpatialIndex grid_index(std::max(4.0, trace.radius_p));
-  std::unique_ptr<const world::CsrGraph> csr;
-  std::unique_ptr<world::GraphIndex> graph_index;
-  if (graph) {
-    csr = std::make_unique<const world::CsrGraph>(trace.graph_adjacency);
-    graph_index = std::make_unique<world::GraphIndex>(csr.get());
-  }
+  world::GraphIndex graph_index(&trace.graph_adjacency);
   for (Step rel = 0; rel < trace.n_steps; ++rel) {
     UnionFind uf(n);
+    const auto at = static_cast<std::size_t>(rel);
     // Observation proximity at the start of the step: Euclidean tile
     // distance on grids, hop distance over the social graph otherwise.
-    if (graph) {
-      for (std::size_t i = 0; i < n; ++i) {
-        graph_index->update(static_cast<AgentId>(i),
-                            trace.agents[i]
-                                .positions[static_cast<std::size_t>(rel)]
-                                .center());
+    for (std::size_t i = 0; i < n; ++i) {
+      const Pos p = trace.agents[i].positions[at].center();
+      if (graph) {
+        graph_index.update(static_cast<AgentId>(i), p);
+      } else {
+        grid_index.update(static_cast<AgentId>(i), p);
       }
-      for (std::size_t i = 0; i < n; ++i) {
-        const Pos p =
-            trace.agents[i].positions[static_cast<std::size_t>(rel)].center();
-        graph_index->query_ball_into(p, trace.radius_p, &ball);
-        for (AgentId j : ball) {
-          if (static_cast<std::size_t>(j) > i) {
-            uf.unite(i, static_cast<std::size_t>(j));
-          }
-        }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const Pos p = trace.agents[i].positions[at].center();
+      if (graph) {
+        graph_index.query_ball_into(p, trace.radius_p, &ball);
+      } else {
+        ball = grid_index.query_radius(p, trace.radius_p);
       }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        grid_index.update(static_cast<AgentId>(i),
-                          trace.agents[i]
-                              .positions[static_cast<std::size_t>(rel)]
-                              .center());
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        const Pos p =
-            trace.agents[i].positions[static_cast<std::size_t>(rel)].center();
-        for (AgentId j : grid_index.query_radius(p, trace.radius_p)) {
-          if (static_cast<std::size_t>(j) > i) {
-            uf.unite(i, static_cast<std::size_t>(j));
-          }
+      for (AgentId j : ball) {
+        if (static_cast<std::size_t>(j) > i) {
+          uf.unite(i, static_cast<std::size_t>(j));
         }
       }
     }

@@ -60,11 +60,6 @@ Scoreboard::Scoreboard(DependencyParams params,
   AIM_CHECK(!initial_positions.empty());
   AIM_CHECK_MSG(shards >= 1 && shards <= kMaxShards,
                 "shards must be in [1, " << kMaxShards << "], got " << shards);
-#ifdef AIMETRO_SCOREBOARD_NO_BRUTE
-  AIM_CHECK_MSG(mode_ != ScanMode::kBruteForce,
-                "brute-force reference path compiled out "
-                "(AIMETRO_SCOREBOARD_NO_BRUTE)");
-#endif
   indexable_ = metric_->lower_bounded_by_chebyshev();
   if (mode_ == ScanMode::kIndexed && !indexable_) {
     // Graph metrics can't be probed with Chebyshev boxes, but they expose
@@ -770,11 +765,6 @@ std::vector<AgentId> Scoreboard::cluster_of(AgentId id) const {
 }
 
 Step Scoreboard::min_step() const { return min_live_step(); }
-
-std::int32_t Scoreboard::cross_cluster_count(std::int32_t s) const {
-  AIM_CHECK(s >= 0 && s < shards_);
-  return shard(s).cross_clusters.load(std::memory_order_relaxed);
-}
 
 ScoreboardStats Scoreboard::stats() const {
   ScoreboardStats out;

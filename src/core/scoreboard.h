@@ -29,8 +29,7 @@
 // adds a label-only walk for the speed check) — see "Dependency core" in
 // docs/ARCHITECTURE.md for the index structures and the radius math. A
 // brute-force full-scan reference path is retained for differential
-// testing (ScanMode::kBruteForce); define AIMETRO_SCOREBOARD_NO_BRUTE to
-// compile it out.
+// testing (ScanMode::kBruteForce).
 //
 // Sharding (the boundary-lag protocol, docs/ARCHITECTURE.md "Sharded
 // world"): with `shards > 1` the world is cut into x-strips
@@ -87,8 +86,7 @@ enum class AgentStatus : std::uint8_t { kIdle, kRunning, kDone };
 ///    with neither property silently falls back to full scans — results
 ///    are identical in every case.
 ///  - kBruteForce: the historical O(n) full scan; the reference
-///    implementation for differential tests and benchmarks. Compiled out
-///    when AIMETRO_SCOREBOARD_NO_BRUTE is defined.
+///    implementation for differential tests and benchmarks.
 enum class ScanMode : std::uint8_t { kIndexed, kBruteForce };
 
 /// Hard cap on the region partition (and the encoding of shard ids into
@@ -131,9 +129,9 @@ class Scoreboard {
   /// commit() each returned cluster. Ordered by (step, first member).
   std::vector<AgentCluster> pop_ready_clusters();
   /// The same, restricted to clusters homed in strip `shard`. Safe to
-  /// call concurrently with pops/commits in other strips only while the
-  /// strip has no cross-strip clusters (cross_cluster_count(shard) == 0,
-  /// which local_commit_shard() verifies).
+  /// call concurrently with pops/commits in other strips only while no
+  /// idle cluster spans the strip and another one, which
+  /// local_commit_shard() verifies.
   std::vector<AgentCluster> pop_ready_clusters_in_shard(std::int32_t shard);
 
   // ---- Worker side ----
@@ -174,9 +172,6 @@ class Scoreboard {
   std::int32_t shards() const { return shards_; }
   /// Home strip of a position under the region partition.
   std::int32_t shard_of_pos(Pos pos) const { return partition_.shard_of(pos); }
-  /// Idle clusters whose members span multiple strips, counted against
-  /// every strip they touch.
-  std::int32_t cross_cluster_count(std::int32_t shard) const;
   /// True when kIndexed probes are answered by the hop-bounded graph
   /// index (non-Chebyshev metric exposing a graph adjacency) rather than
   /// the spatial box index. False in brute mode either way.

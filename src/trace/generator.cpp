@@ -840,9 +840,9 @@ SimulationTrace generate_concatenated(
   return concatenate_segments(segments, segment.width() + 1);
 }
 
-SimulationTrace generate_social_graph(
-    const std::vector<std::vector<std::int32_t>>& adjacency,
-    const GeneratorConfig& cfg, Step window_begin, Step window_end) {
+SimulationTrace generate_social_graph(world::CsrGraph graph,
+                                      const GeneratorConfig& cfg,
+                                      Step window_begin, Step window_end) {
   AIM_CHECK(cfg.steps_per_day > 0);
   const bool windowed = window_begin >= 0;
   AIM_CHECK_MSG(!windowed || (window_begin < window_end &&
@@ -853,7 +853,7 @@ SimulationTrace generate_social_graph(
                 "graph scenarios are single-day");
   AIM_CHECK_MSG(cfg.max_vel >= 1.0 - 1e-9,
                 "graph agents hop one edge per step; cfg.max_vel must be >= 1");
-  const auto n_nodes = static_cast<std::int32_t>(adjacency.size());
+  const std::int32_t n_nodes = graph.node_count();
   AIM_CHECK_MSG(n_nodes >= 2, "social graph needs at least two nodes");
   std::vector<AgentSim> sims = make_agents(cfg);
   const bool hetero = !cfg.agent_profiles.empty();
@@ -877,8 +877,8 @@ SimulationTrace generate_social_graph(
   for (std::int32_t v = 0; v < n_nodes; ++v) {
     std::int32_t best = -1;
     std::size_t best_deg = 0;
-    for (std::int32_t nb : adjacency[static_cast<std::size_t>(v)]) {
-      const std::size_t deg = adjacency[static_cast<std::size_t>(nb)].size();
+    for (std::int32_t nb : graph.neighbors(v)) {
+      const std::size_t deg = graph.neighbors(nb).size();
       if (deg > best_deg) {
         best_deg = deg;
         best = nb;
@@ -929,7 +929,7 @@ SimulationTrace generate_social_graph(
       }
       const double intensity = a.profile->hourly_weights[hour] / a.peak;
       if (rng.bernoulli(0.05 + 0.25 * intensity)) {
-        const auto& nbrs = adjacency[static_cast<std::size_t>(a.tile.x)];
+        const auto nbrs = graph.neighbors(a.tile.x);
         if (!nbrs.empty()) {
           const bool social = s >= a.social_start && s < a.home_start;
           const std::int32_t hub =
@@ -981,7 +981,7 @@ SimulationTrace generate_social_graph(
   out.map_width = n_nodes;
   out.map_height = 1;
   out.world_kind = WorldKind::kGraph;
-  out.graph_adjacency = adjacency;
+  out.graph_adjacency = std::move(graph);
   return assemble(std::move(out), cfg, sims, book.take_interactions(),
                   window_begin, window_end);
 }

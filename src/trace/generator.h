@@ -115,8 +115,9 @@ SimulationTrace generate_concatenated(
     Step window_end = -1);
 
 /// Graph-world (social-network) generator: agents live on the nodes of a
-/// fixed undirected graph (e.g. world::newman_watts_graph), positions
-/// encode node ids, and radius_p/max_vel are measured in hops
+/// fixed undirected graph (e.g. world::newman_watts_graph; the result
+/// carries it as its graph_adjacency, so move it in), positions encode
+/// node ids, and radius_p/max_vel are measured in hops
 /// (cfg.max_vel must be >= 1 — agents move one hop per step). It shares
 /// the grid generator's day model: the same wake/sleep schedule draws,
 /// wake-up planning burst and reflections, conversation turns with
@@ -134,11 +135,11 @@ SimulationTrace generate_concatenated(
 /// The whole day is still simulated (one RNG stream drives every step),
 /// but positions are stored only for steps [window_begin, window_end].
 /// validate() then sees only the window, so the generator checks each
-/// hop against the adjacency as it makes it. window_begin < 0 keeps the
+/// hop against the graph as it makes it. window_begin < 0 keeps the
 /// whole day.
-SimulationTrace generate_social_graph(
-    const std::vector<std::vector<std::int32_t>>& adjacency,
-    const GeneratorConfig& cfg, Step window_begin = -1,
-    Step window_end = -1);
+SimulationTrace generate_social_graph(world::CsrGraph graph,
+                                      const GeneratorConfig& cfg,
+                                      Step window_begin = -1,
+                                      Step window_end = -1);
 
 }  // namespace aimetro::trace

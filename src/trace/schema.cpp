@@ -52,36 +52,16 @@ void SimulationTrace::validate() const {
   AIM_CHECK(radius_p >= 0.0 && max_vel >= 0.0);
   const bool graph = world_kind == WorldKind::kGraph;
   if (graph) {
-    AIM_CHECK_MSG(!graph_adjacency.empty(),
-                  "graph trace carries no adjacency");
-    AIM_CHECK_MSG(map_width ==
-                          static_cast<std::int32_t>(graph_adjacency.size()) &&
-                      map_height == 1,
+    AIM_CHECK_MSG(!graph_adjacency.empty(), "graph trace carries no graph");
+    AIM_CHECK_MSG(map_width == graph_adjacency.node_count() && map_height == 1,
                   "graph trace bounds must be (node count, 1)");
-    const auto n_nodes = static_cast<std::int32_t>(graph_adjacency.size());
-    for (const auto& neighbors : graph_adjacency) {
-      AIM_CHECK_MSG(std::is_sorted(neighbors.begin(), neighbors.end()),
-                    "graph adjacency lists must be sorted");
-      for (std::int32_t v : neighbors) AIM_CHECK(v >= 0 && v < n_nodes);
-    }
-    // The graph is undirected: hop distances read from either end of an
-    // edge must agree.
-    for (std::int32_t u = 0; u < n_nodes; ++u) {
-      for (std::int32_t v : graph_adjacency[static_cast<std::size_t>(u)]) {
-        const auto& back = graph_adjacency[static_cast<std::size_t>(v)];
-        AIM_CHECK_MSG(std::binary_search(back.begin(), back.end(), u),
-                      "one-way graph edge " << u << " -> " << v << ": node "
-                                            << v << " does not list " << u);
-      }
-    }
   } else {
-    AIM_CHECK_MSG(graph_adjacency.empty(),
-                  "grid trace carries a graph adjacency");
+    AIM_CHECK_MSG(graph_adjacency.empty(), "grid trace carries a graph");
   }
   // A one-hop move is legal only when the speed budget allows a full hop.
   const bool hops_allowed = max_vel >= 1.0 - 1e-9;
   auto adjacent = [&](std::int32_t a, std::int32_t b) {
-    const auto& neighbors = graph_adjacency[static_cast<std::size_t>(a)];
+    const auto neighbors = graph_adjacency.neighbors(a);
     return std::binary_search(neighbors.begin(), neighbors.end(), b);
   };
   for (std::size_t i = 0; i < agents.size(); ++i) {
@@ -121,6 +101,9 @@ void SimulationTrace::validate() const {
       AIM_CHECK_MSG(call.step >= start_step && call.step < start_step + n_steps,
                     "call step " << call.step << " outside window");
       AIM_CHECK(call.input_tokens > 0 && call.output_tokens > 0);
+      AIM_CHECK_MSG(call.type <= CallType::kScheduleDecomp,
+                    "agent " << i << " has a call of unknown type "
+                             << static_cast<int>(call.type));
       if (c > 0) {
         const LlmCall& prev = a.calls[c - 1];
         AIM_CHECK_MSG(prev.step < call.step ||

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "world/csr_graph.h"
 
 namespace aimetro::trace {
 
@@ -87,18 +88,19 @@ struct SimulationTrace {
   std::int32_t map_width = 0;
   std::int32_t map_height = 0;
   WorldKind world_kind = WorldKind::kGrid;
-  /// Graph worlds only: adjacency[i] lists the neighbors of node i.
-  /// Positions must name nodes (x in [0, adjacency.size()), y == 0), and
-  /// consecutive positions must be equal or adjacent. Grid worlds leave
-  /// it empty. For bounds checks to stay uniform, graph traces set
-  /// map_width = node count and map_height = 1.
-  std::vector<std::vector<std::int32_t>> graph_adjacency;
+  /// Graph worlds only: the graph, flat, whose shape its constructor has
+  /// already checked. Positions must name nodes (x in [0, node count),
+  /// y == 0), and consecutive positions must be equal or adjacent. Grid
+  /// worlds leave it empty. For bounds checks to stay uniform, graph
+  /// traces set map_width = node count and map_height = 1.
+  world::CsrGraph graph_adjacency;
   std::vector<AgentTrace> agents;          // indexed by AgentId
   std::vector<Interaction> interactions;   // sorted by (step, a, b)
 
   std::size_t total_calls() const;
   /// Check-fails when structural invariants are violated (sizes, sorting,
-  /// speed limit, bounds).
+  /// speed limit, bounds, call types). The graph's own shape is
+  /// world::CsrGraph's to check; this checks how the trace uses it.
   void validate() const;
 
   Tile position_at(AgentId id, Step step) const;

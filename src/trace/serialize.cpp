@@ -2,7 +2,10 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <ostream>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 
@@ -40,10 +43,11 @@ void save_binary(const SimulationTrace& trace, std::ostream& os) {
   write_pod(os, graph ? kGraphVersion : kGridVersion);
   if (graph) {
     write_pod(os, static_cast<std::uint8_t>(trace.world_kind));
-    write_pod(os, static_cast<std::uint64_t>(trace.graph_adjacency.size()));
-    for (const auto& neighbors : trace.graph_adjacency) {
-      write_pod(os, static_cast<std::uint64_t>(neighbors.size()));
-      for (std::int32_t v : neighbors) write_pod(os, v);
+    const world::CsrGraph& graph = trace.graph_adjacency;
+    write_pod(os, static_cast<std::uint64_t>(graph.node_count()));
+    for (std::int32_t u = 0; u < graph.node_count(); ++u) {
+      write_pod(os, static_cast<std::uint64_t>(graph.neighbors(u).size()));
+      for (std::int32_t v : graph.neighbors(u)) write_pod(os, v);
     }
   }
   write_pod(os, trace.n_agents);
@@ -94,15 +98,22 @@ SimulationTrace load_binary(std::istream& is) {
     trace.world_kind = static_cast<WorldKind>(read_pod<std::uint8_t>(is));
     const auto n_nodes = read_pod<std::uint64_t>(is);
     AIM_CHECK(n_nodes > 0 && n_nodes < 10'000'000);
-    trace.graph_adjacency.resize(n_nodes);
-    for (auto& neighbors : trace.graph_adjacency) {
+    // Rows go straight into the flat layout; its constructor checks them.
+    std::vector<std::uint32_t> offsets{0};
+    std::vector<std::int32_t> targets;
+    for (std::uint64_t u = 0; u < n_nodes; ++u) {
       const auto n_neighbors = read_pod<std::uint64_t>(is);
       AIM_CHECK(n_neighbors < n_nodes);
-      neighbors.reserve(n_neighbors);
+      AIM_CHECK_MSG(targets.size() + n_neighbors <=
+                        std::numeric_limits<std::uint32_t>::max(),
+                    "graph has too many edges for 32-bit row offsets");
       for (std::uint64_t i = 0; i < n_neighbors; ++i) {
-        neighbors.push_back(read_pod<std::int32_t>(is));
+        targets.push_back(read_pod<std::int32_t>(is));
       }
+      offsets.push_back(static_cast<std::uint32_t>(targets.size()));
     }
+    trace.graph_adjacency =
+        world::CsrGraph(std::move(offsets), std::move(targets));
   }
   trace.n_agents = read_pod<std::int32_t>(is);
   trace.n_steps = read_pod<Step>(is);

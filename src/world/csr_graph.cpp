@@ -1,32 +1,45 @@
 #include "world/csr_graph.h"
 
 #include <algorithm>
-#include <limits>
+#include <utility>
 
 #include "common/check.h"
 
 namespace aimetro::world {
 
+CsrGraph::CsrGraph(std::vector<std::uint32_t> offsets,
+                   std::vector<std::int32_t> targets)
+    : offsets_(std::move(offsets)), targets_(std::move(targets)) {
+  check_shape();
+}
+
 CsrGraph::CsrGraph(const std::vector<std::vector<std::int32_t>>& adjacency) {
-  AIM_CHECK_MSG(!adjacency.empty(), "graph has no nodes");
-  const auto n = static_cast<std::int32_t>(adjacency.size());
-  std::size_t ends = 0;
-  for (const auto& row : adjacency) ends += row.size();
-  AIM_CHECK_MSG(ends <= std::numeric_limits<std::uint32_t>::max(),
-                "graph has too many edges for 32-bit row offsets");
-  offsets_.reserve(adjacency.size() + 1);
-  targets_.reserve(ends);
   offsets_.push_back(0);
   for (const auto& row : adjacency) {
-    for (std::int32_t v : row) {
-      AIM_CHECK_MSG(v >= 0 && v < n, "graph neighbor " << v
-                                                       << " is not a node id");
-    }
-    const auto begin = static_cast<std::ptrdiff_t>(targets_.size());
     targets_.insert(targets_.end(), row.begin(), row.end());
-    std::sort(targets_.begin() + begin, targets_.end());
     offsets_.push_back(static_cast<std::uint32_t>(targets_.size()));
   }
+  check_shape();
+}
+
+void CsrGraph::check_shape() const {
+  AIM_CHECK_MSG(offsets_.size() >= 2, "graph has no nodes");
+  // Also catches offsets that wrapped past 32 bits: the last falls short.
+  AIM_CHECK_MSG(offsets_.front() == 0 && offsets_.back() == targets_.size() &&
+                    std::is_sorted(offsets_.begin(), offsets_.end()),
+                "graph row offsets do not partition its neighbor array");
+  const std::int32_t n = node_count();
+  for (std::int32_t u = 0; u < n; ++u) {
+    const auto row = neighbors(u);
+    AIM_CHECK_MSG(std::is_sorted(row.begin(), row.end()),
+                  "graph node " << u << " lists its neighbors out of order");
+    for (std::int32_t v : row) {
+      AIM_CHECK_MSG(v >= 0 && v < n, "graph neighbor " << v << " of node " << u
+                                                       << " is not a node id");
+    }
+  }
+  // The graph is undirected: hop distances read from either end of an
+  // edge must agree.
   for (std::int32_t u = 0; u < n; ++u) {
     for (std::int32_t v : neighbors(u)) {
       const auto back = neighbors(v);

@@ -3,10 +3,11 @@
 // a BFS reads two contiguous arrays instead of one separately allocated
 // row per node.
 //
-// A graph run keeps one of these: core::GraphMetric builds it from the
-// nested adjacency a trace carries, walks it for its own BFS rows, and
-// hands it out through Metric::graph_adjacency(), which is what the
-// scoreboard's world::GraphIndex walks.
+// A graph world has no other graph type. world::newman_watts_graph builds
+// it, trace::SimulationTrace carries it (the v2 trace stream stores it),
+// world::WorldState and core::mine_oracle read the trace's copy, and
+// core::GraphMetric keeps its own, which the scoreboard's
+// world::GraphIndex walks. The constructors are the one shape check.
 #pragma once
 
 #include <cstdint>
@@ -17,13 +18,23 @@ namespace aimetro::world {
 
 class CsrGraph {
  public:
-  /// `adjacency[i]` lists the neighbors of node i. Check-fails on an
-  /// empty graph, on a neighbor id out of range, and, naming the edge, on
-  /// a one-way edge (j in row i but i not in row j).
+  /// The graph with no nodes, which grid traces carry.
+  CsrGraph() = default;
+
+  /// Node i's neighbors are targets[offsets[i] .. offsets[i + 1]).
+  /// Check-fails, naming the problem, on an empty graph, on offsets that
+  /// do not partition `targets`, on a row that is not ascending, on a
+  /// neighbor id out of range, and on a one-way edge (j in row i but i
+  /// not in row j).
+  CsrGraph(std::vector<std::uint32_t> offsets,
+           std::vector<std::int32_t> targets);
+  /// The same from one row per node: `adjacency[i]` lists node i's
+  /// neighbors.
   explicit CsrGraph(const std::vector<std::vector<std::int32_t>>& adjacency);
 
+  bool empty() const { return offsets_.empty(); }
   std::int32_t node_count() const {
-    return static_cast<std::int32_t>(offsets_.size() - 1);
+    return empty() ? 0 : static_cast<std::int32_t>(offsets_.size() - 1);
   }
 
   /// The neighbors of `node`, ascending.
@@ -32,7 +43,11 @@ class CsrGraph {
     return {targets_.data() + offsets_[k], targets_.data() + offsets_[k + 1]};
   }
 
+  friend bool operator==(const CsrGraph&, const CsrGraph&) = default;
+
  private:
+  void check_shape() const;
+
   // Node i's neighbors are targets_[offsets_[i] .. offsets_[i + 1]).
   std::vector<std::uint32_t> offsets_;
   std::vector<std::int32_t> targets_;

@@ -1,27 +1,30 @@
 #include "world/social_graph.h"
 
 #include <algorithm>
-#include <set>
+#include <numeric>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
 
 namespace aimetro::world {
 
-std::vector<std::vector<std::int32_t>> newman_watts_graph(
-    std::int32_t nodes, std::int32_t degree, double shortcut_prob,
-    std::uint64_t seed) {
+CsrGraph newman_watts_graph(std::int32_t nodes, std::int32_t degree,
+                            double shortcut_prob, std::uint64_t seed) {
   AIM_CHECK(nodes >= 3);
   AIM_CHECK_MSG(degree >= 2 && degree % 2 == 0,
                 "ring degree must be even and >= 2");
   AIM_CHECK_MSG(degree < nodes, "ring degree must be below the node count");
   AIM_CHECK(shortcut_prob >= 0.0 && shortcut_prob <= 1.0);
 
-  std::set<std::pair<std::int32_t, std::int32_t>> edges;
+  // Each edge as two arcs, one per direction; duplicates go after the
+  // draws.
+  std::vector<std::pair<std::int32_t, std::int32_t>> arcs;
   auto add_edge = [&](std::int32_t a, std::int32_t b) {
     if (a == b) return;
-    edges.insert({std::min(a, b), std::max(a, b)});
+    arcs.emplace_back(a, b);
+    arcs.emplace_back(b, a);
   };
   // Ring lattice: node i tied to its degree/2 neighbors on each side.
   for (std::int32_t i = 0; i < nodes; ++i) {
@@ -41,18 +44,18 @@ std::vector<std::vector<std::int32_t>> newman_watts_graph(
     add_edge(a, b);
   }
 
-  std::vector<std::vector<std::int32_t>> adjacency(
-      static_cast<std::size_t>(nodes));
-  for (const auto& [a, b] : edges) {
-    adjacency[static_cast<std::size_t>(a)].push_back(b);
-    adjacency[static_cast<std::size_t>(b)].push_back(a);
+  // Sorted arcs are the rows, in order: each row ascending, no duplicates.
+  std::sort(arcs.begin(), arcs.end());
+  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+  std::vector<std::uint32_t> offsets(static_cast<std::size_t>(nodes) + 1, 0);
+  std::vector<std::int32_t> targets;
+  targets.reserve(arcs.size());
+  for (const auto& [from, to] : arcs) {
+    ++offsets[static_cast<std::size_t>(from) + 1];
+    targets.push_back(to);
   }
-  // The edge set iterates in sorted order, so each neighborhood is already
-  // ascending; assert rather than re-sort.
-  for (const auto& neighbors : adjacency) {
-    AIM_CHECK(std::is_sorted(neighbors.begin(), neighbors.end()));
-  }
-  return adjacency;
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  return CsrGraph(std::move(offsets), std::move(targets));
 }
 
 }  // namespace aimetro::world

@@ -13,7 +13,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+
+#include "world/csr_graph.h"
 
 namespace aimetro::world {
 
@@ -21,11 +22,10 @@ namespace aimetro::world {
 /// each linked to its `degree` nearest ring neighbors (degree/2 per side;
 /// `degree` must be even and >= 2), plus one shortcut per ring edge with
 /// probability `shortcut_prob`. Deterministic in (nodes, degree,
-/// shortcut_prob, seed). Returned as adjacency lists with each
-/// neighborhood sorted ascending and free of duplicates/self-loops —
-/// ready for core::GraphMetric and world::GraphIndex.
-std::vector<std::vector<std::int32_t>> newman_watts_graph(
-    std::int32_t nodes, std::int32_t degree, double shortcut_prob,
-    std::uint64_t seed);
+/// shortcut_prob, seed). Returned flat, with each neighborhood ascending
+/// and free of duplicates and self-loops: the graph a social trace carries
+/// (trace::generate_social_graph) and every graph-world reader walks.
+CsrGraph newman_watts_graph(std::int32_t nodes, std::int32_t degree,
+                            double shortcut_prob, std::uint64_t seed);
 
 }  // namespace aimetro::world

@@ -10,21 +10,16 @@
 
 namespace aimetro::world {
 
-WorldState::WorldState(
-    const GridMap* map, std::vector<Tile> initial_tiles,
-    const std::vector<std::vector<std::int32_t>>* graph_adjacency)
-    : map_(map),
-      graph_adjacency_(graph_adjacency),
-      tiles_(std::move(initial_tiles)),
-      index_(8.0) {
+WorldState::WorldState(const GridMap* map, std::vector<Tile> initial_tiles,
+                       const CsrGraph* graph)
+    : map_(map), graph_(graph), tiles_(std::move(initial_tiles)), index_(8.0) {
   AIM_CHECK(map_ != nullptr);
-  if (graph_adjacency_ != nullptr) {
+  if (graph_ != nullptr) {
     // The substrate map exists for uniform bounds checks: one row, one
     // column per node.
-    AIM_CHECK_MSG(map_->width() ==
-                          static_cast<std::int32_t>(graph_adjacency_->size()) &&
-                      map_->height() == 1,
-                  "graph substrate map must be node_count x 1");
+    AIM_CHECK_MSG(
+        map_->width() == graph_->node_count() && map_->height() == 1,
+        "graph substrate map must be node_count x 1");
   }
   agent_count_ = tiles_.size();
   std::vector<std::pair<AgentId, Pos>> items;
@@ -89,8 +84,7 @@ std::vector<StepOutcome> WorldState::resolve_conflict_and_commit(
         // never conflict. Legality is edge membership — stay put or
         // follow one edge of the social graph (one hop per step, the
         // speed limit the dependency rules assume in hop units).
-        const auto& nbrs =
-            (*graph_adjacency_)[static_cast<std::size_t>(out.tile.x)];
+        const auto nbrs = graph_->neighbors(out.tile.x);
         const bool ok =
             map_->in_bounds(target) &&
             (target == out.tile ||

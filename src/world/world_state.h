@@ -13,6 +13,7 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
+#include "world/csr_graph.h"
 #include "world/grid_map.h"
 #include "world/spatial_index.h"
 
@@ -45,21 +46,20 @@ struct WorldEvent {
 
 class WorldState {
  public:
-  /// Grid world (graph_adjacency == nullptr): tiles are exclusive, moves
-  /// are Chebyshev-1 steps onto walkable tiles.
+  /// Grid world (graph == nullptr): tiles are exclusive, moves are
+  /// Chebyshev-1 steps onto walkable tiles.
   ///
-  /// Graph world (graph_adjacency != nullptr, non-owning, must outlive the
-  /// WorldState): positions encode node ids in Tile::x (y == 0) and `map`
-  /// is the node-count-by-1 substrate used for bounds checks. A legal move
-  /// stays put or follows one edge, and nodes are venues, not tiles — they
-  /// hold crowds, so moves never conflict and the exclusive-occupancy rule
-  /// does not apply.
+  /// Graph world (graph != nullptr: the trace's graph, non-owning, must
+  /// outlive the WorldState): positions encode node ids in Tile::x
+  /// (y == 0) and `map` is the node-count-by-1 substrate used for bounds
+  /// checks. A legal move stays put or follows one edge, and nodes are
+  /// venues, not tiles — they hold crowds, so moves never conflict and the
+  /// exclusive-occupancy rule does not apply.
   WorldState(const GridMap* map, std::vector<Tile> initial_tiles,
-             const std::vector<std::vector<std::int32_t>>* graph_adjacency =
-                 nullptr);
+             const CsrGraph* graph = nullptr);
 
   const GridMap& map() const { return *map_; }
-  bool graph_world() const { return graph_adjacency_ != nullptr; }
+  bool graph_world() const { return graph_ != nullptr; }
   /// Fixed at construction (agents are never added or removed), so no lock
   /// is needed to read it.
   std::size_t agent_count() const { return agent_count_; }
@@ -112,7 +112,7 @@ class WorldState {
   mutable common::SharedMutex mutex_{"world"};
   const GridMap* map_;
   /// Immutable after construction (like map_): null for grid worlds.
-  const std::vector<std::vector<std::int32_t>>* graph_adjacency_ = nullptr;
+  const CsrGraph* graph_ = nullptr;
   std::size_t agent_count_ = 0;  // immutable after construction
   std::vector<Tile> tiles_ GUARDED_BY(mutex_);
   SpatialIndex index_ GUARDED_BY(mutex_);

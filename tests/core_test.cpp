@@ -87,7 +87,7 @@ TEST(Metric, BuiltinsAgreeWithHelpers) {
 
 TEST(Metric, GraphHopDistances) {
   // 0-1-2-3 path plus isolated node 4.
-  GraphMetric g({{1}, {0, 2}, {1, 3}, {2}, {}});
+  GraphMetric g(world::CsrGraph({{1}, {0, 2}, {1, 3}, {2}, {}}));
   auto node = [](int i) { return Pos{static_cast<double>(i), 0}; };
   EXPECT_DOUBLE_EQ(g.distance(node(0), node(0)), 0.0);
   EXPECT_DOUBLE_EQ(g.distance(node(0), node(3)), 3.0);
@@ -291,7 +291,7 @@ TEST(Scoreboard, GraphMetricWorld) {
   // Social-network world (§6 extension): distance is hop count.
   // 0-1-2-3-4 chain; radius_p=1, max_vel=0 (agents do not move socially).
   auto metric = std::make_shared<GraphMetric>(
-      std::vector<std::vector<std::int32_t>>{{1}, {0, 2}, {1, 3}, {2, 4}, {3}});
+      world::CsrGraph({{1}, {0, 2}, {1, 3}, {2, 4}, {3}}));
   DependencyParams params{1.0, 0.0};
   std::vector<Pos> nodes;
   for (int i = 0; i < 5; ++i) nodes.push_back(Pos{static_cast<double>(i), 0});

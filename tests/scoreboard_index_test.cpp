@@ -157,8 +157,8 @@ TEST(ScoreboardShards, NonIndexableModesCollapseToOneStrip) {
   Scoreboard brute(params, make_euclidean(), initial, 5,
                    ScanMode::kBruteForce, 8);
   EXPECT_EQ(brute.shards(), 1);
-  auto metric = std::make_shared<GraphMetric>(
-      std::vector<std::vector<std::int32_t>>{{1}, {0, 2}, {1}});
+  auto metric =
+      std::make_shared<GraphMetric>(world::CsrGraph({{1}, {0, 2}, {1}}));
   Scoreboard graph(params, metric,
                    {Pos{0.0, 0.0}, Pos{1.0, 0.0}, Pos{2.0, 0.0}}, 5,
                    ScanMode::kIndexed, 8);
@@ -215,7 +215,7 @@ TEST(ScoreboardIndex, GraphMetricRunsIndexedNotFallback) {
   // indexed mode must genuinely use it (and still match brute force; the
   // sweep above covers the matching at scale).
   auto metric = std::make_shared<GraphMetric>(
-      std::vector<std::vector<std::int32_t>>{{1}, {0, 2}, {1, 3}, {2, 4}, {3}});
+      world::CsrGraph({{1}, {0, 2}, {1, 3}, {2, 4}, {3}}));
   DependencyParams params{1.0, 0.0};
   std::vector<Pos> nodes;
   for (int i = 0; i < 5; ++i) nodes.push_back(Pos{static_cast<double>(i), 0});
@@ -242,8 +242,8 @@ TEST(ScoreboardIndex, GraphMetricRunsIndexedNotFallback) {
 /// builds its GraphIndex), and counts distance() calls.
 class CountingGraphMetric final : public Metric {
  public:
-  explicit CountingGraphMetric(std::vector<std::vector<std::int32_t>> adj)
-      : inner_(std::move(adj)) {}
+  explicit CountingGraphMetric(world::CsrGraph graph)
+      : inner_(std::move(graph)) {}
   double distance(const Pos& a, const Pos& b) const override {
     ++calls;
     return inner_.distance(a, b);
@@ -298,7 +298,7 @@ TEST(ScoreboardIndex, GraphProbesNeverCallTheMetric) {
     std::vector<std::pair<AgentId, Pos>> moves;
     for (AgentId m : cluster.members) {
       Pos pos = sb.pos_of(m);
-      const auto& nbrs = adj[static_cast<std::size_t>(pos.x)];
+      const auto nbrs = adj.neighbors(static_cast<std::int32_t>(pos.x));
       if (rng.bernoulli(0.7)) {
         pos.x = nbrs[static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(nbrs.size()) - 1))];
@@ -325,7 +325,7 @@ TEST(ScoreboardIndex, GraphSpeedCheckRejectsMultiHopMoves) {
   // beyond max_vel hops must still fail loudly. Each case runs on a fresh
   // board: a rejected member leaves the members before it committed.
   auto metric = std::make_shared<GraphMetric>(
-      std::vector<std::vector<std::int32_t>>{{1}, {0, 2}, {1, 3}, {2, 4}, {3}});
+      world::CsrGraph({{1}, {0, 2}, {1, 3}, {2, 4}, {3}}));
   auto fresh = [&](double max_vel, std::vector<Pos> initial) {
     auto sb = std::make_unique<Scoreboard>(DependencyParams{1.0, max_vel},
                                            metric, std::move(initial), 3);

@@ -168,7 +168,7 @@ inline void run_differential_case(const DiffCase& c) {
   const bool graph = std::string(shape.metric) == "graph";
   Rng rng(c.seed);
 
-  std::vector<std::vector<std::int32_t>> adjacency;
+  world::CsrGraph adjacency;
   std::shared_ptr<const core::Metric> metric;
   std::vector<Pos> initial;
   if (graph) {
@@ -238,8 +238,8 @@ inline void run_differential_case(const DiffCase& c) {
         // One hop along a random edge, or stay put: hop distance 1 or 0,
         // legal whenever max_vel >= 1.
         if (shape.params.max_vel >= 1.0 && rng.bernoulli(0.7)) {
-          const auto& nbrs =
-              adjacency[static_cast<std::size_t>(std::llround(pos.x))];
+          const auto nbrs = adjacency.neighbors(
+              static_cast<std::int32_t>(std::llround(pos.x)));
           if (!nbrs.empty()) {
             pos.x = static_cast<double>(nbrs[static_cast<std::size_t>(
                 rng.uniform_int(0,

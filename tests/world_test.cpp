@@ -282,37 +282,36 @@ TEST(SpatialIndex, GrowthPastTheCellCapCheckFails) {
 }
 
 TEST(SocialGraph, NewmanWattsIsConnectedSortedAndDeterministic) {
-  const auto adj = newman_watts_graph(/*nodes=*/50, /*degree=*/4,
-                                      /*shortcut_prob=*/0.3, /*seed=*/9);
-  ASSERT_EQ(adj.size(), 50u);
-  for (std::size_t i = 0; i < adj.size(); ++i) {
-    EXPECT_TRUE(std::is_sorted(adj[i].begin(), adj[i].end())) << "node " << i;
-    EXPECT_TRUE(std::adjacent_find(adj[i].begin(), adj[i].end()) ==
-                adj[i].end())
+  const CsrGraph adj = newman_watts_graph(/*nodes=*/50, /*degree=*/4,
+                                          /*shortcut_prob=*/0.3, /*seed=*/9);
+  ASSERT_EQ(adj.node_count(), 50);
+  for (std::int32_t i = 0; i < adj.node_count(); ++i) {
+    const auto row = adj.neighbors(i);
+    EXPECT_TRUE(std::is_sorted(row.begin(), row.end())) << "node " << i;
+    EXPECT_TRUE(std::adjacent_find(row.begin(), row.end()) == row.end())
         << "duplicate neighbor at node " << i;
-    for (std::int32_t j : adj[i]) {
+    for (std::int32_t j : row) {
       ASSERT_GE(j, 0);
       ASSERT_LT(j, 50);
-      EXPECT_NE(j, static_cast<std::int32_t>(i)) << "self-loop at " << i;
+      EXPECT_NE(j, i) << "self-loop at " << i;
       // Undirected: every edge appears from both ends.
-      EXPECT_TRUE(std::binary_search(adj[static_cast<std::size_t>(j)].begin(),
-                                     adj[static_cast<std::size_t>(j)].end(),
-                                     static_cast<std::int32_t>(i)));
+      const auto back = adj.neighbors(j);
+      EXPECT_TRUE(std::binary_search(back.begin(), back.end(), i));
     }
     // The ring lattice is kept intact (shortcuts only add edges), so
     // every node keeps at least its degree-4 ring neighborhood.
-    EXPECT_GE(adj[i].size(), 4u) << "node " << i;
+    EXPECT_GE(row.size(), 4u) << "node " << i;
   }
   // Connected: BFS from node 0 reaches everything (the ring guarantees
   // it; this pins the guarantee).
-  std::vector<bool> seen(adj.size(), false);
+  std::vector<bool> seen(50, false);
   std::vector<std::int32_t> stack{0};
   seen[0] = true;
-  std::size_t reached = 1;
+  std::int32_t reached = 1;
   while (!stack.empty()) {
     const std::int32_t v = stack.back();
     stack.pop_back();
-    for (std::int32_t w : adj[static_cast<std::size_t>(v)]) {
+    for (std::int32_t w : adj.neighbors(v)) {
       if (!seen[static_cast<std::size_t>(w)]) {
         seen[static_cast<std::size_t>(w)] = true;
         ++reached;
@@ -320,12 +319,14 @@ TEST(SocialGraph, NewmanWattsIsConnectedSortedAndDeterministic) {
       }
     }
   }
-  EXPECT_EQ(reached, adj.size());
+  EXPECT_EQ(reached, adj.node_count());
   // Deterministic in the seed; shortcut_prob > 0 actually adds shortcuts.
   EXPECT_EQ(newman_watts_graph(50, 4, 0.3, 9), adj);
   EXPECT_NE(newman_watts_graph(50, 4, 0.3, 10), adj);
   std::size_t edge_ends = 0;
-  for (const auto& nbrs : adj) edge_ends += nbrs.size();
+  for (std::int32_t i = 0; i < adj.node_count(); ++i) {
+    edge_ends += adj.neighbors(i).size();
+  }
   EXPECT_GT(edge_ends, 50u * 4u);  // ring + at least one shortcut
   // Degenerate knobs are rejected loudly.
   EXPECT_THROW(newman_watts_graph(2, 2, 0.1, 1), CheckError);
@@ -333,23 +334,51 @@ TEST(SocialGraph, NewmanWattsIsConnectedSortedAndDeterministic) {
   EXPECT_THROW(newman_watts_graph(10, 10, 0.1, 1), CheckError);  // >= nodes
 }
 
-TEST(CsrGraph, SortsRowsAndRejectsOneWayEdges) {
-  const CsrGraph graph({{2, 1}, {0}, {0}, {}});
+/// The message of the CheckError `make` throws, or "" when it throws none.
+template <typename Make>
+std::string check_error_of(Make make) {
+  try {
+    make();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CsrGraph, RejectsBadShapesNamingTheProblem) {
+  using Rows = std::vector<std::vector<std::int32_t>>;
+  const CsrGraph graph(Rows{{1, 2}, {0}, {0}, {}});
   EXPECT_EQ(graph.node_count(), 4);
   const auto row = graph.neighbors(0);
   EXPECT_EQ(std::vector<std::int32_t>(row.begin(), row.end()),
             (std::vector<std::int32_t>{1, 2}));
   EXPECT_TRUE(graph.neighbors(3).empty());
-  EXPECT_THROW(CsrGraph(std::vector<std::vector<std::int32_t>>{}), CheckError);
-  EXPECT_THROW(CsrGraph({{1}, {0, 2}}), CheckError);  // no node 2
-  try {
-    CsrGraph({{1, 2}, {0}, {}});
-    ADD_FAILURE() << "a one-way edge must fail";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("one-way graph edge 0 -> 2"),
+  // Row form and flat form build the same graph.
+  EXPECT_EQ(CsrGraph({0, 2, 3, 4, 4}, {1, 2, 0, 0}), graph);
+  // The empty graph is what grid traces carry; only the default
+  // constructor makes one.
+  EXPECT_TRUE(CsrGraph().empty());
+  EXPECT_EQ(CsrGraph().node_count(), 0);
+  const struct {
+    Rows rows;
+    const char* names;
+  } bad[] = {
+      {{}, "graph has no nodes"},
+      {{{2, 1}, {0}, {0}}, "graph node 0 lists its neighbors out of order"},
+      {{{1}, {0, 2}}, "graph neighbor 2 of node 1 is not a node id"},
+      {{{1, 2}, {0}, {}}, "one-way graph edge 0 -> 2: node 2 does not list 0"},
+  };
+  for (const auto& c : bad) {
+    EXPECT_NE(check_error_of([&] { CsrGraph{c.rows}; }).find(c.names),
               std::string::npos)
-        << e.what();
+        << c.names;
   }
+  // Flat offsets must start at 0, rise, and end at the neighbor count.
+  const std::string offsets = "graph row offsets do not partition";
+  EXPECT_NE(check_error_of([] { CsrGraph({0, 2, 1}, {1, 0}); }).find(offsets),
+            std::string::npos);
+  EXPECT_NE(check_error_of([] { CsrGraph({0, 1, 1}, {1, 0}); }).find(offsets),
+            std::string::npos);
 }
 
 TEST(GraphIndex, InsertRemoveUpdateAndBallProbes) {
@@ -406,11 +435,16 @@ TEST(GraphIndex, RandomizedBallMatchesBruteMetricScan) {
   // sees it at the metric's kDisconnected.
   Rng rng(77);
   for (int round = 0; round < 8; ++round) {
-    auto adj = newman_watts_graph(20 + 15 * round, 4, 0.15, 900 + round);
+    const CsrGraph ring =
+        newman_watts_graph(20 + 15 * round, 4, 0.15, 900 + round);
+    std::vector<std::vector<std::int32_t>> adj;
+    for (std::int32_t u = 0; u < ring.node_count(); ++u) {
+      adj.emplace_back(ring.neighbors(u).begin(), ring.neighbors(u).end());
+    }
     if (round % 2 == 1) adj.emplace_back();
     const auto nodes = static_cast<int>(adj.size());
-    const core::GraphMetric metric(adj);
     const CsrGraph graph(adj);
+    const core::GraphMetric metric(graph);
     GraphIndex idx(&graph);
     auto random_node = [&] {
       return Pos{static_cast<double>(rng.uniform_int(0, nodes - 1)), 0};
@@ -786,10 +820,9 @@ TEST_F(WorldStateTest, AgentsWithinMatchesLinearScan) {
 TEST(WorldStateGraph, NodesAreVenuesMovesFollowEdges) {
   // Graph mode: legality is edge membership, and nodes hold crowds — the
   // exclusive-occupancy rules of grid mode must NOT apply.
-  const std::vector<std::vector<std::int32_t>> adj{
-      {1}, {0, 2}, {1, 3}, {2}};
+  const CsrGraph graph({{1}, {0, 2}, {1, 3}, {2}});
   GridMap substrate(4, 1);
-  WorldState w(&substrate, {Tile{0, 0}, Tile{1, 0}, Tile{1, 0}}, &adj);
+  WorldState w(&substrate, {Tile{0, 0}, Tile{1, 0}, Tile{1, 0}}, &graph);
   EXPECT_TRUE(w.graph_world());
   EXPECT_EQ(w.tile_of(1), w.tile_of(2));  // two agents share node 1
 
