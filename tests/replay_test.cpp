@@ -297,6 +297,11 @@ TEST(Replay, GoldenOutputsAreBitExact) {
        0.19142061281337047,
        "model=llama-3-70b-instruct gpu=a100 tensor_parallel=4 "
        "data_parallel=2"},
+      // A mixture-of-experts platform (Figure 7's).
+      {"smallville_day", 0, Mode::kMetropolis, 886.27108899999996, 122283,
+       2.3638740947517576, 0.50720818418798719, 2328, 1701,
+       0.18952646239554319,
+       "model=mixtral gpu=a100 tensor_parallel=2 data_parallel=4"},
   };
   std::map<std::tuple<std::string, std::int32_t, std::string>,
            trace::SimulationTrace>
