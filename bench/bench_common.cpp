@@ -1,8 +1,7 @@
 #include "bench/bench_common.h"
 
-#include <sys/resource.h>
-
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 
 #include "common/check.h"
@@ -100,61 +99,6 @@ double gpu_limit_seconds(const trace::SimulationTrace& trace,
   return std::max(critical, nodep);
 }
 
-std::string strip_json_flag(int* argc, char** argv) {
-  std::string dir;
-  int w = 1;
-  for (int r = 1; r < *argc; ++r) {
-    const std::string arg = argv[r];
-    if (arg == "--json" && r + 1 < *argc) {
-      dir = argv[++r];
-    } else if (arg.rfind("--json=", 0) == 0) {
-      dir = arg.substr(7);
-    } else {
-      argv[w++] = argv[r];
-    }
-  }
-  *argc = w;
-  argv[w] = nullptr;
-  return dir;
-}
-
-std::int64_t peak_rss_kib() {
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-  // Linux reports ru_maxrss in KiB already; macOS reports bytes.
-#if defined(__APPLE__)
-  return static_cast<std::int64_t>(usage.ru_maxrss) / 1024;
-#else
-  return static_cast<std::int64_t>(usage.ru_maxrss);
-#endif
-}
-
-void write_bench_json(const std::string& dir,
-                      const std::vector<BenchRecord>& records) {
-  if (dir.empty()) return;
-  const std::int64_t rss = peak_rss_kib();
-  std::map<std::string, std::string> bodies;
-  for (const BenchRecord& rec : records) {
-    std::string& body = bodies[rec.benchmark];
-    body += body.empty() ? "[\n" : ",\n";
-    body += strformat(
-        "  {\"benchmark\": \"%s\", \"n\": %lld, \"shards\": %d, "
-        "\"ms\": %.6f, \"peak_rss_kib\": %lld}",
-        rec.benchmark.c_str(), static_cast<long long>(rec.n), rec.shards,
-        rec.ms, static_cast<long long>(rss));
-  }
-  for (auto& [name, body] : bodies) {
-    body += "\n]\n";
-    const std::string path = strformat("%s/BENCH_%s.json", dir.c_str(),
-                                       name.c_str());
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    AIM_CHECK_MSG(f != nullptr, "cannot write " << path);
-    std::fputs(body.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-  }
-}
-
 void print_header(const std::string& title) {
   std::printf("\n==== %s ====\n", title.c_str());
 }
@@ -168,6 +112,13 @@ void print_row(const std::vector<std::string>& cells,
     line += "  ";
   }
   std::printf("%s\n", line.c_str());
+}
+
+bool quick_flag(int argc, char** argv) {
+  if (argc == 1) return false;
+  if (argc == 2 && std::string(argv[1]) == "--quick") return true;
+  std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
+  std::exit(2);
 }
 
 }  // namespace aimetro::bench

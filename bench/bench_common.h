@@ -1,11 +1,12 @@
 // Shared helpers for the figure/table reproduction harnesses.
 //
-// Each bench binary regenerates one table or figure from the paper's
-// evaluation (§4). Workloads and platforms come from the scenario registry
-// — a harness names a registry scenario (plus `key = value` overrides) and
-// gets its trace and DES platform cell through ScenarioDriver, the same
-// code path `aimetro_run` and the tests use. Nothing here hand-builds
-// traces anymore; a new workload is a registry entry, not a bench edit.
+// Each bench binary regenerates one table or figure family from the
+// paper's evaluation (§4). Workloads and platforms come from the scenario
+// registry — a harness names a registry scenario (plus `key = value`
+// overrides) and gets its trace and DES platform cell through
+// ScenarioDriver, the same code path `aimetro_run` and the tests use.
+// Nothing here hand-builds traces anymore; a new workload is a registry
+// entry, not a bench edit.
 #pragma once
 
 #include <string>
@@ -73,35 +74,8 @@ void print_header(const std::string& title);
 void print_row(const std::vector<std::string>& cells,
                const std::vector<int>& widths);
 
-// ---- Perf-trajectory JSON emitter ----
-//
-// Bench binaries accept `--json <dir>` (or `--json=<dir>`): each wired
-// benchmark then writes a machine-readable `BENCH_<benchmark>.json` under
-// <dir> alongside its console output, so CI can accumulate a perf
-// trajectory instead of scraping logs. One record per (benchmark, N,
-// shards) cell. `peak_rss_kib` is the process high-water mark at write
-// time, not a per-benchmark figure, so every record of one run carries
-// the same value.
-
-struct BenchRecord {
-  std::string benchmark;
-  std::int64_t n = 0;        // problem size (agents, nodes, ...)
-  std::int32_t shards = 1;   // region partition, 1 when not applicable
-  double ms = 0.0;           // wall milliseconds per iteration
-};
-
-/// Remove `--json <dir>` / `--json=<dir>` from argv (compacting it and
-/// updating *argc) so downstream flag parsers never see it. Returns the
-/// directory, empty when the flag is absent.
-std::string strip_json_flag(int* argc, char** argv);
-
-/// Current process peak RSS in KiB (getrusage high-water mark).
-std::int64_t peak_rss_kib();
-
-/// Write one `BENCH_<benchmark>.json` per distinct record.benchmark under
-/// `dir` (a flat JSON array of {benchmark, n, shards, ms, peak_rss_kib}).
-/// No-op when dir is empty; check-fails when a file cannot be written.
-void write_bench_json(const std::string& dir,
-                      const std::vector<BenchRecord>& records);
+/// True for a lone `--quick` argument, false for none. Anything else
+/// prints a usage line and exits 2.
+bool quick_flag(int argc, char** argv);
 
 }  // namespace aimetro::bench

@@ -3,11 +3,9 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "bench/bench_common.h"
 #include "common/mutex.h"
 #include "common/rng.h"
 #include "core/metric.h"
@@ -88,8 +86,6 @@ void BM_ScoreboardCommit(benchmark::State& state, core::ScanMode mode) {
     benchmark::DoNotOptimize(steps);
   }
   state.SetItemsProcessed(state.iterations() * n * kTarget);
-  state.counters["N"] = n;
-  state.counters["shards"] = 1;
 }
 BENCHMARK_CAPTURE(BM_ScoreboardCommit, brute, core::ScanMode::kBruteForce)
     ->Arg(100)
@@ -157,8 +153,6 @@ void BM_ShardedCommit(benchmark::State& state) {
     benchmark::DoNotOptimize(stats.commits);
   }
   state.SetItemsProcessed(state.iterations() * kAgents * kTarget);
-  state.counters["N"] = kAgents;
-  state.counters["shards"] = shards;
 }
 BENCHMARK(BM_ShardedCommit)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 
@@ -227,8 +221,6 @@ void BM_ShardedCommitSkewed(benchmark::State& state,
     benchmark::DoNotOptimize(stats.commits);
   }
   state.SetItemsProcessed(state.iterations() * kAgents * kTarget);
-  state.counters["N"] = kAgents;
-  state.counters["shards"] = shards;
 }
 BENCHMARK_CAPTURE(BM_ShardedCommitSkewed, width,
                   world::PartitionKind::kEqualWidth)
@@ -306,56 +298,6 @@ void BM_CostModelIteration(benchmark::State& state) {
 }
 BENCHMARK(BM_CostModelIteration);
 
-// Tees every run that carries an "N" counter into BenchRecords (the
-// benchmarks wired into the perf trajectory set it; the rest only print).
-// Aggregate rows (mean/median/stddev under --benchmark_repetitions) are
-// skipped: they are not per-iteration times. Console output is unchanged
-// — this subclass only observes.
-class JsonTeeReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& reports) override {
-    benchmark::ConsoleReporter::ReportRuns(reports);
-    for (const Run& run : reports) {
-      auto n_it = run.counters.find("N");
-      if (n_it == run.counters.end() || run.error_occurred ||
-          run.run_type == Run::RT_Aggregate) {
-        continue;
-      }
-      aimetro::bench::BenchRecord rec;
-      rec.benchmark = run.run_name.function_name;
-      for (char& c : rec.benchmark) {
-        if (c == '/') c = '_';
-      }
-      rec.n = static_cast<std::int64_t>(n_it->second.value);
-      auto s_it = run.counters.find("shards");
-      if (s_it != run.counters.end()) {
-        rec.shards = static_cast<std::int32_t>(s_it->second.value);
-      }
-      rec.ms = run.iterations > 0 ? run.real_accumulated_time /
-                                        static_cast<double>(run.iterations) *
-                                        1e3
-                                  : 0.0;
-      records_.push_back(std::move(rec));
-    }
-  }
-
-  const std::vector<aimetro::bench::BenchRecord>& records() const {
-    return records_;
-  }
-
- private:
-  std::vector<aimetro::bench::BenchRecord> records_;
-};
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string json_dir = aimetro::bench::strip_json_flag(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  JsonTeeReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  aimetro::bench::write_bench_json(json_dir, reporter.records());
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -20,8 +20,8 @@
 //
 //   build/bench/multi_day_scaling [max_days] [key=value overrides...]
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -66,7 +66,13 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.find('=') == std::string::npos) {
-      max_days = std::atoi(arg.c_str());
+      const char* end = arg.data() + arg.size();
+      const auto [ptr, ec] = std::from_chars(arg.data(), end, max_days);
+      if (ec != std::errc() || ptr != end || max_days < 1) {
+        std::fprintf(stderr, "usage: %s [max_days >= 1] [key=value ...]\n",
+                     argv[0]);
+        return 2;
+      }
     } else {
       overrides.push_back(arg);
     }

@@ -12,7 +12,7 @@
 using namespace aimetro;
 
 int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+  const bool quick = bench::quick_flag(argc, argv);
   bench::print_header(
       "Table 1 — priority scheduling ablation (busy hour, 500 agents, L4)");
   const auto busy = bench::registry_window(bench::registry_spec(
