@@ -121,6 +121,4 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights,
   return weights.size() - 1;
 }
 
-Rng Rng::fork() { return Rng(next()); }
-
 }  // namespace aimetro

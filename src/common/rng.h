@@ -69,9 +69,6 @@ class Rng {
     }
   }
 
-  /// Derive an independent child generator (e.g., one per agent).
-  Rng fork();
-
  private:
   std::uint64_t s_[4] = {};
 };

@@ -1,6 +1,5 @@
 #include "common/strings.h"
 
-#include <cmath>
 #include <cstdio>
 
 namespace aimetro {
@@ -54,24 +53,8 @@ std::string join(const std::vector<std::string>& parts, const std::string& sep) 
   return out;
 }
 
-std::string format_duration(double seconds) {
-  if (seconds < 0) return "-" + format_duration(-seconds);
-  if (seconds < 1.0) return strformat("%.0f ms", seconds * 1e3);
-  if (seconds < 60.0) return strformat("%.2f s", seconds);
-  const auto total = static_cast<long long>(std::llround(seconds));
-  const long long h = total / 3600;
-  const long long m = (total % 3600) / 60;
-  const long long s = total % 60;
-  if (h > 0) return strformat("%lldh %02lldm %02llds", h, m, s);
-  return strformat("%lldm %02llds", m, s);
-}
-
 std::string pad_left(const std::string& s, std::size_t width) {
   return s.size() >= width ? s : std::string(width - s.size(), ' ') + s;
-}
-
-std::string pad_right(const std::string& s, std::size_t width) {
-  return s.size() >= width ? s : s + std::string(width - s.size(), ' ');
 }
 
 }  // namespace aimetro

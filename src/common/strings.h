@@ -19,11 +19,7 @@ std::string trim(const std::string& s);
 /// Join with a delimiter.
 std::string join(const std::vector<std::string>& parts, const std::string& sep);
 
-/// Human-friendly duration from seconds, e.g. "2h 13m 05s" or "340 ms".
-std::string format_duration(double seconds);
-
-/// Fixed-width table cell helpers used by the bench harnesses.
+/// Right-aligned fixed-width table cell, used by the bench harnesses.
 std::string pad_left(const std::string& s, std::size_t width);
-std::string pad_right(const std::string& s, std::size_t width);
 
 }  // namespace aimetro

@@ -60,7 +60,6 @@ std::vector<std::string> known_gpu_names();
 struct ParallelismConfig {
   std::int32_t tensor_parallel = 1;
   std::int32_t data_parallel = 1;
-  std::int32_t total_gpus() const { return tensor_parallel * data_parallel; }
 };
 
 }  // namespace aimetro::llm

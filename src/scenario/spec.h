@@ -207,8 +207,6 @@ struct ScenarioSpec {
   Step episode_steps() const {
     return static_cast<Step>(days) * steps_per_day;
   }
-  /// Window start in absolute steps (0 when running the full day).
-  Step window_start() const { return window_begin >= 0 ? window_begin : 0; }
   /// Member-chain pool size the engine backend actually uses:
   /// `pool_workers` when set, else derived from `workers`.
   std::int32_t resolved_pool_workers() const;

@@ -28,9 +28,6 @@ struct Rect {
     return t.x >= x0 && t.x <= x1 && t.y >= y0 && t.y <= y1;
   }
   Tile center() const { return Tile{(x0 + x1) / 2, (y0 + y1) / 2}; }
-  std::int64_t area() const {
-    return static_cast<std::int64_t>(x1 - x0 + 1) * (y1 - y0 + 1);
-  }
 };
 
 /// A named region of the map (a home, the cafe, the park, ...).

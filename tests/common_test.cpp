@@ -89,10 +89,17 @@ TEST(Rng, PoissonMeanMatches) {
 
 TEST(Rng, NormalMoments) {
   Rng rng(13);
-  RunningStat st;
-  for (int i = 0; i < 30000; ++i) st.add(rng.normal(5.0, 2.0));
-  EXPECT_NEAR(st.mean(), 5.0, 0.1);
-  EXPECT_NEAR(st.stddev(), 2.0, 0.1);
+  const int n = 30000;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double x = rng.normal(5.0, 2.0);
+    sum += x;
+    sum_sq += x * x;
+  }
+  const double mean = sum / n;
+  EXPECT_NEAR(mean, 5.0, 0.1);
+  EXPECT_NEAR(std::sqrt((sum_sq - n * mean * mean) / (n - 1)), 2.0, 0.1);
 }
 
 TEST(Rng, WeightedIndexRespectsWeights) {
@@ -130,47 +137,11 @@ TEST(Rng, WeightedIndexWithPrecomputedTotalDrawsTheSameIndexes) {
   EXPECT_THROW(Rng::weight_total({1.0, -1.0}), CheckError);
 }
 
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng a(21);
-  Rng child = a.fork();
-  // Child and parent streams should differ.
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (a.next() == child.next()) ++same;
-  }
-  EXPECT_LT(same, 4);
-}
-
-TEST(RunningStat, Moments) {
-  RunningStat st;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) st.add(v);
-  EXPECT_EQ(st.count(), 8);
-  EXPECT_DOUBLE_EQ(st.mean(), 5.0);
-  EXPECT_NEAR(st.stddev(), 2.138, 0.001);
-  EXPECT_DOUBLE_EQ(st.min(), 2.0);
-  EXPECT_DOUBLE_EQ(st.max(), 9.0);
-}
-
-TEST(RunningStat, MergeEqualsSequential) {
-  RunningStat a, b, both;
-  Rng rng(3);
-  for (int i = 0; i < 500; ++i) {
-    const double v = rng.normal(0, 1);
-    (i % 2 ? a : b).add(v);
-    both.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), both.count());
-  EXPECT_NEAR(a.mean(), both.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), both.variance(), 1e-9);
-}
-
 TEST(TimeWeightedStat, PiecewiseConstantAverage) {
   TimeWeightedStat s;
   s.set(0, 2.0);     // 2 for [0, 10)
   s.set(10, 4.0);    // 4 for [10, 20)
   EXPECT_DOUBLE_EQ(s.average_until(20), 3.0);
-  EXPECT_DOUBLE_EQ(s.current(), 4.0);
   EXPECT_THROW(s.set(5, 1.0), CheckError);  // time went backwards
 }
 
@@ -187,16 +158,8 @@ TEST(Strings, SplitJoin) {
   EXPECT_EQ(split("", ',').size(), 1u);
 }
 
-TEST(Strings, FormatDuration) {
-  EXPECT_EQ(format_duration(0.5), "500 ms");
-  EXPECT_EQ(format_duration(12.25), "12.25 s");
-  EXPECT_EQ(format_duration(3725), "1h 02m 05s");
-  EXPECT_EQ(format_duration(125), "2m 05s");
-}
-
 TEST(Strings, Pad) {
   EXPECT_EQ(pad_left("ab", 4), "  ab");
-  EXPECT_EQ(pad_right("ab", 4), "ab  ");
   EXPECT_EQ(pad_left("abcde", 4), "abcde");
 }
 
