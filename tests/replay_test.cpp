@@ -271,6 +271,13 @@ TEST(Replay, GoldenOutputsAreBitExact) {
       {"social_net100", 0, Mode::kMetropolis, 588.18981199999996, 27016,
        2.5763784866726205, 0.32018282645806861, 2745, 5820,
        0.98644067796610169},
+      // The oracle's graph path: core::mine_oracle probes hop balls
+      // through the same GraphIndex the scoreboard does, and the critical
+      // path reads the oracle's groups.
+      {"social_net100", 0, Mode::kOracle, 115.742375, 15272,
+       14.806900596694152, 0.87502132213893136, 0, 0, 0.0},
+      {"social_net100", 0, Mode::kCritical, 105.70364699999999, 1467, 1.0,
+       0.125, 0, 0, 0.0},
       {"metro_ville100", 2, Mode::kMetropolis, 240.240996, 23118,
        5.9524081862042264, 0.65061355410797583, 2342, 1396,
        0.23661016949152541},
