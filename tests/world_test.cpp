@@ -432,7 +432,12 @@ TEST(GraphIndex, RandomizedBallMatchesBruteMetricScan) {
   // crowded node in turn, so an occupancy count that drifted from the
   // buckets would hide or invent agents. Odd rounds add an isolated node
   // and stand agent 0 on it (agent 0 never churns), so every other center
-  // sees it at the metric's kDisconnected.
+  // sees it at the metric's kDisconnected. After each probe one occupied
+  // node (agent 0's among them) is probed again at radii that rise and
+  // fall, so a ball centered on it replays the node's stored BFS order
+  // shallower than it was built, extends it deeper, and on the isolated
+  // node runs out before the depth asked for; churn empties nodes whose
+  // orders are then freed and reused by other nodes.
   Rng rng(77);
   for (int round = 0; round < 8; ++round) {
     const CsrGraph ring =
@@ -498,28 +503,38 @@ TEST(GraphIndex, RandomizedBallMatchesBruteMetricScan) {
           }
         }
       }
-      const double radius = radii[probe % 7];
-      const Pos center = probe % 3 == 0   ? emptied
-                         : probe % 3 == 1 ? crowd
-                                          : random_node();
-      std::vector<AgentId> brute;
       std::size_t live = 0;
-      for (AgentId i = 0; i < n_agents; ++i) {
-        if (!at(i)) continue;
-        ++live;
-        if (metric.distance(center, *at(i)) <= radius) brute.push_back(i);
-      }
+      for (const std::optional<Pos>& p : pos) live += p.has_value() ? 1 : 0;
       ASSERT_EQ(idx.size(), live);
-      EXPECT_EQ(idx.query_ball(center, radius), brute)
-          << "round " << round << " probe " << probe << " radius " << radius;
-      for (AgentId i = 0; i < n_agents; ++i) {
-        if (!at(i)) continue;
-        const double dist = metric.distance(center, *at(i));
-        EXPECT_EQ(idx.hop_distance(*at(i)),
-                  dist <= radius ? dist
-                                 : std::numeric_limits<double>::infinity())
-            << "round " << round << " probe " << probe << " radius "
-            << radius << " agent " << i << " metric " << dist;
+      auto expect_ball = [&](Pos center, double radius) {
+        std::vector<AgentId> brute;
+        for (AgentId i = 0; i < n_agents; ++i) {
+          if (at(i) && metric.distance(center, *at(i)) <= radius) {
+            brute.push_back(i);
+          }
+        }
+        EXPECT_EQ(idx.query_ball(center, radius), brute)
+            << "round " << round << " probe " << probe << " center "
+            << center.x << " radius " << radius;
+        for (AgentId i = 0; i < n_agents; ++i) {
+          if (!at(i)) continue;
+          const double dist = metric.distance(center, *at(i));
+          EXPECT_EQ(idx.hop_distance(*at(i)),
+                    dist <= radius ? dist
+                                   : std::numeric_limits<double>::infinity())
+              << "round " << round << " probe " << probe << " center "
+              << center.x << " radius " << radius << " agent " << i
+              << " metric " << dist;
+        }
+      };
+      expect_ball(probe % 3 == 0   ? emptied
+                  : probe % 3 == 1 ? crowd
+                                   : random_node(),
+                  radii[probe % 7]);
+      const auto pick = static_cast<AgentId>(probe % n_agents);
+      const Pos occupied = at(pick) ? *at(pick) : *at(0);
+      for (const double radius : {2.0, 6.0, 1.0, 3.0, 0.0, 6.0}) {
+        expect_ball(occupied, radius);
       }
     }
   }
