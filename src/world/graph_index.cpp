@@ -26,6 +26,7 @@ GraphIndex::GraphIndex(const CsrGraph* graph) : graph_(graph) {
   buckets_.resize(n);
   occupancy_.assign(n, 0);
   visits_.assign(n, Visit{});
+  order_slot_.assign(n, -1);
 }
 
 std::int32_t GraphIndex::node_of(Pos p) const {
@@ -40,7 +41,7 @@ void GraphIndex::insert(AgentId id, Pos pos) {
                 "agent " << id << " already indexed");
   const auto node = static_cast<std::size_t>(node_of(pos));
   buckets_[node].push_back(id);
-  ++occupancy_[node];
+  occupy(node, 1);
 }
 
 void GraphIndex::bulk_insert(
@@ -58,7 +59,7 @@ void GraphIndex::remove(AgentId id) {
   AIM_CHECK(bit != bucket.end());
   *bit = bucket.back();
   bucket.pop_back();
-  --occupancy_[node];
+  occupy(node, -1);
   positions_.erase(it);
 }
 
@@ -77,9 +78,9 @@ void GraphIndex::update(AgentId id, Pos pos) {
   AIM_CHECK(bit != bucket.end());
   *bit = bucket.back();
   bucket.pop_back();
-  --occupancy_[from];
+  occupy(from, -1);
   buckets_[to].push_back(id);
-  ++occupancy_[to];
+  occupy(to, 1);
 }
 
 Pos GraphIndex::position(AgentId id) const {
@@ -88,40 +89,72 @@ Pos GraphIndex::position(AgentId id) const {
   return it->second;
 }
 
-void GraphIndex::walk(std::int32_t start, std::int32_t depth,
+void GraphIndex::Order::reset(std::int32_t start) {
+  nodes.assign(1, start);
+  level_end.assign(1, 1);
+}
+
+void GraphIndex::occupy(std::size_t node, std::int32_t delta) {
+  occupancy_[node] += delta;
+  std::int32_t& slot = order_slot_[node];
+  if (occupancy_[node] > 0 || slot < 0) return;
+  free_orders_.push_back(slot);
+  slot = -1;
+}
+
+GraphIndex::Order& GraphIndex::order_of(std::int32_t node) const {
+  std::int32_t& slot = order_slot_[static_cast<std::size_t>(node)];
+  if (slot >= 0) return orders_[static_cast<std::size_t>(slot)];
+  if (free_orders_.empty()) {
+    slot = static_cast<std::int32_t>(orders_.size());
+    orders_.emplace_back();
+  } else {
+    slot = free_orders_.back();
+    free_orders_.pop_back();
+  }
+  Order& order = orders_[static_cast<std::size_t>(slot)];
+  order.reset(node);
+  return order;
+}
+
+void GraphIndex::walk(Order& order, std::int32_t depth,
                       std::vector<AgentId>* out, std::int32_t stop) const {
   if (++epoch_ == 0) {  // epoch counter wrapped: reset all stamps
     std::fill(visits_.begin(), visits_.end(), Visit{});
     epoch_ = 1;
   }
-  auto collect = [&](std::int32_t node) {
+  auto label = [&](std::int32_t node, std::int32_t level) {
+    visits_[static_cast<std::size_t>(node)] = Visit{epoch_, level};
     if (out == nullptr || occupancy_[static_cast<std::size_t>(node)] == 0) {
       return;
     }
     const auto& bucket = buckets_[static_cast<std::size_t>(node)];
     out->insert(out->end(), bucket.begin(), bucket.end());
   };
-  visits_[static_cast<std::size_t>(start)] = Visit{epoch_, 0};
-  collect(start);
-  queue_.clear();
-  queue_.push_back(start);
-  std::size_t head = 0;
-  for (std::int32_t level = 1; level <= depth && head < queue_.size();
-       ++level) {
-    // The last level's nodes are labeled but never expanded, so they stay
-    // off the queue.
-    const bool expand_next = level < depth;
-    for (const std::size_t level_end = queue_.size(); head < level_end;
-         ++head) {
-      for (std::int32_t v : graph_->neighbors(queue_[head])) {
-        Visit& visit = visits_[static_cast<std::size_t>(v)];
-        if (visit.epoch == epoch_) continue;
-        visit = Visit{epoch_, level};
+  // Replay the stored levels the ball reaches.
+  const auto stored = static_cast<std::int32_t>(order.level_end.size()) - 1;
+  std::size_t next = 0;
+  for (std::int32_t level = 0; level <= std::min(depth, stored); ++level) {
+    const std::size_t end = order.level_end[static_cast<std::size_t>(level)];
+    for (; next < end; ++next) label(order.nodes[next], level);
+  }
+  // Extend past the last stored level. Every stored node is labeled by
+  // now, so the BFS labels exactly the nodes the order has not reached.
+  for (std::int32_t level = stored + 1; level <= depth; ++level) {
+    // Expand the level before this one.
+    std::size_t head =
+        level > 1 ? order.level_end[static_cast<std::size_t>(level - 2)] : 0;
+    const std::size_t head_end = order.nodes.size();
+    if (head == head_end) return;  // the component is exhausted
+    for (; head < head_end; ++head) {
+      for (std::int32_t v : graph_->neighbors(order.nodes[head])) {
+        if (visits_[static_cast<std::size_t>(v)].epoch == epoch_) continue;
+        order.nodes.push_back(v);
+        label(v, level);
         if (v == stop) return;
-        if (expand_next) queue_.push_back(v);
-        collect(v);
       }
     }
+    order.level_end.push_back(static_cast<std::uint32_t>(order.nodes.size()));
   }
 }
 
@@ -129,7 +162,14 @@ void GraphIndex::query_ball_into(Pos center, double hop_radius,
                                  std::vector<AgentId>* out) const {
   AIM_CHECK(out != nullptr);
   out->clear();
-  walk(node_of(center), depth_of(hop_radius), out, -1);
+  const std::int32_t start = node_of(center);
+  Order* order = &scratch_;
+  if (occupancy_[static_cast<std::size_t>(start)] > 0) {
+    order = &order_of(start);
+  } else {
+    scratch_.reset(start);
+  }
+  walk(*order, depth_of(hop_radius), out, -1);
   std::sort(out->begin(), out->end());
 }
 
@@ -151,7 +191,8 @@ double GraphIndex::hops_within(Pos from, Pos to, double hop_radius) const {
   const std::int32_t start = node_of(from);
   const std::int32_t target = node_of(to);
   if (start == target) return 0.0;
-  walk(start, depth, nullptr, target);
+  scratch_.reset(start);
+  walk(scratch_, depth, nullptr, target);
   return hop_distance(to);
 }
 

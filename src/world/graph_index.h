@@ -17,13 +17,26 @@
 // runs the same walk without collecting, stopping at its target: the
 // scoreboard's speed check.
 //
+// Probes center on agents, and most agents stay put from one probe to the
+// next, so each occupied node keeps the BFS order of its last walk: its
+// nodes in level order plus where each level ends. A ball centered on an
+// occupied node replays that order up to floor(r) — stamping each node's
+// level for hop_distance and collecting the occupied buckets, with no
+// neighbor scans — and the BFS continues from the last stored level only
+// when a deeper ball is asked for. An order depends only on the fixed
+// graph and its start node, so it never goes stale; it is released when
+// the node's last agent leaves, so at most one order is kept per occupied
+// node. Centers on empty nodes and hops_within walk a scratch order. The
+// stored order is the walk's queue, so there is one BFS loop.
+//
 // Hot-path design mirrors SpatialIndex: query_ball_into fills a
 // caller-owned buffer sorted by id (the order the historical full scan
 // visited agents, which is what keeps indexed scoreboard bookkeeping
 // byte-identical to brute force), and the BFS scratch (epoch-stamped
-// visited marks, the level-ordered queue) is reused across calls so
-// steady-state queries allocate nothing. Not internally synchronized —
-// callers serialize access, as the scoreboard's owners already do.
+// visited marks, the orders' slab and its free list) is reused across
+// calls so steady-state queries allocate nothing. Not internally
+// synchronized — callers serialize access, as the scoreboard's owners
+// already do.
 #pragma once
 
 #include <cstdint>
@@ -85,12 +98,29 @@ class GraphIndex {
     std::int32_t level = 0;  // BFS level (hops from that walk's center)
   };
 
+  /// A BFS order from one start node: every node labeled so far, level by
+  /// level, and one past each level's last node. Level 0 is the start.
+  /// An empty last level means the start's component is exhausted.
+  struct Order {
+    std::vector<std::int32_t> nodes;
+    std::vector<std::uint32_t> level_end;
+    void reset(std::int32_t start);
+  };
+
   std::int32_t node_of(Pos p) const;
-  /// The one BFS: labels nodes level by level out to `depth` hops from
-  /// `start`, appends the agents on every labeled node to `out` when it
-  /// is non-null (unsorted), and stops as soon as node `stop` is labeled
-  /// (-1: never).
-  void walk(std::int32_t start, std::int32_t depth, std::vector<AgentId>* out,
+  /// Move `node`'s occupancy by `delta`, releasing its order when the
+  /// last agent leaves.
+  void occupy(std::size_t node, std::int32_t delta);
+  /// `node`'s stored order, or a fresh one-node order from the free list
+  /// when it has none.
+  Order& order_of(std::int32_t node) const;
+  /// The one BFS, under a new epoch: replays `order` out to `depth` hops,
+  /// labeling each node with its level, then extends it level by level
+  /// from its last level while it is shallower than `depth`. Appends the
+  /// agents on every labeled node to `out` when it is non-null (unsorted)
+  /// and stops as soon as node `stop` is labeled (-1: never; the order is
+  /// then left cut short, so only the scratch order takes a stop).
+  void walk(Order& order, std::int32_t depth, std::vector<AgentId>* out,
             std::int32_t stop) const;
 
   const CsrGraph* graph_;  // non-owning
@@ -104,9 +134,14 @@ class GraphIndex {
   // reads as visited.
   mutable std::vector<Visit> visits_;
   mutable std::uint32_t epoch_ = 1;
-  /// Labeled nodes to expand, in BFS order, each level a contiguous run
-  /// (the deepest level is never expanded, so never queued).
-  mutable std::vector<std::int32_t> queue_;
+  /// Per-node slot in orders_ (-1: none). Only occupied nodes hold one.
+  mutable std::vector<std::int32_t> order_slot_;
+  /// The orders' slab. Freed slots go on free_orders_ and are reused
+  /// first, keeping their vectors' capacity.
+  mutable std::vector<Order> orders_;
+  mutable std::vector<std::int32_t> free_orders_;
+  /// The order of walks from empty nodes and of hops_within.
+  mutable Order scratch_;
 };
 
 }  // namespace aimetro::world
