@@ -11,17 +11,27 @@
 
 namespace aimetro::bench {
 
+std::optional<scenario::ScenarioSpec> resolve_registry_spec(
+    const std::string& name, const std::vector<std::string>& overrides,
+    std::string* error) {
+  auto spec = scenario::find_scenario(name, error);
+  if (!spec) return std::nullopt;
+  for (const std::string& assignment : overrides) {
+    if (!scenario::apply_override(&*spec, assignment, error)) {
+      return std::nullopt;
+    }
+  }
+  *error = scenario::validate_spec(*spec);
+  if (!error->empty()) return std::nullopt;
+  return spec;
+}
+
 scenario::ScenarioSpec registry_spec(const std::string& name,
                                      const std::vector<std::string>& overrides) {
   std::string error;
-  auto spec = scenario::find_scenario(name, &error);
-  AIM_CHECK_MSG(spec.has_value(), error);
-  for (const std::string& assignment : overrides) {
-    AIM_CHECK_MSG(scenario::apply_override(&*spec, assignment, &error), error);
-  }
-  error = scenario::validate_spec(*spec);
-  AIM_CHECK_MSG(error.empty(), "invalid bench spec '" << name
-                                                      << "': " << error);
+  const auto spec = resolve_registry_spec(name, overrides, &error);
+  AIM_CHECK_MSG(spec.has_value(),
+                "invalid bench spec '" << name << "': " << error);
   return *spec;
 }
 

@@ -9,6 +9,7 @@
 // entry, not a bench edit.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,9 +27,16 @@ inline constexpr Step kBusyEnd = 4680;     // 13:00
 inline constexpr Step kQuietBegin = 2160;  // 06:00
 inline constexpr Step kQuietEnd = 2520;    // 07:00
 
-/// Resolve a registry scenario and apply `key = value` overrides on top.
-/// Check-fails on unknown scenario names, keys, or invalid final specs, so
-/// a harness cannot silently drift off the registry.
+/// Resolve a registry scenario and apply `key = value` overrides on top:
+/// the valid spec, or nullopt with the reason in `error` for an unknown
+/// scenario name, key or value, or an invalid final spec.
+std::optional<scenario::ScenarioSpec> resolve_registry_spec(
+    const std::string& name, const std::vector<std::string>& overrides,
+    std::string* error);
+
+/// resolve_registry_spec for a harness's own fixed specs: check-fails
+/// where it returns nullopt, so a harness cannot silently drift off the
+/// registry.
 scenario::ScenarioSpec registry_spec(
     const std::string& name, const std::vector<std::string>& overrides = {});
 

@@ -61,6 +61,11 @@ OverlapStats cross_day_overlap(const std::vector<replay::GanttRecord>& gantt,
 }  // namespace
 
 int main(int argc, char** argv) {
+  auto usage = [&] {
+    std::fprintf(stderr, "usage: %s [max_days >= 1] [key=value ...]\n",
+                 argv[0]);
+    return 2;
+  };
   std::int32_t max_days = 7;
   std::vector<std::string> overrides;
   for (int i = 1; i < argc; ++i) {
@@ -68,14 +73,26 @@ int main(int argc, char** argv) {
     if (arg.find('=') == std::string::npos) {
       const char* end = arg.data() + arg.size();
       const auto [ptr, ec] = std::from_chars(arg.data(), end, max_days);
-      if (ec != std::errc() || ptr != end || max_days < 1) {
-        std::fprintf(stderr, "usage: %s [max_days >= 1] [key=value ...]\n",
-                     argv[0]);
-        return 2;
-      }
+      if (ec != std::errc() || ptr != end || max_days < 1) return usage();
     } else {
       overrides.push_back(arg);
     }
+  }
+  // Every episode's spec is resolved before the header prints, so a bad
+  // override ends in its error and the usage line.
+  std::vector<scenario::ScenarioSpec> specs;
+  for (std::int32_t days : {1, 2, 4, 7}) {
+    if (days > max_days) break;
+    std::vector<std::string> ov = overrides;
+    ov.push_back(strformat("days=%d", days));
+    std::string error;
+    const auto spec =
+        bench::resolve_registry_spec("metropolis_week", ov, &error);
+    if (!spec) {
+      std::fprintf(stderr, "error: %s\n", error.c_str());
+      return usage();
+    }
+    specs.push_back(*spec);
   }
 
   bench::print_header(
@@ -85,11 +102,8 @@ int main(int argc, char** argv) {
                     "vs sync", "oracle(s)", "metro x-day", "oracle x-day"},
                    widths);
 
-  for (std::int32_t days : {1, 2, 4, 7}) {
-    if (days > max_days) break;
-    std::vector<std::string> ov = overrides;
-    ov.push_back(strformat("days=%d", days));
-    const auto spec = bench::registry_spec("metropolis_week", ov);
+  for (const scenario::ScenarioSpec& spec : specs) {
+    const std::int32_t days = spec.days;
     const trace::SimulationTrace tr = scenario::ScenarioDriver(spec).build_trace();
     replay::ExperimentConfig cfg = bench::registry_platform(spec);
     cfg.record_gantt = true;
