@@ -29,6 +29,8 @@ namespace {
 struct ScalingFigure {
   const char* name;
   const char* platform_title;
+  // The title also names the populations run.
+  bool title_names_agents;
   replay::ExperimentConfig (*platform)(std::int32_t gpus);
   std::vector<int> gpus;
   // Adds the gpus and single-thread columns (single-thread runs once per
@@ -37,12 +39,11 @@ struct ScalingFigure {
 };
 
 const ScalingFigure kFigures[] = {
-    {"Figure 5", "Llama-3-8B on L4, agents 25..1000", bench::l4_llama8b,
-     {1, 8}, true},
-    {"Figure 6", "Llama-3-70B on 8x A100 (TP4 x DP2)", bench::a100_llama70b,
-     {8}, false},
-    {"Figure 7", "Mixtral-8x7B on 8x A100 (TP2 x DP4)", bench::a100_mixtral,
-     {8}, false},
+    {"Figure 5", "Llama-3-8B on L4", true, bench::l4_llama8b, {1, 8}, true},
+    {"Figure 6", "Llama-3-70B on 8x A100 (TP4 x DP2)", false,
+     bench::a100_llama70b, {8}, false},
+    {"Figure 7", "Mixtral-8x7B on 8x A100 (TP2 x DP4)", false,
+     bench::a100_mixtral, {8}, false},
 };
 
 }  // namespace
@@ -55,10 +56,15 @@ int main(int argc, char** argv) {
     const std::vector<int> widths = fig.single_thread
         ? std::vector<int>{7, 6, 14, 14, 14, 14, 12}
         : std::vector<int>{7, 14, 14, 14, 12};
+    std::string platform = fig.platform_title;
+    if (fig.title_names_agents) {
+      platform += strformat(", agents %d..%d", agent_counts.front(),
+                            agent_counts.back());
+    }
     for (const bool busy : {true, false}) {
       bench::print_header(strformat(
           "%s — %s hour, %s", fig.name,
-          busy ? "busy (12-1pm)" : "quiet (6-7am)", fig.platform_title));
+          busy ? "busy (12-1pm)" : "quiet (6-7am)", platform.c_str()));
       std::vector<std::string> header{"agents"};
       if (fig.single_thread) {
         header.insert(header.end(), {"gpus", "single-thread"});

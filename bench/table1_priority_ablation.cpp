@@ -12,11 +12,12 @@
 using namespace aimetro;
 
 int main(int argc, char** argv) {
-  const bool quick = bench::quick_flag(argc, argv);
-  bench::print_header(
-      "Table 1 — priority scheduling ablation (busy hour, 500 agents, L4)");
+  const int agents = bench::quick_flag(argc, argv) ? 100 : 500;
+  bench::print_header(strformat(
+      "Table 1 — priority scheduling ablation (busy hour, %d agents, L4)",
+      agents));
   const auto busy = bench::registry_window(bench::registry_spec(
-      bench::ville_scenario_name(quick ? 100 : 500),
+      bench::ville_scenario_name(agents),
       {strformat("window_begin=%d", bench::kBusyBegin),
        strformat("window_end=%d", bench::kBusyEnd)}));
   const std::vector<int> widths{18, 12, 12, 12, 12};
