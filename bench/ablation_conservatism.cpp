@@ -11,7 +11,7 @@ using namespace aimetro;
 int main() {
   bench::print_header(
       "Ablation — rule conservatism (busy hour, 100 agents, 8x L4)");
-  auto busy = bench::registry_window(bench::registry_spec(
+  const auto& busy = bench::registry_window(bench::registry_spec(
       bench::ville_scenario_name(100),
       {strformat("window_begin=%d", bench::kBusyBegin),
        strformat("window_end=%d", bench::kBusyEnd)}));

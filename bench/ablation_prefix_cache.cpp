@@ -12,7 +12,7 @@ int main() {
   bench::print_header(
       "Ablation — prefix cache on/off (busy hour, 25 agents, 4x L4)");
   // The registry entry's own window is exactly the busy hour.
-  const auto busy =
+  const auto& busy =
       bench::registry_window(bench::registry_spec("smallville_day"));
   const std::vector<int> widths{14, 12, 12, 10, 12};
   bench::print_row({"mode", "cache off", "cache on", "gain", "hit rate"},

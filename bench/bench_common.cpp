@@ -35,28 +35,25 @@ scenario::ScenarioSpec registry_spec(const std::string& name,
   return *spec;
 }
 
+const trace::SimulationTrace& registry_window(
+    const scenario::ScenarioSpec& spec) {
+  // Keyed on the full spec text: any knob that shapes the trace (map,
+  // agents, segments, profile, seed, scales, window) is part of the key.
+  static std::map<std::string, trace::SimulationTrace> cache;
+  const std::string key = spec.to_text();
+  auto it = cache.find(key);
+  if (it == cache.end()) {
+    it = cache.emplace(key, scenario::ScenarioDriver(spec).build_trace()).first;
+  }
+  return it->second;
+}
+
 const trace::SimulationTrace& registry_day_trace(
     const scenario::ScenarioSpec& spec) {
   scenario::ScenarioSpec day = spec;
   day.window_begin = -1;
   day.window_end = -1;
-  // Keyed on the full spec text: any knob that shapes the trace (map,
-  // agents, segments, profile, seed, scales) is part of the key.
-  static std::map<std::string, trace::SimulationTrace> cache;
-  const std::string key = day.to_text();
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    it = cache.emplace(key, scenario::ScenarioDriver(day).build_trace()).first;
-  }
-  return it->second;
-}
-
-trace::SimulationTrace registry_window(const scenario::ScenarioSpec& spec) {
-  const trace::SimulationTrace& day = registry_day_trace(spec);
-  if (spec.window_begin >= 0) {
-    return trace::slice(day, spec.window_begin, spec.window_end);
-  }
-  return day;
+  return registry_window(day);
 }
 
 replay::ExperimentConfig registry_platform(

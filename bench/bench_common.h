@@ -40,15 +40,17 @@ std::optional<scenario::ScenarioSpec> resolve_registry_spec(
 scenario::ScenarioSpec registry_spec(
     const std::string& name, const std::vector<std::string>& overrides = {});
 
-/// The full-episode trace of `spec` (its window cleared; `days` day
-/// episodes for multi-day specs), built by ScenarioDriver::build_trace
-/// and cached — harnesses slice several windows out of one generation.
-const trace::SimulationTrace& registry_day_trace(
+/// The trace of `spec`'s replay window (the whole episode when it has no
+/// window), built by ScenarioDriver::build_trace and cached by spec, so
+/// harnesses that replay one window on several platforms generate it
+/// once. Only the window's positions are kept.
+const trace::SimulationTrace& registry_window(
     const scenario::ScenarioSpec& spec);
 
-/// The spec's replay window of the cached full episode (the whole episode
-/// when the spec has no window).
-trace::SimulationTrace registry_window(const scenario::ScenarioSpec& spec);
+/// The full-episode trace of `spec` (its window cleared; `days` day
+/// episodes for multi-day specs), cached as registry_window caches.
+const trace::SimulationTrace& registry_day_trace(
+    const scenario::ScenarioSpec& spec);
 
 /// The DES platform cell `spec` describes (model/GPU resolved, TP x DP
 /// applied) — ScenarioDriver::experiment_config.

@@ -11,7 +11,7 @@ using namespace aimetro;
 int main() {
   bench::print_header(
       "Figure 1 — execution trace snippet (parallel-sync, 25 agents)");
-  const auto busy = bench::registry_window(bench::registry_spec(
+  const auto& busy = bench::registry_window(bench::registry_spec(
       "smallville_day",
       {strformat("window_begin=%d", bench::kBusyBegin),
        strformat("window_end=%d", bench::kBusyBegin + 40)}));

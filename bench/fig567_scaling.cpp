@@ -73,9 +73,9 @@ int main(int argc, char** argv) {
                     {"parallel-sync", "metropolis", "oracle", "gpu-limit"});
       bench::print_row(header, widths);
       for (int agents : agent_counts) {
-        // The day trace is cached, so each population is generated once
-        // for all three figures.
-        const auto window = bench::registry_window(bench::registry_spec(
+        // The window is cached, so each population's hour is generated
+        // once for all three figures.
+        const auto& window = bench::registry_window(bench::registry_spec(
             bench::ville_scenario_name(agents),
             {strformat("window_begin=%d", busy ? bench::kBusyBegin
                                                : bench::kQuietBegin),

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   bench::print_header(strformat(
       "Table 1 — priority scheduling ablation (busy hour, %d agents, L4)",
       agents));
-  const auto busy = bench::registry_window(bench::registry_spec(
+  const auto& busy = bench::registry_window(bench::registry_spec(
       bench::ville_scenario_name(agents),
       {strformat("window_begin=%d", bench::kBusyBegin),
        strformat("window_end=%d", bench::kBusyEnd)}));
