@@ -18,12 +18,12 @@
 // scoreboard's speed check.
 //
 // Probes center on agents, and most agents stay put from one probe to the
-// next, so each occupied node keeps the BFS order of its last walk: its
-// nodes in level order plus where each level ends. A ball centered on an
-// occupied node replays that order up to floor(r) — stamping each node's
-// level for hop_distance and collecting the occupied buckets, with no
-// neighbor scans — and the BFS continues from the last stored level only
-// when a deeper ball is asked for. An order depends only on the fixed
+// next, so each occupied node keeps the BFS order its walks have built:
+// the nodes in level order plus where each level ends. A ball centered
+// on an occupied node replays that order up to floor(r) — stamping each
+// node's level for hop_distance and collecting the occupied buckets, with
+// no neighbor scans — and the BFS continues from the last stored level
+// only when a deeper ball is asked for. An order depends only on the fixed
 // graph and its start node, so it never goes stale; it is released when
 // the node's last agent leaves, so at most one order is kept per occupied
 // node. Centers on empty nodes and hops_within walk a scratch order. The
