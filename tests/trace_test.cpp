@@ -216,7 +216,10 @@ TEST(Trace, GoldenBytesAreBitExact) {
   // over two days, the densest kick-off scan. Last, the day model both
   // generators share, end to end: the graph generator's whole day, once
   // homogeneous and once with a mixed population, and seven
-  // mixed-population grid days with carry-over.
+  // mixed-population grid days with carry-over. The graph generator's
+  // window also bounds its routine fill, so two windowed graph cells
+  // close the list: the mixed population at the registry window, and a
+  // window that ends exactly on the 12:00 hour boundary.
   const struct {
     const char* scenario;
     const char* overrides;
@@ -237,6 +240,11 @@ TEST(Trace, GoldenBytesAreBitExact) {
        "window_begin=-1 window_end=-1",
        0xe0f86bfe75a50954ULL},
       {"metropolis_week", "", 0xe938cb63a9175e3cULL},
+      {"social_net100",
+       "population=townsfolk:0.6,socialite:0.2,commuter:0.15,hermit:0.05",
+       0xab967c265005a1c6ULL},
+      {"social_net100", "window_begin=3960 window_end=4320",
+       0x3264dc2cf4404d95ULL},
   };
   for (const auto& cell : cells) {
     std::string error;
@@ -411,10 +419,12 @@ TEST(GraphTrace, SliceKeepsGraphFieldsAndSegmentsReject) {
 }
 
 TEST(GraphTrace, WindowedEqualsSliceOfFull) {
-  // Storing only the window's positions must reproduce slicing the
-  // whole-day trace byte for byte: the registry's busy window, a window
-  // at step 0, one ending at the last step, and -1 (the whole day), on a
-  // homogeneous and a heterogeneous population (the two Pass-B paths).
+  // Storing only the window's positions and filling routine calls only up
+  // to the window's last hour must reproduce slicing the whole-day trace
+  // byte for byte: the registry's busy window, a window at step 0, one
+  // ending at the last step, three at the 12:00 hour boundary, and -1 (the
+  // whole day), on a homogeneous and a heterogeneous population (the two
+  // Pass-B paths).
   const auto adjacency = world::newman_watts_graph(80, 4, 0.1, 17);
   GeneratorConfig homogeneous;
   homogeneous.n_agents = 8;
@@ -430,6 +440,9 @@ TEST(GraphTrace, WindowedEqualsSliceOfFull) {
       {4320, 4380},      // social_net<N>'s registry window
       {0, 90},           // at step 0
       {day - 90, day},   // ending at the last step
+      {3960, 4320},      // ending on an hour boundary
+      {4320, 4321},      // the first step of an hour
+      {4319, 4321},      // straddling 12:00
   };
   for (const GeneratorConfig& cfg : {homogeneous, mixed}) {
     // window_begin = -1 (the default) keeps the whole day.
