@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "common/check.h"
 
@@ -95,30 +97,62 @@ std::int64_t Rng::poisson(double lambda) {
   return std::max<std::int64_t>(0, static_cast<std::int64_t>(std::lround(v)));
 }
 
-double Rng::weight_total(const std::vector<double>& weights) {
-  AIM_CHECK(!weights.empty());
+WeightedTable::WeightedTable(std::vector<double> weights)
+    : weights_(std::move(weights)) {
+  AIM_CHECK(!weights_.empty());
+  prefix_.reserve(weights_.size());
   double total = 0.0;
-  for (double w : weights) {
+  for (double w : weights_) {
     AIM_CHECK(w >= 0.0);
     total += w;
+    prefix_.push_back(total);
   }
   AIM_CHECK_MSG(total > 0.0, "weighted_index: all weights are zero");
-  return total;
+  // The rounding bound, with u = 2^-53 and n weights. Each rounded
+  // addition or subtraction errs by at most u times its result, and one
+  // with a subnormal result is exact. Running sum i has i rounded
+  // additions, each result at most the total, so it differs from the exact
+  // prefix sum by at most i*u*total. For r in [0, total), every exact
+  // difference the scan rounds is at most twice the total in magnitude, so
+  // its remainder after i + 1 subtractions differs from r minus the exact
+  // prefix sum by at most 2(i + 1)*u*total. So when r is more than
+  // 3n*u*total from running sum i, the scan's remainder there has the sign
+  // of r minus that sum. The margin is 8n*u*total, which also covers the
+  // rounding of the margin and of the differences find() compares with it;
+  // the added subnormal step covers a product that underflows.
+  margin_ = total * (static_cast<double>(weights_.size()) * 0x1p-50) +
+            std::numeric_limits<double>::denorm_min();
+}
+
+std::size_t WeightedTable::scan(double r) const {
+  for (std::size_t i = 0; i < weights_.size(); ++i) {
+    r -= weights_[i];
+    if (r < 0.0) return i;
+  }
+  return weights_.size() - 1;
+}
+
+std::size_t WeightedTable::find(double r) const {
+  // Running sums and scan remainders are both monotone, so the scan picks
+  // index j when its remainder is still >= 0 after j subtractions and
+  // negative after j + 1; the last index needs only the first.
+  const std::size_t n = prefix_.size();
+  const std::size_t j = static_cast<std::size_t>(
+      std::upper_bound(prefix_.begin(), prefix_.end(), r) - prefix_.begin());
+  if (j < n && (j == 0 || r - prefix_[j - 1] >= margin_) &&
+      (j + 1 == n || prefix_[j] - r > margin_)) {
+    return j;
+  }
+  return scan(r);
 }
 
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  return weighted_index(weights, weight_total(weights));
+  const WeightedTable table(weights);
+  return table.scan(uniform() * table.total());
 }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights,
-                                double total) {
-  AIM_CHECK(!weights.empty() && total > 0.0);
-  double r = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r < 0.0) return i;
-  }
-  return weights.size() - 1;
+std::size_t Rng::weighted_index(const WeightedTable& table) {
+  return table.find(uniform() * table.total());
 }
 
 }  // namespace aimetro

@@ -3,12 +3,48 @@
 // All stochastic components (trace generator, tie-breaking, fake LLM) draw
 // from Rng so that a (seed, parameters) pair fully determines a workload.
 // xoshiro256** is small, fast, and has well-understood statistical quality.
+//
+// A weighted draw is defined by its subtractive scan: r = uniform() * total,
+// then the weights are subtracted from r in index order until it goes
+// negative. Trace bytes depend on every index the scan picks. A weight
+// vector drawn from many times goes into a WeightedTable, whose draw
+// binary-searches the running sums instead. Rounding can put the scan on
+// the other side of a sum only when r lies within a proved bound of it, and
+// there the table runs the scan itself, so it returns the scan's index
+// every time.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 namespace aimetro {
+
+/// A fixed weight vector prepared for many draws: its running sums in index
+/// order, computed once, so a draw costs a binary search, not a scan.
+class WeightedTable {
+ public:
+  /// Requires what Rng::weighted_index does: non-empty, non-negative, at
+  /// least one positive.
+  explicit WeightedTable(std::vector<double> weights);
+
+  /// The weights summed in index order: the scan's total.
+  double total() const { return prefix_.back(); }
+
+  /// The index the subtractive scan picks for the point r: the first i at
+  /// which r - w[0] - ... - w[i], rounded after every subtraction, is
+  /// negative, or the last index if none is.
+  std::size_t scan(double r) const;
+
+  /// scan(r), found as the first running sum above r. When r lies within
+  /// the rounding margin of that sum or of the one before it, this is
+  /// scan(r) itself.
+  std::size_t find(double r) const;
+
+ private:
+  std::vector<double> weights_;
+  std::vector<double> prefix_;  // prefix_[i] = prefix_[i - 1] + weights_[i]
+  double margin_ = 0.0;
+};
 
 /// Deterministic xoshiro256** generator with convenience distributions.
 /// Satisfies UniformRandomBitGenerator so it also plugs into <random>.
@@ -45,18 +81,13 @@ class Rng {
   /// Poisson via inversion for small lambda, normal approximation for large.
   std::int64_t poisson(double lambda);
 
-  /// Sample an index from non-negative weights (at least one positive).
+  /// Sample an index from non-negative weights (at least one positive) by
+  /// the subtractive scan.
   std::size_t weighted_index(const std::vector<double>& weights);
 
-  /// The same draw, given total = weight_total(weights) from the caller,
-  /// so a loop drawing from one vector sums and checks it only once.
-  /// Returns exactly the index weighted_index(weights) would.
-  std::size_t weighted_index(const std::vector<double>& weights,
-                             double total);
-
-  /// Sum of `weights` in index order, after checking what weighted_index
-  /// requires: non-empty, non-negative, at least one positive.
-  static double weight_total(const std::vector<double>& weights);
+  /// The same draw from a prepared table: one uniform, and exactly the
+  /// index weighted_index(<the table's weights>) would return.
+  std::size_t weighted_index(const WeightedTable& table);
 
   /// Fisher-Yates shuffle.
   template <typename T>

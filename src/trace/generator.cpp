@@ -342,8 +342,14 @@ class ConversationBook {
 
 /// Pass B: routine fill to hit the diurnal call-count profile. It depends
 /// only on schedules, profiles and the Pass-A calls, never on the world.
+/// Only calls at steps in [keep_begin, keep_end) are stored. The others are
+/// still drawn, token counts included, so each kept call draws what it
+/// would in a whole day. Nothing draws from `rng` after Pass B, so the fill
+/// stops at the first hour that starts at or after keep_end. Each hour
+/// draws its agents from a WeightedTable: a binary search over the hour's
+/// running sums, which picks exactly the agents the subtractive scan would.
 void fill_routine(std::vector<AgentSim>& sims, const GeneratorConfig& cfg,
-                  bool hetero, Rng& rng) {
+                  bool hetero, Step keep_begin, Step keep_end, Rng& rng) {
   const double total_target = cfg.target_calls_per_25_agents *
                               (static_cast<double>(cfg.n_agents) / 25.0);
 
@@ -428,6 +434,8 @@ void fill_routine(std::vector<AgentSim>& sims, const GeneratorConfig& cfg,
   // heavy-tailed task chain lengths reproduce that sparsity, which is what
   // limits lock-step parallelism in the first place.
   for (std::size_t h = 0; h < 24; ++h) {
+    const Step h0 = static_cast<Step>(h * kStepsPerHour);
+    if (h0 >= keep_end) break;
     double deficit = target_by_hour[h] - existing[h];
     const auto& candidates = awake_by_hour[h];
     if (candidates.empty()) continue;
@@ -446,12 +454,11 @@ void fill_routine(std::vector<AgentSim>& sims, const GeneratorConfig& cfg,
             1e-6, sims[idx].profile->hourly_weights[h] / agent_curve_sum[idx]);
       }
     }
-    const Step h0 = static_cast<Step>(h * kStepsPerHour);
     // The weights are fixed for the hour: sum them once, not per draw.
-    const double weight_total = Rng::weight_total(weights);
+    const WeightedTable table(std::move(weights));
     while (deficit >= 1.0) {
       AgentSim& a = sims[static_cast<std::size_t>(
-          candidates[rng.weighted_index(weights, weight_total)])];
+          candidates[rng.weighted_index(table)])];
       // Busy hours feature heavy multi-call tasks (long conversations,
       // deep planning); quiet hours are mostly uniform one-or-two-call
       // routines — the §4.3 contrast that makes lock-step sync cheap at
@@ -481,13 +488,17 @@ void fill_routine(std::vector<AgentSim>& sims, const GeneratorConfig& cfg,
         burst = 1 + static_cast<int>(rng.poisson(1.0));  // routine check
       }
       burst = std::min(burst, 24);
+      const bool keep = s >= keep_begin && s < keep_end;
       for (int k = 0; k < burst; ++k) {
         const CallType type = kBurstPattern[k % 4];
-        a.calls.push_back(
-            LlmCall{a.id, s, 0, type,
-                    sample_tokens(rng, routine_input_mean, 0.45, 48, 3000),
-                    sample_tokens(rng, kBurstOutMean[k % 4], 0.4, 3, 120),
-                    prompt_hash_for(a.id, type, -1), -1});
+        const std::int32_t input =
+            sample_tokens(rng, routine_input_mean, 0.45, 48, 3000);
+        const std::int32_t output =
+            sample_tokens(rng, kBurstOutMean[k % 4], 0.4, 3, 120);
+        if (keep) {
+          a.calls.push_back(LlmCall{a.id, s, 0, type, input, output,
+                                    prompt_hash_for(a.id, type, -1), -1});
+        }
       }
       deficit -= burst;
     }
@@ -742,7 +753,7 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
     }
   }
 
-  fill_routine(sims, cfg, hetero, rng);
+  fill_routine(sims, cfg, hetero, 0, day, rng);
 
   SimulationTrace out;
   out.map_width = map.width();
@@ -860,8 +871,11 @@ SimulationTrace generate_social_graph(world::CsrGraph graph,
 
   Rng rng(cfg.seed);
   const Step day = cfg.steps_per_day;
-  // Positions are kept for steps [keep_begin, keep_end] only. The walk
-  // still covers the whole day, so every RNG draw stays where it was.
+  // Positions are kept for steps [keep_begin, keep_end] only, and Pass B's
+  // routine calls for steps [keep_begin, keep_end). Pass A still walks the
+  // whole day, since Pass B draws from the same stream after it and sizes
+  // each hour's fill by every Pass-A call; Pass B stops after the window's
+  // last hour. So every RNG draw a kept byte depends on stays where it was.
   const Step keep_begin = windowed ? window_begin : 0;
   const Step keep_end = windowed ? window_end : day;
   auto record_position = [&](AgentSim& a, Step step) {
@@ -903,10 +917,13 @@ SimulationTrace generate_social_graph(world::CsrGraph graph,
     record_position(a, 0);
   }
 
-  // Node buckets reused across steps (cleared through the touched list, so
-  // a step costs O(population), not O(nodes)).
-  std::vector<std::vector<AgentId>> node_bucket(
-      static_cast<std::size_t>(n_nodes));
+  // Each step's kick-off lists, one per node, as flat links: a node's
+  // first and last listed agent, and each listed agent's successor. Only
+  // the nodes in `touched` have a list, and the kick-off clears their
+  // heads, so a step costs O(population), not O(nodes).
+  std::vector<AgentId> list_head(static_cast<std::size_t>(n_nodes), -1);
+  std::vector<AgentId> list_tail(static_cast<std::size_t>(n_nodes), -1);
+  std::vector<AgentId> list_next(sims.size(), -1);
   std::vector<std::int32_t> touched;
 
   // ---- Pass A: movement, conversations, wake-up planning, reflections ----
@@ -921,6 +938,11 @@ SimulationTrace generate_social_graph(world::CsrGraph graph,
     // neighbor, funneling the population onto hub nodes. Each hop is
     // checked against the sorted adjacency here, where it is made, since
     // a windowed trace's validate() sees only the window's positions.
+    // The agents that move are exactly the awake idle ones the kick-off
+    // pairs, and their nodes are final once they have moved, so the same
+    // pass lists them: by node, in agent-id order, with nodes in the order
+    // their first agent reaches them.
+    touched.clear();
     for (auto& a : sims) {
       const bool asleep = s < a.wake || s >= a.sleep;
       if (asleep || a.conversing_until >= s) {
@@ -949,33 +971,36 @@ SimulationTrace generate_social_graph(world::CsrGraph graph,
         }
       }
       record_position(a, s + 1);
+      const auto node = static_cast<std::size_t>(a.tile.x);
+      if (list_head[node] < 0) {
+        list_head[node] = a.id;
+        touched.push_back(a.tile.x);
+      } else {
+        list_next[static_cast<std::size_t>(list_tail[node])] = a.id;
+      }
+      list_tail[node] = a.id;
+      list_next[static_cast<std::size_t>(a.id)] = -1;
     }
 
-    // Conversation kick-off: same-node awake idle agents, paired within
-    // their node bucket. Filling buckets in agent-id order keeps the pair
-    // stream deterministic and avoids the grid generator's O(n^2) pair
-    // scan, which would not survive 10k agents.
-    touched.clear();
-    for (const auto& a : sims) {
-      if (s < a.wake || s >= a.sleep || a.conversing_until >= s) continue;
-      auto& bucket = node_bucket[static_cast<std::size_t>(a.tile.x)];
-      if (bucket.empty()) touched.push_back(a.tile.x);
-      bucket.push_back(a.id);
-    }
+    // Conversation kick-off: same-node awake idle agents, paired along
+    // their node's list. Agent-id order keeps the pair stream
+    // deterministic and avoids the grid generator's O(n^2) pair scan,
+    // which would not survive 10k agents.
     for (std::int32_t node : touched) {
-      auto& bucket = node_bucket[static_cast<std::size_t>(node)];
-      for (std::size_t bi = 0; bi + 1 < bucket.size(); ++bi) {
-        if (book.try_start(sims[static_cast<std::size_t>(bucket[bi])],
-                           sims[static_cast<std::size_t>(bucket[bi + 1])], s,
-                           rng)) {
-          ++bi;  // the partner is taken; move past it
-        }
+      AgentId x = list_head[static_cast<std::size_t>(node)];
+      while (x >= 0 && list_next[static_cast<std::size_t>(x)] >= 0) {
+        const AgentId y = list_next[static_cast<std::size_t>(x)];
+        // A started pair is taken; the next pair starts past the partner.
+        x = book.try_start(sims[static_cast<std::size_t>(x)],
+                           sims[static_cast<std::size_t>(y)], s, rng)
+                ? list_next[static_cast<std::size_t>(y)]
+                : y;
       }
-      bucket.clear();
+      list_head[static_cast<std::size_t>(node)] = -1;
     }
   }
 
-  fill_routine(sims, cfg, hetero, rng);
+  fill_routine(sims, cfg, hetero, keep_begin, keep_end, rng);
 
   SimulationTrace out;
   out.map_width = n_nodes;

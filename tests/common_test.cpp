@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/check.h"
@@ -113,28 +114,62 @@ TEST(Rng, WeightedIndexRespectsWeights) {
   EXPECT_THROW(rng.weighted_index({}), CheckError);
 }
 
-TEST(Rng, WeightedIndexWithPrecomputedTotalDrawsTheSameIndexes) {
-  // The trace generators sum a weight vector once and then draw from it
-  // many times; the trace bytes depend on every index being the one the
-  // summing form returns. 100 random vectors x 100 draws on twin streams.
+TEST(Rng, WeightedTableDrawsTheScansIndexes) {
+  // The trace generators draw from one weight vector many times through a
+  // WeightedTable; the trace bytes depend on every index being the one the
+  // subtractive scan picks. Random vectors of five shapes, each checked
+  // with draws from twin streams and with points exactly on, and one ulp
+  // either side of, every running sum, where rounding decides the scan.
   Rng gen(29);
-  Rng summing(31);
-  Rng precomputed(31);
-  for (int round = 0; round < 100; ++round) {
-    std::vector<double> w(static_cast<std::size_t>(gen.uniform_int(1, 200)));
-    for (double& x : w) {
-      x = gen.bernoulli(0.2) ? 0.0 : std::exp(gen.normal(0.0, 2.0));
+  Rng scanning(31);
+  Rng searching(31);
+  const double kTiny = std::numeric_limits<double>::denorm_min();
+  auto weight = [&](int shape) {
+    if (gen.bernoulli(0.15)) return 0.0;
+    switch (shape) {
+      case 0:  // the homogeneous fill's skew
+        return std::exp(gen.normal(0.0, 0.6));
+      case 1:  // the heterogeneous fill's curve shares, down to 1e-6
+        return std::exp(gen.normal(0.0, 0.6)) *
+               (gen.bernoulli(0.5) ? 1e-6 : gen.uniform(1e-6, 0.2));
+      case 2:  // exponents spread +-60
+        return std::ldexp(gen.uniform(1.0, 2.0),
+                          static_cast<int>(gen.uniform_int(-60, 60)));
+      default:  // subnormal
+        return kTiny * static_cast<double>(gen.uniform_int(1, 1 << 20));
     }
+  };
+  std::size_t draws = 0;
+  for (int round = 0; round < 4000; ++round) {
+    const int shape = round % 5;
+    // Shape 4 is n = 1; the others draw n up to 400.
+    const auto n = static_cast<std::size_t>(
+        shape == 4 ? 1 : gen.uniform_int(1, 400));
+    std::vector<double> w(n);
+    for (double& x : w) x = weight(shape == 4 ? 0 : shape);
     w[static_cast<std::size_t>(gen.uniform_int(
-        0, static_cast<std::int64_t>(w.size()) - 1))] += 1.0;
-    const double total = Rng::weight_total(w);
-    for (int draw = 0; draw < 100; ++draw) {
-      ASSERT_EQ(summing.weighted_index(w), precomputed.weighted_index(w, total))
+        0, static_cast<std::int64_t>(n) - 1))] += shape == 3 ? kTiny : 1e-6;
+    const WeightedTable table(w);
+    for (int draw = 0; draw < 100; ++draw, ++draws) {
+      ASSERT_EQ(scanning.weighted_index(w), searching.weighted_index(table))
           << "round " << round << " draw " << draw;
     }
+    double sum = 0.0;
+    for (double x : w) {
+      sum += x;
+      for (const double r :
+           {std::nextafter(sum, 0.0), sum, std::nextafter(sum, 2.0 * sum)}) {
+        ASSERT_EQ(table.scan(r), table.find(r))
+            << "round " << round << " point " << r << " of total "
+            << table.total();
+        ++draws;
+      }
+    }
   }
-  EXPECT_THROW(Rng::weight_total({0.0, 0.0}), CheckError);
-  EXPECT_THROW(Rng::weight_total({1.0, -1.0}), CheckError);
+  EXPECT_GT(draws, 2'000'000u);
+  EXPECT_THROW(WeightedTable({}), CheckError);
+  EXPECT_THROW(WeightedTable({0.0, 0.0}), CheckError);
+  EXPECT_THROW(WeightedTable({1.0, -1.0}), CheckError);
 }
 
 TEST(TimeWeightedStat, PiecewiseConstantAverage) {
