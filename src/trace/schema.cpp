@@ -76,6 +76,9 @@ void SimulationTrace::validate() const {
                     "agent " << i << " position out of bounds");
     }
     for (std::size_t s = 0; s + 1 < a.positions.size(); ++s) {
+      // The move from positions[s] to positions[s + 1], named by the
+      // absolute step it is made at.
+      const Step step = start_step + static_cast<Step>(s);
       if (graph) {
         // Graph speed rule: stay put, or hop one edge when max_vel allows
         // a whole hop (hop distances are integral, so max_vel below 1
@@ -86,14 +89,14 @@ void SimulationTrace::validate() const {
         AIM_CHECK_MSG(hops_allowed && adjacent(from, to),
                       "agent " << i << " jumped from node " << from
                                << " to non-adjacent node " << to
-                               << " at step " << s);
+                               << " at step " << step);
         continue;
       }
       const double d =
           chebyshev(a.positions[s].center(), a.positions[s + 1].center());
       AIM_CHECK_MSG(d <= max_vel + 1e-9,
                     "agent " << i << " moved " << d << " > max_vel at step "
-                             << s);
+                             << step);
     }
     for (std::size_t c = 0; c < a.calls.size(); ++c) {
       const LlmCall& call = a.calls[c];

@@ -486,6 +486,33 @@ TEST(GraphTrace, ValidateCatchesNonEdgeHopsAndBadBounds) {
     EXPECT_THROW(bad.validate(), CheckError);
   }
   {
+    // A window's message names the absolute step of the bad hop, not its
+    // index into the window's positions.
+    SimulationTrace bad = slice(trace, 4320, 4680);
+    auto& positions = bad.agents[0].positions;
+    const std::int32_t from = positions[10].x;
+    const auto nbrs = bad.graph_adjacency.neighbors(from);
+    std::int32_t far = -1;
+    for (std::int32_t v = 0; v < bad.map_width; ++v) {
+      if (v != from && !std::binary_search(nbrs.begin(), nbrs.end(), v)) {
+        far = v;
+        break;
+      }
+    }
+    ASSERT_GE(far, 0);
+    positions[11] = Tile{far, 0};
+    try {
+      bad.validate();
+      ADD_FAILURE() << "a non-edge hop must fail";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("to non-adjacent node " +
+                                           std::to_string(far) +
+                                           " at step 4330"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  {
     // Graph traces carry map dims = nodes x 1.
     SimulationTrace bad = trace;
     bad.map_height = 2;
@@ -605,9 +632,24 @@ TEST(Serialize, RejectsUnknownCallTypes) {
 
 TEST(Validate, CatchesSpeedViolations) {
   SimulationTrace trace = day_trace(1, 4);
+  // A window's message names the absolute step of the move, not its index
+  // into the window's positions.
+  SimulationTrace window = slice(trace, 4320, 4680);
   trace.agents[0].positions[100] = Tile{0, 0};
   trace.agents[0].positions[101] = Tile{50, 50};
   EXPECT_THROW(trace.validate(), CheckError);
+  auto& positions = window.agents[0].positions;
+  const Tile from = positions[10];
+  positions[11] =
+      Tile{from.x + 3 < window.map_width ? from.x + 3 : from.x - 3, from.y};
+  try {
+    window.validate();
+    ADD_FAILURE() << "a 3-tile move must fail";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("moved 3 > max_vel at step 4330"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Validate, CatchesUnsortedCalls) {
