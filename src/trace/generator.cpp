@@ -548,6 +548,9 @@ SimulationTrace assemble(SimulationTrace out, const GeneratorConfig& cfg,
                                  return outside_window(c.step);
                                }),
                 calls.end());
+    // A window keeps a small share of the day's Pass-A calls: the trace
+    // gives back the capacity the rest took (likewise for interactions).
+    if (windowed) calls.shrink_to_fit();
     at.calls = std::move(calls);
   }
   std::sort(interactions.begin(), interactions.end(),
@@ -563,6 +566,7 @@ SimulationTrace assemble(SimulationTrace out, const GeneratorConfig& cfg,
                                       return outside_window(in.step);
                                     }),
                      interactions.end());
+  if (windowed) interactions.shrink_to_fit();
   out.interactions = std::move(interactions);
   out.validate();
   return out;
