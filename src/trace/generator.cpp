@@ -454,7 +454,8 @@ void fill_routine(std::vector<AgentSim>& sims, const GeneratorConfig& cfg,
             1e-6, sims[idx].profile->hourly_weights[h] / agent_curve_sum[idx]);
       }
     }
-    // The weights are fixed for the hour: sum them once, not per draw.
+    // The weights are fixed for the hour: their running sums are built
+    // once, not per draw.
     const WeightedTable table(std::move(weights));
     while (deficit >= 1.0) {
       AgentSim& a = sims[static_cast<std::size_t>(

@@ -124,6 +124,7 @@ TEST(Rng, WeightedTableDrawsTheScansIndexes) {
   Rng scanning(31);
   Rng searching(31);
   const double kTiny = std::numeric_limits<double>::denorm_min();
+  const double kInf = std::numeric_limits<double>::infinity();
   auto weight = [&](int shape) {
     if (gen.bernoulli(0.15)) return 0.0;
     switch (shape) {
@@ -158,7 +159,7 @@ TEST(Rng, WeightedTableDrawsTheScansIndexes) {
     for (double x : w) {
       sum += x;
       for (const double r :
-           {std::nextafter(sum, 0.0), sum, std::nextafter(sum, 2.0 * sum)}) {
+           {std::nextafter(sum, -kInf), sum, std::nextafter(sum, kInf)}) {
         ASSERT_EQ(table.scan(r), table.find(r))
             << "round " << round << " point " << r << " of total "
             << table.total();
