@@ -35,11 +35,13 @@ std::vector<MetroController::Routed> MetroController::pop_ready() {
 }
 
 MetroController::Path MetroController::classify(const Moves& moves) const {
-  // The floor is sampled once, so classification and the interior commit
-  // bound their probe radii identically; it can only lag the true
-  // minimum, which widens the (exactly filtered) probes.
+  // One strip: every commit is cross, and no floor is read. Otherwise the
+  // floor is sampled once, so classification and the interior commit
+  // bound their probe radii identically (the header says why it stays a
+  // lower bound).
   Path path;
-  path.floor = floor_.load(std::memory_order_acquire);
+  if (board_.shards() == 1) return path;
+  path.floor = board_.min_step();
   path.strip = board_.local_commit_shard(moves, path.floor);
   return path;
 }
@@ -55,7 +57,6 @@ std::vector<MetroController::Routed> MetroController::commit_interior(
 std::vector<MetroController::Routed> MetroController::commit_cross(
     const Moves& moves) {
   board_.commit(moves);
-  floor_.store(board_.min_step(), std::memory_order_release);
   return route(board_.pop_ready_clusters());
 }
 

@@ -15,8 +15,18 @@
 //                             plus atomics.
 //   commit_interior(path,…) — strip-local commit bounded by the probe
 //                             floor classify sampled; pops strip s only.
-//   commit_cross(moves)     — whole-board commit: refreshes the floor,
-//                             pops every strip.
+//   commit_cross(moves)     — whole-board commit against the exact
+//                             minimum; pops every strip.
+//
+// The probe floor is the board's published minimum
+// (Scoreboard::min_step(), a minimum over per-strip atomics), read in
+// classify on boards with more than one strip. It is a valid bound for
+// the whole interior commit: under the shared topology hold only
+// interior commits run, each moves its own strip's agents forward, so
+// every strip's minimum only rises; agents change strips only in cross
+// commits, which hold the board exclusively. So the minimum read in
+// classify stays a lower bound until the commit lands. On the DES,
+// which runs the phases single-threaded, it equals min_step().
 //
 // Synchronization is the caller's (the engine's header comment spells
 // out its locks): interior commits on distinct strips may run
@@ -27,7 +37,6 @@
 // observable result.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -49,7 +58,8 @@ class MetroController {
   };
 
   /// classify()'s verdict. strip >= 0: commit_interior on that strip,
-  /// with `floor` bounding the probes; strip = -1: commit_cross.
+  /// with `floor` (the min_step() classify read) bounding the probes;
+  /// strip = -1: commit_cross.
   struct Path {
     std::int32_t strip = -1;
     Step floor = 0;
@@ -73,8 +83,7 @@ class MetroController {
   /// and the board shared.
   std::vector<Routed> commit_interior(const Path& path, const Moves& moves);
 
-  /// Cross commit: refreshes the probe floor, pops all strips. Board
-  /// exclusive.
+  /// Cross commit: pops all strips. Board exclusive.
   std::vector<Routed> commit_cross(const Moves& moves);
 
   /// Post-run (or board-exclusive) inspection.
@@ -86,9 +95,6 @@ class MetroController {
   std::vector<Routed> route(std::vector<AgentCluster> ready) const;
 
   Scoreboard board_;
-  /// Monotonic lower bound on min_step(), refreshed by cross commits
-  /// (the only ones that may read every strip's live-step counts).
-  std::atomic<Step> floor_{0};
 };
 
 }  // namespace aimetro::core

@@ -233,10 +233,10 @@ double Scoreboard::probe_distance(const Pos& center, const Pos& p) const {
                            : metric_->distance(center, p);
 }
 
-Step Scoreboard::min_live_step() const {
+Step Scoreboard::min_step() const {
   Step best = target_step_;
   for (std::int32_t s = 0; s < shards_; ++s) {
-    best = std::min(best, shard(s).live_min);
+    best = std::min(best, shard(s).live_min.load(std::memory_order_acquire));
   }
   return best;
 }
@@ -248,7 +248,9 @@ void Scoreboard::live_step_add(ShardData& sd, Step step) {
   // strip has held rather than the whole horizon up front.
   if (k >= sd.live_steps.size()) sd.live_steps.resize(k + 1, 0);
   ++sd.live_steps[k];
-  sd.live_min = std::min(sd.live_min, step);
+  if (step < sd.live_min.load(std::memory_order_acquire)) {
+    sd.live_min.store(step, std::memory_order_release);
+  }
 }
 
 void Scoreboard::live_step_remove(ShardData& sd, Step step) {
@@ -256,16 +258,20 @@ void Scoreboard::live_step_remove(ShardData& sd, Step step) {
             static_cast<std::size_t>(step) < sd.live_steps.size());
   std::int32_t& count = sd.live_steps[static_cast<std::size_t>(step)];
   AIM_CHECK(count > 0);
-  if (--count != 0 || step != sd.live_min) return;
+  if (--count != 0 || step != sd.live_min.load(std::memory_order_acquire)) {
+    return;
+  }
   // The cursor scans up only past steps this strip has emptied
   // (live_step_add moves it down only to an occupied step). Past the end
-  // of the array the strip holds no live agent.
+  // of the array the strip holds no live agent. The scan runs on a local
+  // copy, so a concurrent min_step() sees only the final value.
   const auto end = static_cast<Step>(sd.live_steps.size());
-  while (sd.live_min < end &&
-         sd.live_steps[static_cast<std::size_t>(sd.live_min)] == 0) {
-    ++sd.live_min;
+  Step min = step;
+  while (min < end && sd.live_steps[static_cast<std::size_t>(min)] == 0) {
+    ++min;
   }
-  if (sd.live_min == end) sd.live_min = target_step_;
+  sd.live_min.store(min == end ? target_step_ : min,
+                    std::memory_order_release);
 }
 
 void Scoreboard::update_border_registration(AgentId id, Step floor) {
@@ -663,7 +669,7 @@ void Scoreboard::commit(const std::vector<std::pair<AgentId, Pos>>& moves,
   // during phase 1, so the sample stays a valid lower bound, and a lower
   // floor merely widens probe boxes (the exact predicates filter the
   // extras — observable state is floor-independent).
-  const Step floor = probe_floor >= 0 ? probe_floor : min_live_step();
+  const Step floor = probe_floor >= 0 ? probe_floor : min_step();
   // The commit's strip: every member is homed in it before and after an
   // interior commit, and a cross commit holds the whole board.
   ShardData& scratch =
@@ -763,8 +769,6 @@ std::vector<AgentId> Scoreboard::cluster_of(AgentId id) const {
   if (node.cluster < 0) return {};
   return cluster_rec(node.cluster).members;
 }
-
-Step Scoreboard::min_step() const { return min_live_step(); }
 
 ScoreboardStats Scoreboard::stats() const {
   ScoreboardStats out;
@@ -905,7 +909,7 @@ void Scoreboard::check_invariants() const {
       static_cast<std::size_t>(shards_),
       std::vector<std::int32_t>(static_cast<std::size_t>(target_step_), 0));
   std::size_t live = 0;
-  const Step floor = min_live_step();
+  const Step floor = min_step();
   for (std::size_t i = 0; i < agents_.size(); ++i) {
     const AgentNode& node = agents_[i];
     const auto id = static_cast<AgentId>(i);
@@ -947,7 +951,8 @@ void Scoreboard::check_invariants() const {
     AIM_CHECK_MSG(counts == held, "live-step count drift in strip " << s);
     const auto first = std::find_if(counts.begin(), counts.end(),
                                     [](std::int32_t c) { return c > 0; });
-    AIM_CHECK_MSG(shard(s).live_min == first - counts.begin(),
+    AIM_CHECK_MSG(shard(s).live_min.load(std::memory_order_acquire) ==
+                      first - counts.begin(),
                   "live-step min cursor drift in strip " << s);
     if (use_index()) indexed_total += shard(s).live_index.size();
     if (shards_ > 1) {

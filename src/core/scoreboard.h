@@ -139,11 +139,11 @@ class Scoreboard {
   /// Members advance to step+1 (or Done at target_step).
   ///
   /// `probe_floor` is a lower bound on min_step() used to bound the
-  /// blocking-radius probes; -1 (the default) reads the exact live
-  /// minimum. A concurrent caller passes its own monotonic floor so a
-  /// strip-local commit never reads the other strips' live-step counts;
-  /// a looser floor only widens the probe boxes (the exact predicates
-  /// filter the extras), so results are identical for any valid floor.
+  /// blocking-radius probes; -1 (the default) reads min_step() here. An
+  /// interior commit passes the floor its classification sampled, so
+  /// both bound their boxes identically; a looser floor only widens the
+  /// probe boxes (the exact predicates filter the extras), so results
+  /// are identical for any valid floor.
   void commit(const std::vector<std::pair<AgentId, Pos>>& moves,
               Step probe_floor = -1);
 
@@ -188,8 +188,11 @@ class Scoreboard {
   /// Members of the idle cluster containing `id` (empty if not idle).
   std::vector<AgentId> cluster_of(AgentId id) const;
   /// Smallest step any agent is still about to execute (target_step once
-  /// everyone is done). A lazily-combined min over the per-strip
-  /// incrementally-maintained minimums: O(shards).
+  /// everyone is done): the minimum of the strips' published minima,
+  /// O(shards) and lock-free. While the board is held shared only
+  /// interior commits run, and each only raises its own strip's minimum,
+  /// so a value read then stays a lower bound until the next cross
+  /// commit (core::MetroController samples it as the probe floor).
   Step min_step() const;
   /// Stats rolled up across strips (sums, except max_concurrent_running
   /// which is a max of per-dispatch snapshots of the global counter).
@@ -274,9 +277,11 @@ class Scoreboard {
     /// Live agents homed here per step (index = step; at most
     /// target_step entries, grown on demand) and the smallest step with
     /// a nonzero count (target_step when none) — this strip's min.
-    /// Maintained in every mode: min_step() and the radius bound read it.
+    /// Maintained in every mode. live_min is published: only this
+    /// strip's commits (and cross commits) store it, and min_step()
+    /// reads it from any strip without a lock.
     std::vector<std::int32_t> live_steps;
-    Step live_min;
+    std::atomic<Step> live_min;
     /// The cluster slab: cid >> 6 indexes it (the low 6 bits name the
     /// strip). Freed slots go on free_slots and are reused first.
     std::vector<ClusterRec> clusters;
@@ -347,10 +352,6 @@ class Scoreboard {
   /// the same as the metric against any threshold no larger than the
   /// probe radius.
   double probe_distance(const Pos& center, const Pos& p) const;
-  /// Smallest step among live (non-done) agents; target_step when all
-  /// done. The tight bound for the blocking-radius box probe. Reads
-  /// every strip — concurrent commits pass probe_floor instead.
-  Step min_live_step() const;
   /// Count one more (fewer) live agent at `step` in `sd`, moving the
   /// strip's min cursor down (up past emptied steps).
   void live_step_add(ShardData& sd, Step step);

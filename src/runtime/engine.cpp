@@ -152,8 +152,7 @@ void Engine::execute_cluster(core::AgentCluster cluster) {
       }
       if (!path.interior()) {
         // Exclusive over the whole board (with shards=1 every commit
-        // lands here) — the only hold under which the controller may
-        // read every strip and refresh the floor.
+        // lands here) — the only hold under which agents change strips.
         common::WriterLock tlock(topology_mutex_);
         const auto acquired = std::chrono::steady_clock::now();
         wait_us = elapsed_us(wait_begin, acquired);

@@ -24,7 +24,11 @@
 //   cross-shard commit — anything near a strip border (or with
 //     shards=1, everything) holds topology_mutex_ EXCLUSIVE, which
 //     excludes every interior commit: exactly the old global-commit-lock
-//     behavior. commit_cross() refreshes the probe floor.
+//     behavior, and the only hold under which agents change strips.
+//
+// classify() runs under the shared hold, so the probe floor it reads
+// (the strips' published minima) stays a lower bound through the
+// interior commit that follows (core/metro_controller.h says why).
 //
 // World writes serialize on the world's own shared_mutex, outside any
 // engine lock. Lock order: engine.topology -> engine.shard -> task_pool ->

@@ -357,6 +357,8 @@ TEST(Replay, GoldenOutputsAreBitExact) {
 struct PathCounts {
   std::uint64_t interior = 0;
   std::uint64_t cross = 0;
+  /// Interior commits whose sampled floor was below the board's minimum.
+  std::uint64_t lagging = 0;
 };
 
 /// Runs `ctl` to completion single-threaded, calling its phases as the DES
@@ -385,6 +387,7 @@ PathCounts drive_single_threaded(
     const core::MetroController::Path path = ctl.classify(moves);
     if (path.interior()) {
       ++counts.interior;
+      if (path.floor != ctl.scoreboard().min_step()) ++counts.lagging;
       push(ctl.commit_interior(path, moves));
     } else {
       ++counts.cross;
@@ -435,6 +438,38 @@ TEST(MetroController, ShardedDesTakesInteriorCommitsAndKeepsTheSchedule) {
       });
   EXPECT_GT(counts.interior, 0u);
   EXPECT_GT(counts.cross, 0u);
+}
+
+TEST(MetroController, InteriorCommitsProbeFromTheLiveMinimum) {
+  // Strips that keep most commits interior must still probe from the
+  // board's minimum: a floor below it widens every probe box of the
+  // commit. Four strips over skewed_ville100's midnight window, driven
+  // as the DES drives the controller.
+  std::string error;
+  auto spec = scenario::find_scenario("skewed_ville100", &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  spec->shards = 4;
+  spec->window_begin = 8620;
+  spec->window_end = 8660;
+  const scenario::ScenarioDriver driver(*spec);
+  const trace::SimulationTrace tr = driver.build_trace();
+  const ExperimentConfig cfg = driver.experiment_config();
+  std::vector<Pos> initial;
+  for (AgentId a = 0; a < tr.n_agents; ++a) {
+    initial.push_back(tr.position_at(a, tr.start_step).center());
+  }
+  core::MetroController ctl(core::DependencyParams{tr.radius_p, tr.max_vel},
+                            nullptr, std::move(initial), tr.n_steps,
+                            cfg.scan_mode, cfg.shards, cfg.partition);
+  ASSERT_EQ(ctl.shards(), 4);
+  const PathCounts counts =
+      drive_single_threaded(ctl, [&tr](AgentId a, Step step) {
+        return tr.position_at(a, tr.start_step + step + 1).center();
+      });
+  EXPECT_GT(counts.interior, 0u);
+  EXPECT_EQ(counts.lagging, 0u)
+      << counts.lagging << " of " << counts.interior
+      << " interior commits probed from a floor below min_step()";
 }
 
 }  // namespace

@@ -259,10 +259,12 @@ inline void run_differential_case(const DiffCase& c) {
       moves.emplace_back(m, pos);
     }
     if (shape.shards > 1 && rng.bernoulli(0.5)) {
-      // Exercise the floored-probe path the threaded engine's interior
-      // commits use (plus the boundary classifier, for crash coverage):
-      // a lower floor may only widen probes, never change state.
-      const Step floor = indexed.min_step();
+      // Exercise the floored-probe path interior commits use (plus the
+      // boundary classifier, for crash coverage) with any lower bound on
+      // min_step(), as a caller keeping its own lagging floor passes: a
+      // lower floor may only widen probes, never change state.
+      const auto floor =
+          static_cast<Step>(rng.uniform_int(0, indexed.min_step()));
       (void)indexed.local_commit_shard(moves, floor);
       indexed.commit(moves, floor);
     } else {
