@@ -156,81 +156,6 @@ void BM_ShardedCommit(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedCommit)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 
-// The same engine-commit workload under a hotspot: 95% of the 10k agents
-// start in the leftmost quarter of an 8192-wide arena, so equal-width
-// strips hand two of the eight pools ~4x their share of the commits
-// while the eastern pools idle. The hot band is kept wide relative to
-// the ~15-tile confinement radius so population quantiles (~270-wide hot
-// strips) still classify almost every commit as interior — the cuts
-// move load, they must not convert it into cross-shard escalations.
-// Variants:
-//   width       static equal-width strips (the degenerate baseline);
-//   population  boundaries at population quantiles of the initial
-//               positions (hot band split across all strips up front).
-// Both commit the identical moves; digests are checked equal in CI, so
-// the only thing moving here is commit wall-time.
-void BM_ShardedCommitSkewed(benchmark::State& state,
-                            world::PartitionKind partition) {
-  const auto shards = static_cast<std::int32_t>(state.range(0));
-  constexpr int kAgents = 10000;
-  constexpr int kHot = kAgents * 95 / 100;
-  constexpr Step kTarget = 4;
-  const auto map = world::GridMap::arena(8192, 8);
-  std::vector<Tile> starts;
-  starts.reserve(kAgents);
-  // Hot band: x in [0, 2048) — two equal-width strips' span at shards=8.
-  for (int i = 0; i < kHot; ++i) {
-    starts.push_back(Tile{i % 2048, i / 2048});
-  }
-  for (int j = 0; j < kAgents - kHot; ++j) {
-    starts.push_back(Tile{2048 + j % 6144, 5 + j / 6144});
-  }
-  auto step_fn = [&map](const core::AgentCluster& cluster,
-                        const world::WorldState& w) {
-    std::vector<world::StepIntent> intents;
-    intents.reserve(cluster.members.size());
-    for (AgentId m : cluster.members) {
-      Tile t;
-      {
-        common::ReaderLock lock(w.mutex());
-        t = w.tile_of(m);
-      }
-      const std::uint64_t h =
-          (static_cast<std::uint64_t>(m) * 2654435761u) ^
-          (static_cast<std::uint64_t>(cluster.step) * 40503u);
-      Tile next{t.x + static_cast<std::int32_t>(h % 3) - 1, t.y};
-      world::StepIntent intent;
-      intent.agent = m;
-      if (map.in_bounds(next) && map.walkable(next)) intent.move_to = next;
-      intents.push_back(intent);
-    }
-    return intents;
-  };
-  for (auto _ : state) {
-    state.PauseTiming();
-    world::WorldState world(&map, starts);
-    runtime::EngineConfig cfg;
-    cfg.params = core::DependencyParams{4.0, 1.0};
-    cfg.target_step = kTarget;
-    cfg.n_workers = 8;
-    cfg.shards = shards;
-    cfg.partition = partition;
-    runtime::Engine engine(&world, cfg, step_fn);
-    state.ResumeTiming();
-    const auto stats = engine.run();
-    benchmark::DoNotOptimize(stats.commits);
-  }
-  state.SetItemsProcessed(state.iterations() * kAgents * kTarget);
-}
-BENCHMARK_CAPTURE(BM_ShardedCommitSkewed, width,
-                  world::PartitionKind::kEqualWidth)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ShardedCommitSkewed, population,
-                  world::PartitionKind::kEqualPopulation)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_AStarSmallville(benchmark::State& state) {
   const auto map = world::GridMap::smallville(25);
   const Tile start =

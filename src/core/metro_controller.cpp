@@ -8,11 +8,9 @@ MetroController::MetroController(DependencyParams params,
                                  std::shared_ptr<const Metric> metric,
                                  std::vector<Pos> initial_positions,
                                  Step target_step, ScanMode mode,
-                                 std::int32_t shards,
-                                 world::PartitionKind partition)
+                                 std::int32_t shards)
     : board_(params, metric ? std::move(metric) : make_euclidean(),
-             std::move(initial_positions), target_step, mode, shards,
-             partition) {}
+             std::move(initial_positions), target_step, mode, shards) {}
 
 std::vector<MetroController::Routed> MetroController::route(
     std::vector<AgentCluster> ready) const {

@@ -70,8 +70,7 @@ class MetroController {
   MetroController(DependencyParams params,
                   std::shared_ptr<const Metric> metric,
                   std::vector<Pos> initial_positions, Step target_step,
-                  ScanMode mode, std::int32_t shards,
-                  world::PartitionKind partition);
+                  ScanMode mode, std::int32_t shards);
 
   /// Every ready cluster (the run's first dispatch). Board exclusive.
   std::vector<Routed> pop_ready();

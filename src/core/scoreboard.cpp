@@ -60,6 +60,8 @@ Scoreboard::Scoreboard(DependencyParams params,
   AIM_CHECK(!initial_positions.empty());
   AIM_CHECK_MSG(shards >= 1 && shards <= kMaxShards,
                 "shards must be in [1, " << kMaxShards << "], got " << shards);
+  AIM_CHECK_MSG(partition == world::PartitionKind::kEqualWidth,
+                "strips are equal-width; population cuts were removed");
   indexable_ = metric_->lower_bounded_by_chebyshev();
   if (mode_ == ScanMode::kIndexed && !indexable_) {
     // Graph metrics can't be probed with Chebyshev boxes, but they expose
@@ -75,21 +77,13 @@ Scoreboard::Scoreboard(DependencyParams params,
   // queries; the brute-force scan, graph-ball, and full-scan fallback
   // paths collapse to one strip (behavior is identical either way).
   shards_ = use_index() ? shards : 1;
-  if (shards_ > 1 && partition == world::PartitionKind::kEqualPopulation) {
-    std::vector<double> xs;
-    xs.reserve(initial_positions.size());
-    for (const Pos& p : initial_positions) xs.push_back(p.x);
-    partition_ =
-        world::RegionPartition::equal_population(shards_, std::move(xs));
-  } else {
-    double x_min = initial_positions.front().x;
-    double x_max = x_min;
-    for (const Pos& p : initial_positions) {
-      x_min = std::min(x_min, p.x);
-      x_max = std::max(x_max, p.x);
-    }
-    partition_ = world::RegionPartition(shards_, x_min, x_max);
+  double x_min = initial_positions.front().x;
+  double x_max = x_min;
+  for (const Pos& p : initial_positions) {
+    x_min = std::min(x_min, p.x);
+    x_max = std::max(x_max, p.x);
   }
+  partition_ = world::RegionPartition(shards_, x_min, x_max);
   shards_data_.reserve(static_cast<std::size_t>(shards_));
   for (std::int32_t s = 0; s < shards_; ++s) {
     shards_data_.push_back(

@@ -32,14 +32,13 @@
 // testing (ScanMode::kBruteForce).
 //
 // Sharding (the boundary-lag protocol, docs/ARCHITECTURE.md "Sharded
-// world"): with `shards > 1` the world is cut into x-strips
-// (world::RegionPartition, equal-width or at population quantiles, fixed
-// at construction) and every per-position structure — spatial index,
-// live-step counts, idle clusters, dirty lists, stats — lives in the
-// strip that owns the position. Probes fan out over exactly the strips
-// their box overlaps and re-sort by id, so every observable bit (edges,
-// clusters, stats, dispatch order) is byte-identical to the single-shard
-// board. Every agent records the strip span of its blocking-radius box,
+// world"): with `shards > 1` the world is cut into equal-width x-strips
+// (world::RegionPartition, fixed at construction) and every
+// per-position structure — spatial index, live-step counts, idle
+// clusters, dirty lists, stats — lives in the strip that owns the
+// position. Probes fan out over exactly the strips their box overlaps
+// and re-sort by id, so every observable bit (edges, clusters, stats,
+// dispatch order) is byte-identical to the single-shard board. Every agent records the strip span of its blocking-radius box,
 // and clusters whose members span strips are counted per strip; both
 // feed local_commit_shard(), which tells a caller (core::MetroController)
 // whether a commit is provably confined to one strip — the precondition
@@ -111,13 +110,12 @@ class Scoreboard {
  public:
   /// Agents start idle at step 0 at `initial_positions`; the simulation
   /// finishes when every agent has committed `target_step` steps.
-  /// `shards` in [1, kMaxShards] requests a region partition; it takes
-  /// effect only on the spatial-index probe path (kIndexed with a
-  /// Chebyshev-bounded metric) and silently collapses to 1 otherwise —
-  /// observable behavior is identical either way. `partition` picks how
-  /// the strip boundaries are placed (equal-width, or at
-  /// population quantiles of the initial positions); it changes only
-  /// which commits classify as interior, never any observable result.
+  /// `shards` in [1, kMaxShards] requests equal-width strips over the
+  /// initial positions' x-range; it takes effect only on the
+  /// spatial-index probe path (kIndexed with a Chebyshev-bounded metric)
+  /// and silently collapses to 1 otherwise — observable behavior is
+  /// identical either way. `partition` is kept only because
+  /// metro_bench/metro_bench.cpp passes it: it must be kEqualWidth.
   Scoreboard(DependencyParams params, std::shared_ptr<const Metric> metric,
              std::vector<Pos> initial_positions, Step target_step,
              ScanMode mode = ScanMode::kIndexed, std::int32_t shards = 1,
@@ -159,10 +157,6 @@ class Scoreboard {
   std::int32_t local_commit_shard(
       const std::vector<std::pair<AgentId, Pos>>& moves,
       Step probe_floor) const;
-
-  /// The region partition (equal-width unless kEqualPopulation was
-  /// requested).
-  const world::RegionPartition& partition() const { return partition_; }
 
   // ---- Introspection ----
   std::size_t agent_count() const { return agents_.size(); }

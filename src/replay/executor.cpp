@@ -272,7 +272,7 @@ class Executor {
     controller_ = std::make_unique<core::MetroController>(
         core::DependencyParams{trace_.radius_p, trace_.max_vel},
         std::move(metric), std::move(initial), trace_.n_steps, cfg_.scan_mode,
-        cfg_.shards, cfg_.partition);
+        cfg_.shards);
     metropolis_dispatch(controller_->pop_ready());
   }
 

@@ -45,9 +45,6 @@ struct ExperimentConfig {
   /// replay can certify that a sharded board replays byte-identically to
   /// shards=1 before the threaded engine trusts the same partition.
   std::int32_t shards = 1;
-  /// Strip-boundary placement (equal-width or population quantiles);
-  /// replay certifies digest-invariance for the engine here too.
-  world::PartitionKind partition = world::PartitionKind::kEqualWidth;
   bool record_gantt = false;
   /// Run O(n^2) scoreboard invariant checks after every commit (tests).
   bool validate_invariants = false;

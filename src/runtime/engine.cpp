@@ -26,6 +26,8 @@ Engine::Engine(world::WorldState* world, EngineConfig config, StepFn step_fn)
   AIM_CHECK(world_ != nullptr);
   AIM_CHECK(step_fn_ != nullptr);
   AIM_CHECK(config_.n_workers >= 1);
+  AIM_CHECK_MSG(config_.partition == world::PartitionKind::kEqualWidth,
+                "strips are equal-width; population cuts were removed");
   std::vector<Pos> initial;
   initial.reserve(world_->agent_count());
   for (std::size_t i = 0; i < world_->agent_count(); ++i) {
@@ -33,7 +35,7 @@ Engine::Engine(world::WorldState* world, EngineConfig config, StepFn step_fn)
   }
   controller_ = std::make_unique<core::MetroController>(
       config_.params, config_.metric, std::move(initial), config_.target_step,
-      config_.scan_mode, config_.shards, config_.partition);
+      config_.scan_mode, config_.shards);
   // The scoreboard may collapse the partition (graph metrics, brute
   // scans); size everything to what it actually runs.
   shards_ = controller_->shards();

@@ -84,10 +84,9 @@ struct EngineConfig {
   /// case every commit takes the cross-shard path and behavior matches
   /// shards=1 exactly.
   std::int32_t shards = 1;
-  /// Strip-boundary placement, passed through to the scoreboard:
-  /// equal-width strips, or boundaries at population quantiles of the
-  /// initial agent positions. Affects only which commits classify as
-  /// interior — never any observable result.
+  /// Kept only because metro_bench/metro_bench.cpp assigns it: strips
+  /// are always equal-width, and the constructor check-fails on
+  /// kEqualPopulation.
   world::PartitionKind partition = world::PartitionKind::kEqualWidth;
   /// Pin each strip's pool to a contiguous CPU core group (strip s gets
   /// cores [s*C/shards, (s+1)*C/shards)), keeping a strip's scoreboard

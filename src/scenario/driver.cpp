@@ -214,12 +214,6 @@ core::ScanMode scan_mode_of(const ScenarioSpec& spec) {
              : core::ScanMode::kIndexed;
 }
 
-world::PartitionKind partition_kind_of(const ScenarioSpec& spec) {
-  return spec.partition == PartitionChoice::kPopulation
-             ? world::PartitionKind::kEqualPopulation
-             : world::PartitionKind::kEqualWidth;
-}
-
 std::int32_t sign(std::int32_t d) { return d > 0 ? 1 : (d < 0 ? -1 : 0); }
 
 /// One 4-neighbor step from `from` toward `to` (axis with the larger gap
@@ -383,7 +377,6 @@ replay::ExperimentConfig ScenarioDriver::experiment_config() const {
       llm::ParallelismConfig{spec_.tensor_parallel, spec_.data_parallel};
   cfg.scan_mode = scan_mode_of(spec_);
   cfg.shards = spec_.resolved_shards();
-  cfg.partition = partition_kind_of(spec_);
   return cfg;
 }
 
@@ -589,7 +582,6 @@ RunPair run_engine_trace(const ScenarioDriver& driver,
     ecfg.scan_mode = scan_mode_of(spec);
     ecfg.metric = metric;  // null = Euclidean
     ecfg.shards = spec.resolved_shards();
-    ecfg.partition = partition_kind_of(spec);
     ecfg.pin_cores = spec.pin == PinMode::kCores;
 
     // One agent's traced calls for a step, issued in chain order (calls

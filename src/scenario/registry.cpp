@@ -170,7 +170,7 @@ ScenarioSpec skewed_ville(std::int32_t n_agents) {
   ScenarioSpec s;
   s.name = strformat("skewed_ville%d", n_agents);
   s.description = strformat(
-      "Hotspot stress for population-quantile strips: %d townsfolk packed "
+      "Hotspot stress for the sharded board: %d townsfolk packed "
       "geometrically toward the west segments (segment_skew 0.3) on %d "
       "concatenated SmallVilles, a two-day episode replayed across the "
       "midnight boundary (N in [100, 100000])",
@@ -193,7 +193,6 @@ ScenarioSpec skewed_ville(std::int32_t n_agents) {
   s.window_end = 8760;
   s.backend = Backend::kDes;
   s.data_parallel = 8;
-  s.partition = PartitionChoice::kPopulation;
   return s;
 }
 

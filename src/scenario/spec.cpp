@@ -103,22 +103,6 @@ std::optional<ScoreboardKind> scoreboard_from_name(const std::string& name) {
   return std::nullopt;
 }
 
-const char* partition_name(PartitionChoice p) {
-  switch (p) {
-    case PartitionChoice::kWidth:
-      return "width";
-    case PartitionChoice::kPopulation:
-      return "population";
-  }
-  return "?";
-}
-
-std::optional<PartitionChoice> partition_from_name(const std::string& name) {
-  if (name == "width") return PartitionChoice::kWidth;
-  if (name == "population") return PartitionChoice::kPopulation;
-  return std::nullopt;
-}
-
 const char* pin_name(PinMode p) {
   switch (p) {
     case PinMode::kNone:
@@ -209,13 +193,6 @@ bool conv(const std::string& v, ScoreboardKind* out) {
   return true;
 }
 
-bool conv(const std::string& v, PartitionChoice* out) {
-  const auto p = partition_from_name(v);
-  if (!p) return false;
-  *out = *p;
-  return true;
-}
-
 bool conv(const std::string& v, PinMode* out) {
   const auto p = pin_from_name(v);
   if (!p) return false;
@@ -234,7 +211,6 @@ std::string render(MapKind v) { return map_kind_name(v); }
 std::string render(WorldKind v) { return world_name(v); }
 std::string render(ClockKind v) { return clock_name(v); }
 std::string render(ScoreboardKind v) { return scoreboard_name(v); }
-std::string render(PartitionChoice v) { return partition_name(v); }
 std::string render(PinMode v) { return pin_name(v); }
 std::string render(double v) {
   // Shortest representation that from_chars converts back exactly.
@@ -299,7 +275,6 @@ const std::vector<Field>& fields() {
             [](const ScenarioSpec& s) {
               return s.shards == 0 ? std::string("auto") : render(s.shards);
             }},
-      AIM_SPEC_FIELD("partition", partition),
       AIM_SPEC_FIELD("pin", pin),
       AIM_SPEC_FIELD("model", model),
       AIM_SPEC_FIELD("gpu", gpu),

@@ -67,17 +67,9 @@ enum class ScoreboardKind : std::uint8_t { kIndexed, kBrute };
 const char* scoreboard_name(ScoreboardKind s);
 std::optional<ScoreboardKind> scoreboard_from_name(const std::string& name);
 
-/// Initial placement of the scoreboard's strip boundaries (shards > 1).
-///  - kWidth: equal-width strips over the world's x-extent (the
-///    historical layout; ignores where the agents are).
-///  - kPopulation: boundaries at population quantiles of the initial
-///    agent positions, so every strip starts with an equal agent share.
-/// Digest-invariant: the partition changes only which commits take a
-/// strip lock instead of the exclusive one.
+/// Kept only because metro_bench/metro_bench.cpp names both values:
+/// strips are always equal-width, and no spec key sets this.
 enum class PartitionChoice : std::uint8_t { kWidth, kPopulation };
-
-const char* partition_name(PartitionChoice p);
-std::optional<PartitionChoice> partition_from_name(const std::string& name);
 
 /// Ignored: strip boundaries never move after construction. The type
 /// remains only because metro_bench/metro_bench.cpp reads
@@ -153,15 +145,15 @@ struct ScenarioSpec {
   /// index, the default) or `brute` (full-scan reference path — same
   /// results, O(n) per commit; for differential digest checks).
   ScoreboardKind scoreboard = ScoreboardKind::kIndexed;
-  /// Region partition of the scoreboard: `auto` (scale with the agent
+  /// Equal-width strips of the scoreboard: `auto` (scale with the agent
   /// count; see resolved_shards()) or an explicit strip count in
   /// [1, 64] (core::kMaxShards). Internally 0 = auto. Digests are
   /// byte-identical for every value — sharding changes only which locks
   /// the engine takes, never what the simulation computes.
   std::int32_t shards = 0;
-  /// Initial strip-boundary placement: `width` (equal-width) or
-  /// `population` (equal agent share per strip). Matters only when the
-  /// effective shard count exceeds 1; digests are identical either way.
+  /// Ignored, and not a spec key: the field remains only because
+  /// metro_bench/metro_bench.cpp reads it; drop it together with that
+  /// read.
   PartitionChoice partition = PartitionChoice::kWidth;
   /// Ignored, and not a spec key: the field remains only because
   /// metro_bench/metro_bench.cpp reads it; drop it together with that

@@ -116,9 +116,8 @@ TEST(Replay, MetropolisInvariantsHoldDuringReplay) {
 }
 
 TEST(Replay, ShardedMetropolisInvariantsHoldAcrossMidnight) {
-  // The same per-commit check on a four-strip board with population
-  // cuts, over a window of skewed_ville100 that straddles its midnight
-  // (step 8640).
+  // The same per-commit check on a four-strip board, over a window of
+  // skewed_ville100 that straddles its midnight (step 8640).
   std::string error;
   auto spec = scenario::find_scenario("skewed_ville100", &error);
   ASSERT_TRUE(spec.has_value()) << error;
@@ -281,7 +280,7 @@ TEST(Replay, GoldenOutputsAreBitExact) {
       {"metro_ville100", 2, Mode::kMetropolis, 240.240996, 23118,
        5.9524081862042264, 0.65061355410797583, 2342, 1396,
        0.23661016949152541},
-      // A two-day window across midnight on population cuts.
+      // A two-day window across midnight on four strips.
       {"skewed_ville100", 4, Mode::kMetropolis, 37.426361999999997, 42402,
        2.4103973131720058, 0.30129547790405065, 20520, 6522,
        0.27288702928870295},
@@ -431,7 +430,7 @@ TEST(MetroController, ShardedDesTakesInteriorCommitsAndKeepsTheSchedule) {
   }
   core::MetroController ctl(core::DependencyParams{tr.radius_p, tr.max_vel},
                             nullptr, std::move(initial), tr.n_steps,
-                            cfg.scan_mode, cfg.shards, cfg.partition);
+                            cfg.scan_mode, cfg.shards);
   const PathCounts counts =
       drive_single_threaded(ctl, [&tr](AgentId a, Step step) {
         return tr.position_at(a, tr.start_step + step + 1).center();
@@ -460,7 +459,7 @@ TEST(MetroController, InteriorCommitsProbeFromTheLiveMinimum) {
   }
   core::MetroController ctl(core::DependencyParams{tr.radius_p, tr.max_vel},
                             nullptr, std::move(initial), tr.n_steps,
-                            cfg.scan_mode, cfg.shards, cfg.partition);
+                            cfg.scan_mode, cfg.shards);
   ASSERT_EQ(ctl.shards(), 4);
   const PathCounts counts =
       drive_single_threaded(ctl, [&tr](AgentId a, Step step) {

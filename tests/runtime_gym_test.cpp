@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "common/check.h"
 #include "common/mutex.h"
 #include "gym/agents.h"
 #include "gym/env.h"
@@ -361,9 +362,8 @@ TEST(Runtime, BoundaryLagProtocolMatchesGlobalLockUnderConcurrency) {
 
 TEST(Runtime, StripPlacementLeavesTheWorldUnchanged) {
   // Strip placement at the engine layer: a hotspot crowd (18 of 24
-  // wanderers in the west quarter of a wide map) run under three
-  // settings — equal-width strips, population-quantile strips, and
-  // equal-width strips with core-pinned strip pools — must produce
+  // wanderers in the west quarter of a wide map) run on equal-width
+  // strips with and without core-pinned strip pools must produce
   // identical final worlds.
   world::GridMap map(400, 12);
   std::vector<Tile> starts;
@@ -373,18 +373,9 @@ TEST(Runtime, StripPlacementLeavesTheWorldUnchanged) {
   for (int i = 0; i < 6; ++i) {
     starts.push_back(Tile{120 + i * 45, 6});
   }
-  struct Setting {
-    world::PartitionKind partition;
-    bool pin;
-  };
-  const Setting settings[] = {
-      {world::PartitionKind::kEqualWidth, false},
-      {world::PartitionKind::kEqualPopulation, false},
-      {world::PartitionKind::kEqualWidth, true},
-  };
-  std::uint64_t hashes[3];
+  std::uint64_t hashes[2];
   int idx = 0;
-  for (const Setting& setting : settings) {
+  for (const bool pin : {false, true}) {
     std::vector<std::unique_ptr<Agent>> agents;
     for (int i = 0; i < 24; ++i) {
       agents.push_back(std::make_unique<WandererAgent>(
@@ -397,8 +388,7 @@ TEST(Runtime, StripPlacementLeavesTheWorldUnchanged) {
     cfg.target_step = 15;
     cfg.n_workers = 8;
     cfg.shards = 8;
-    cfg.partition = setting.partition;
-    cfg.pin_cores = setting.pin;
+    cfg.pin_cores = pin;
     auto step_fn = [&](const core::AgentCluster& cluster,
                        const world::WorldState& w) {
       std::vector<world::StepIntent> intents;
@@ -421,8 +411,6 @@ TEST(Runtime, StripPlacementLeavesTheWorldUnchanged) {
     runtime::Engine engine(&world, cfg, step_fn);
     const auto stats = engine.run();
     EXPECT_EQ(stats.agent_steps, 24u * 15u);
-    EXPECT_EQ(engine.scoreboard().partition().uniform(),
-              setting.partition == world::PartitionKind::kEqualWidth);
     EXPECT_TRUE(engine.scoreboard().all_done());
     engine.scoreboard().check_invariants();
     {
@@ -431,9 +419,27 @@ TEST(Runtime, StripPlacementLeavesTheWorldUnchanged) {
     }
   }
   EXPECT_EQ(hashes[0], hashes[1])
-      << "population partition diverged from equal-width";
-  EXPECT_EQ(hashes[0], hashes[2])
       << "pinned strip pools diverged from unpinned ones";
+}
+
+TEST(Runtime, PopulationCutsAreRejected) {
+  // Strips are always equal-width. The partition kind survives only as a
+  // name metro_bench passes, and asking for population cuts fails loudly
+  // instead of silently running equal-width strips.
+  world::GridMap map(40, 4);
+  world::WorldState world(&map, {Tile{1, 1}, Tile{30, 2}});
+  runtime::EngineConfig cfg;
+  cfg.shards = 2;
+  cfg.partition = world::PartitionKind::kEqualPopulation;
+  auto step_fn = [](const core::AgentCluster&, const world::WorldState&) {
+    return std::vector<world::StepIntent>{};
+  };
+  EXPECT_THROW(runtime::Engine(&world, cfg, step_fn), CheckError);
+  EXPECT_THROW(core::Scoreboard(cfg.params, core::make_euclidean(),
+                                {Pos{1.5, 1.5}, Pos{30.5, 2.5}}, 10,
+                                core::ScanMode::kIndexed, 2,
+                                world::PartitionKind::kEqualPopulation),
+               CheckError);
 }
 
 TEST(Runtime, ScanModesProduceIdenticalGymWorlds) {

@@ -470,14 +470,13 @@ TEST(Registry, MetroVilleIsParameterizedToOneHundredThousand) {
   EXPECT_FALSE(find_scenario("metro_villeXXL", &error).has_value());
 }
 
-TEST(Registry, SkewedVilleIsAPopulationCutHotspotEpisode) {
+TEST(Registry, SkewedVilleIsAHotspotEpisodeAcrossMidnight) {
   std::string error;
   const auto s1k = find_scenario("skewed_ville1000", &error);
   ASSERT_TRUE(s1k.has_value()) << error;
   EXPECT_EQ(s1k->agents, 1000);
   EXPECT_EQ(s1k->segments, 40);
   EXPECT_DOUBLE_EQ(s1k->segment_skew, 0.3);
-  EXPECT_EQ(s1k->partition, PartitionChoice::kPopulation);
   EXPECT_EQ(validate_spec(*s1k), "");
   // The replay window straddles the day-0/day-1 midnight, so the strips
   // carry the day's positions across it.
@@ -1024,8 +1023,8 @@ class StripPlacement : public ::testing::TestWithParam<Backend> {};
 TEST_P(StripPlacement, KeepsDigestsAcrossPlacements) {
   // Strip placement is digest-invariant end to end: a hotspot scenario
   // replayed across its day-0/day-1 midnight must reach the same final
-  // state on one strip, on equal-width strips, on population-quantile
-  // strips, and on population-quantile strips with pinned pools.
+  // state on one strip, on four strips, and on four strips with pinned
+  // pools.
   std::string error;
   auto spec = find_scenario("skewed_ville100", &error);
   ASSERT_TRUE(spec.has_value()) << error;
@@ -1037,19 +1036,16 @@ TEST_P(StripPlacement, KeepsDigestsAcrossPlacements) {
 
   struct Variant {
     std::int32_t shards;
-    PartitionChoice partition;
     PinMode pin;
   };
   const Variant variants[] = {
-      {1, PartitionChoice::kWidth, PinMode::kNone},
-      {4, PartitionChoice::kWidth, PinMode::kNone},
-      {4, PartitionChoice::kPopulation, PinMode::kNone},
-      {4, PartitionChoice::kPopulation, PinMode::kCores},
+      {1, PinMode::kNone},
+      {4, PinMode::kNone},
+      {4, PinMode::kCores},
   };
   std::uint64_t reference = 0;
   for (std::size_t v = 0; v < std::size(variants); ++v) {
     spec->shards = variants[v].shards;
-    spec->partition = variants[v].partition;
     spec->pin = variants[v].pin;
     const auto report = ScenarioDriver(*spec).run(/*serial_baseline=*/false);
     if (v == 0) {

@@ -74,15 +74,6 @@ const std::vector<DiffShape>& sweep_shapes() {
       // Graph metric with shards requested: the partition must collapse
       // to one strip and behave exactly like the unsharded board.
       {24, 0.0, 12, DependencyParams{2.0, 1.0}, "graph", 120, 4, 0.1, 8},
-      // Population-quantile cuts: strip boundaries at arbitrary x
-      // positions instead of equal-width ones, classified by binary
-      // search.
-      {48, 400.0, 15, DependencyParams{4.0, 1.0}, "euclidean", 0, 4, 0.1, 4,
-       world::PartitionKind::kEqualPopulation},
-      // Population cuts on border-heavy narrow strips: most blocking
-      // boxes straddle a cut.
-      {32, 60.0, 12, DependencyParams{4.0, 1.0}, "euclidean", 0, 4, 0.1, 8,
-       world::PartitionKind::kEqualPopulation},
   };
   return kShapes;
 }

@@ -34,7 +34,6 @@
 #include "common/strings.h"
 #include "core/metric.h"
 #include "core/scoreboard.h"
-#include "world/region_partition.h"
 #include "world/social_graph.h"
 
 namespace aimetro::test_support {
@@ -57,10 +56,6 @@ struct DiffShape {
   /// structure (border registrations, per-strip cluster homes, lazy min)
   /// against the flat reference through the same executor schedule.
   int shards = 1;
-  /// Where the indexed board's strip boundaries go: equal-width, or cut
-  /// at population quantiles of the initial positions. Ignored when
-  /// shards <= 1.
-  world::PartitionKind partition = world::PartitionKind::kEqualWidth;
 };
 
 /// A shape pinned to one seed: the unit of repro.
@@ -72,14 +67,11 @@ struct DiffCase {
 inline std::string repro_string(const DiffCase& c) {
   return strformat(
       "metric=%s agents=%d spread=%g target=%lld radius=%g vel=%g "
-      "nodes=%d degree=%d rewire=%g shards=%d partition=%s seed=%llu",
+      "nodes=%d degree=%d rewire=%g shards=%d seed=%llu",
       c.shape.metric, c.shape.n_agents, c.shape.spread,
       static_cast<long long>(c.shape.target), c.shape.params.radius_p,
       c.shape.params.max_vel, c.shape.graph_nodes, c.shape.graph_degree,
       c.shape.graph_rewire, c.shape.shards,
-      c.shape.partition == world::PartitionKind::kEqualPopulation
-          ? "population"
-          : "width",
       static_cast<unsigned long long>(c.seed));
 }
 
@@ -116,14 +108,6 @@ inline std::optional<DiffCase> parse_repro(const std::string& text) {
         c.shape.graph_rewire = std::stod(value);
       } else if (key == "shards") {
         c.shape.shards = std::stoi(value);
-      } else if (key == "partition") {
-        if (value == "width") {
-          c.shape.partition = world::PartitionKind::kEqualWidth;
-        } else if (value == "population") {
-          c.shape.partition = world::PartitionKind::kEqualPopulation;
-        } else {
-          return std::nullopt;
-        }
       } else if (key == "seed") {
         c.seed = std::stoull(value);
       } else {
@@ -199,8 +183,7 @@ inline void run_differential_case(const DiffCase& c) {
   }
 
   core::Scoreboard indexed(shape.params, metric, initial, shape.target,
-                           core::ScanMode::kIndexed, shape.shards,
-                           shape.partition);
+                           core::ScanMode::kIndexed, shape.shards);
   core::Scoreboard brute(shape.params, metric, initial, shape.target,
                          core::ScanMode::kBruteForce);
   if (graph) {

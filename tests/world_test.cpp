@@ -889,50 +889,29 @@ TEST_F(WorldStateTest, StateHashDetectsDifferences) {
 
 // ---- Region partitions (strip boundaries) ----
 
-TEST(RegionPartition, CutsClassifyLikeTheEquivalentUniformPartition) {
-  // A cuts-based partition whose boundaries sit exactly at the uniform
-  // positions must classify every position (and every box) identically to
-  // the equal-width representation, including the half-open boundary
-  // convention and out-of-range clamping.
-  const RegionPartition uniform(4, 0.0, 100.0);
-  const RegionPartition cuts({25.0, 50.0, 75.0}, 0.0, 100.0);
-  EXPECT_TRUE(uniform.uniform());
-  EXPECT_FALSE(cuts.uniform());
-  for (double x : {-10.0, 0.0, 12.5, 24.999, 25.0, 49.0, 50.0, 74.9, 75.0,
-                   99.0, 100.0, 250.0}) {
-    EXPECT_EQ(cuts.shard_of(Pos{x, 0.0}), uniform.shard_of(Pos{x, 0.0}))
-        << "x=" << x;
-    for (double r : {0.0, 3.0, 30.0}) {
-      const auto su = uniform.span_of_box(Pos{x, 0.0}, r);
-      const auto sc = cuts.span_of_box(Pos{x, 0.0}, r);
-      EXPECT_EQ(sc.lo, su.lo) << "x=" << x << " r=" << r;
-      EXPECT_EQ(sc.hi, su.hi) << "x=" << x << " r=" << r;
-    }
+TEST(RegionPartition, EqualWidthStripsAreHalfOpenAndClamp) {
+  // Four 25-wide strips over [0, 100]: a position on a boundary belongs
+  // to the right strip, and positions outside the range clamp to the
+  // edge strips, so every position and box has a strip.
+  const RegionPartition part(4, 0.0, 100.0);
+  const std::pair<double, std::int32_t> homes[] = {
+      {-10.0, 0}, {0.0, 0},  {24.999, 0}, {25.0, 1},  {49.0, 1},
+      {50.0, 2},  {74.9, 2}, {75.0, 3},   {100.0, 3}, {250.0, 3}};
+  for (const auto& [x, strip] : homes) {
+    EXPECT_EQ(part.shard_of(Pos{x, 0.0}), strip) << "x=" << x;
   }
-  for (std::int32_t k = 0; k <= 4; ++k) {
-    EXPECT_DOUBLE_EQ(cuts.boundary(k), uniform.boundary(k)) << k;
-  }
-}
-
-TEST(RegionPartition, EqualPopulationBalancesASkewedHistogram) {
-  // 90 agents piled into [0, 10), 10 spread over [10, 100): population
-  // quantiles must put three of the four strips inside the hotspot, where
-  // equal-width strips would leave three strips nearly empty.
-  std::vector<double> xs;
-  for (int i = 0; i < 90; ++i) xs.push_back(i * 10.0 / 90.0);
-  for (int i = 0; i < 10; ++i) xs.push_back(10.0 + i * 9.0);
-  const auto part = RegionPartition::equal_population(4, xs);
-  ASSERT_EQ(part.shards(), 4);
-  std::vector<int> count(4, 0);
-  for (double x : xs) ++count[static_cast<std::size_t>(
-      part.shard_of(Pos{x, 0.0}))];
-  for (int c : count) {
-    EXPECT_GE(c, 20) << "strip far below its population share";
-    EXPECT_LE(c, 30) << "strip far above its population share";
-  }
-  // All-identical positions degenerate to the single-strip-0 clamp.
-  const auto flat =
-      RegionPartition::equal_population(4, std::vector<double>(8, 5.0));
+  EXPECT_EQ(part.shard_of(Pos{std::nan(""), 0.0}), 0);
+  const auto inside = part.span_of_box(Pos{12.5, 0.0}, 3.0);
+  EXPECT_TRUE(inside.single());
+  EXPECT_EQ(inside.lo, 0);
+  const auto straddle = part.span_of_box(Pos{49.0, 0.0}, 3.0);
+  EXPECT_EQ(straddle.lo, 1);
+  EXPECT_EQ(straddle.hi, 2);
+  const auto wide = part.span_of_box(Pos{50.0, 0.0}, 30.0);
+  EXPECT_EQ(wide.lo, 0);
+  EXPECT_EQ(wide.hi, 3);
+  // A degenerate range puts everything in strip 0.
+  const RegionPartition flat(4, 5.0, 5.0);
   for (double x : {-1.0, 5.0, 9.0}) {
     EXPECT_EQ(flat.shard_of(Pos{x, 0.0}), 0);
   }
