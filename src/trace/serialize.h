@@ -1,6 +1,7 @@
-// Trace persistence: a compact binary format (round-trip exact),
-// mirroring how the paper releases collected traces as an LLM-serving
-// benchmark artifact.
+// Trace persistence: a compact binary format, mirroring how the paper
+// releases collected traces as an LLM-serving benchmark artifact. Only
+// the writer exists: examples/smallville_day writes a day's trace, and
+// Trace.GoldenBytesAreBitExact hashes these bytes.
 #pragma once
 
 #include <iosfwd>
@@ -10,9 +11,9 @@
 
 namespace aimetro::trace {
 
-/// Binary format "AIMT" v1. Throws CheckError on malformed input.
+/// Binary format "AIMT" (v1 grid, v2 graph). Throws CheckError when the
+/// stream fails.
 void save_binary(const SimulationTrace& trace, std::ostream& os);
-SimulationTrace load_binary(std::istream& is);
 
 void save_binary_file(const SimulationTrace& trace, const std::string& path);
 

@@ -177,22 +177,6 @@ TEST(GroupCalls, ChainsOrderedWithinStep) {
   EXPECT_EQ(total, trace.agents[0].calls.size());
 }
 
-TEST(Serialize, BinaryRoundTripIsExact) {
-  const SimulationTrace trace = day_trace(6, 6);
-  std::stringstream ss;
-  save_binary(trace, ss);
-  const SimulationTrace loaded = load_binary(ss);
-  EXPECT_EQ(loaded.n_agents, trace.n_agents);
-  EXPECT_EQ(loaded.n_steps, trace.n_steps);
-  EXPECT_EQ(loaded.radius_p, trace.radius_p);
-  ASSERT_EQ(loaded.agents.size(), trace.agents.size());
-  for (std::size_t i = 0; i < trace.agents.size(); ++i) {
-    EXPECT_EQ(loaded.agents[i].positions, trace.agents[i].positions);
-    EXPECT_EQ(loaded.agents[i].calls, trace.agents[i].calls);
-  }
-  EXPECT_EQ(loaded.interactions, trace.interactions);
-}
-
 /// FNV-1a over the trace's binary serialization: every position, call and
 /// interaction, in file order.
 std::uint64_t trace_bytes_hash(const SimulationTrace& trace) {
@@ -319,12 +303,6 @@ TEST(Concatenate, SegmentCheckFailureThrowsOnCaller) {
   }
 }
 
-TEST(Serialize, RejectsGarbage) {
-  std::stringstream ss;
-  ss << "definitely not a trace";
-  EXPECT_THROW(load_binary(ss), CheckError);
-}
-
 TEST(Stats, HourHistogramSumsToTotal) {
   const SimulationTrace trace = day_trace(10, 10);
   const TraceStats stats = compute_stats(trace);
@@ -387,24 +365,6 @@ TEST(GraphTrace, ConversationPartnersShareANode) {
               trace.position_at(in.b, in.step).x)
         << "interaction at step " << in.step;
   }
-}
-
-TEST(GraphTrace, BinaryRoundTripKeepsWorldKindAndAdjacency) {
-  const SimulationTrace trace = graph_trace(7);
-  std::stringstream ss;
-  save_binary(trace, ss);
-  const SimulationTrace loaded = load_binary(ss);
-  loaded.validate();
-  EXPECT_EQ(loaded.world_kind, WorldKind::kGraph);
-  EXPECT_EQ(loaded.graph_adjacency, trace.graph_adjacency);
-  EXPECT_EQ(loaded.map_width, trace.map_width);
-  EXPECT_EQ(loaded.map_height, trace.map_height);
-  ASSERT_EQ(loaded.agents.size(), trace.agents.size());
-  for (std::size_t i = 0; i < trace.agents.size(); ++i) {
-    EXPECT_EQ(loaded.agents[i].positions, trace.agents[i].positions);
-    EXPECT_EQ(loaded.agents[i].calls, trace.agents[i].calls);
-  }
-  EXPECT_EQ(loaded.interactions, trace.interactions);
 }
 
 TEST(GraphTrace, SliceKeepsGraphFieldsAndSegmentsReject) {
@@ -529,105 +489,20 @@ TEST(GraphTrace, ValidateCatchesNonEdgeHopsAndBadBounds) {
   }
 }
 
-/// `trace` (a graph trace) saved as a v2 stream, with its graph section
-/// replaced by `rows` in the same layout: the node count, then per node
-/// a uint64 row length and the row's int32 neighbor ids.
-std::string with_graph_rows(const SimulationTrace& trace,
-                            const std::vector<std::vector<std::int32_t>>& rows) {
-  std::ostringstream saved;
-  save_binary(trace, saved);
-  const std::string bytes = saved.str();
-  const std::size_t head = 4 + 4 + 1;  // magic, version, world kind
-  std::size_t graph_end = head + 8;
-  for (std::int32_t u = 0; u < trace.graph_adjacency.node_count(); ++u) {
-    graph_end += 8 + 4 * trace.graph_adjacency.neighbors(u).size();
-  }
-  std::string out = bytes.substr(0, head);
-  auto put = [&out](auto v) {
-    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put(static_cast<std::uint64_t>(rows.size()));
-  for (const auto& row : rows) {
-    put(static_cast<std::uint64_t>(row.size()));
-    for (std::int32_t v : row) put(v);
-  }
-  return out + bytes.substr(graph_end);
-}
-
-/// The message of the CheckError that loading `bytes` throws, or "" when
-/// the stream loads.
-std::string load_error(const std::string& bytes) {
-  std::istringstream is(bytes);
-  try {
-    load_binary(is);
-  } catch (const CheckError& e) {
-    return e.what();
-  }
-  return "";
-}
-
-TEST(Serialize, RejectsMisshapenGraphs) {
-  // A trace file is the only way graph data enters from outside the
-  // program, so the loader must reject every shape world::CsrGraph does,
-  // naming the problem.
-  const SimulationTrace trace = graph_trace(13);
-  std::vector<std::vector<std::int32_t>> rows;
-  for (std::int32_t u = 0; u < trace.graph_adjacency.node_count(); ++u) {
-    const auto row = trace.graph_adjacency.neighbors(u);
-    rows.emplace_back(row.begin(), row.end());
-  }
-  // The rows as they are load back: the edits below are what fails.
-  ASSERT_EQ(load_error(with_graph_rows(trace, rows)), "");
-  ASSERT_GE(rows[0].size(), 2u);
-  {
-    auto unsorted = rows;
-    std::swap(unsorted[0][0], unsorted[0][1]);
-    const std::string error = load_error(with_graph_rows(trace, unsorted));
-    EXPECT_NE(error.find("graph node 0 lists its neighbors out of order"),
-              std::string::npos)
-        << error;
-  }
-  {
-    auto out_of_range = rows;
-    out_of_range[0].back() = trace.graph_adjacency.node_count();
-    const std::string error = load_error(with_graph_rows(trace, out_of_range));
-    EXPECT_NE(error.find("graph neighbor 60 of node 0 is not a node id"),
-              std::string::npos)
-        << error;
-  }
-  {
-    // Edges are undirected: drop one end of 0 -- j and the other end is a
-    // one-way edge, named in the error.
-    auto one_way = rows;
-    const std::int32_t j = one_way[0].front();
-    auto& back = one_way[static_cast<std::size_t>(j)];
-    back.erase(std::find(back.begin(), back.end(), 0));
-    const std::string error = load_error(with_graph_rows(trace, one_way));
-    const std::string edge = "one-way graph edge 0 -> " + std::to_string(j);
-    EXPECT_NE(error.find(edge), std::string::npos) << error;
-  }
-}
-
-TEST(Serialize, RejectsUnknownCallTypes) {
-  const SimulationTrace trace = day_trace(6, 6);
+TEST(Validate, RejectsUnknownCallTypes) {
+  SimulationTrace trace = day_trace(6, 6);
   ASSERT_FALSE(trace.agents[0].calls.empty());
-  std::ostringstream saved;
-  save_binary(trace, saved);
-  std::string bytes = saved.str();
-  // A v1 stream: magic, version, n_agents, n_steps and start_step, three
-  // doubles and the map's two dimensions; then agent 0's id, position
-  // count, positions (two int32 each) and call count; then its first
-  // call's step and seq, and the call's type byte.
-  const std::size_t header = 4 + 4 + 3 * 4 + 3 * 8 + 2 * 4;
-  const std::size_t type_at =
-      header + 4 + 8 + 8 * trace.agents[0].positions.size() + 8 + 4 + 4;
-  ASSERT_EQ(static_cast<CallType>(bytes[type_at]),
-            trace.agents[0].calls[0].type);
-  bytes[type_at] = 8;  // one past kScheduleDecomp
-  const std::string error = load_error(bytes);
-  EXPECT_NE(error.find("agent 0 has a call of unknown type 8"),
-            std::string::npos)
-      << error;
+  // One past kScheduleDecomp, the last type.
+  trace.agents[0].calls[0].type = static_cast<CallType>(8);
+  try {
+    trace.validate();
+    ADD_FAILURE() << "an unknown call type must fail validation";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("agent 0 has a call of unknown type 8"),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(Validate, CatchesSpeedViolations) {
