@@ -48,8 +48,6 @@ class RegionPartition {
     strip_width_ = width > 0.0 ? width / static_cast<double>(shards) : 0.0;
   }
 
-  std::int32_t shards() const { return shards_; }
-
   /// Home strip of a position, clamped to [0, shards-1].
   std::int32_t shard_of(Pos p) const {
     if (strip_width_ <= 0.0) return 0;
