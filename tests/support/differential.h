@@ -243,9 +243,9 @@ inline void run_differential_case(const DiffCase& c) {
     }
     if (shape.shards > 1 && rng.bernoulli(0.5)) {
       // Exercise the floored-probe path interior commits use (plus the
-      // boundary classifier, for crash coverage) with any lower bound on
-      // min_step(), as a caller keeping its own lagging floor passes: a
-      // lower floor may only widen probes, never change state.
+      // boundary classifier, for crash coverage) with a floor drawn from
+      // [0, min_step()]: any lower bound, such as a caller's own lagging
+      // floor, may only widen probes, never change state.
       const auto floor =
           static_cast<Step>(rng.uniform_int(0, indexed.min_step()));
       (void)indexed.local_commit_shard(moves, floor);
