@@ -202,8 +202,12 @@ TEST(Trace, GoldenBytesAreBitExact) {
   // homogeneous and once with a mixed population, and seven
   // mixed-population grid days with carry-over. The graph generator's
   // window also bounds its routine fill, so two windowed graph cells
-  // close the list: the mixed population at the registry window, and a
-  // window that ends exactly on the 12:00 hour boundary.
+  // follow: the mixed population at the registry window, and a window
+  // that ends exactly on the 12:00 hour boundary. The grid generator's
+  // window bounds its fill and its days the same way, so three windowed
+  // grid cells close the list: a window ending on the 12:00 hour
+  // boundary, and two-day episodes windowed inside day 0 (day 1 is never
+  // needed) and inside day 1 (day 0 runs only for its carry-over).
   const struct {
     const char* scenario;
     const char* overrides;
@@ -229,6 +233,12 @@ TEST(Trace, GoldenBytesAreBitExact) {
        0xab967c265005a1c6ULL},
       {"social_net100", "window_begin=3960 window_end=4320",
        0x3264dc2cf4404d95ULL},
+      {"metro_ville100", "window_begin=3960 window_end=4320",
+       0xee0171506c090453ULL},
+      {"skewed_ville100", "window_begin=4320 window_end=4380",
+       0x7e339353287499efULL},
+      {"skewed_ville100", "window_begin=12960 window_end=13020",
+       0x30e0369e23c8b795ULL},
   };
   for (const auto& cell : cells) {
     std::string error;
@@ -250,35 +260,43 @@ TEST(Trace, GoldenBytesAreBitExact) {
 TEST(Concatenate, WindowedEqualsSliceOfFull) {
   // Windowing each segment before concatenation must reproduce slicing the
   // whole concatenation byte for byte: skewed segment counts (and the
-  // single-segment path), heterogeneous profiles split across segments,
-  // and a two-day episode so a window can straddle midnight.
+  // single-segment path), a homogeneous population (its schedules draw
+  // from the shared day stream) and heterogeneous profiles split across
+  // segments (per-agent streams), and a two-day episode so a window can
+  // straddle midnight, end on an hour boundary, or lie inside either day.
   const auto segment = world::GridMap::smallville(6);
-  GeneratorConfig cfg;
-  cfg.seed = 11;
-  cfg.days = 2;
+  GeneratorConfig homogeneous;
+  homogeneous.seed = 11;
+  homogeneous.days = 2;
+  GeneratorConfig mixed = homogeneous;
   const char* names[] = {"townsfolk", "socialite", "commuter", "hermit"};
   for (int i = 0; i < 8; ++i) {
-    cfg.agent_profiles.push_back(*BehaviorProfile::find(names[i % 4]));
+    mixed.agent_profiles.push_back(*BehaviorProfile::find(names[i % 4]));
   }
-  const Step day = cfg.steps_per_day;
-  const Step last = cfg.days * day;
+  const Step day = homogeneous.steps_per_day;
+  const Step last = homogeneous.days * day;
   const std::pair<Step, Step> windows[] = {
       {0, 90},                 // at step 0
       {last - 1, last},        // the last step, one step long
       {4320, 4321},            // a 1-step window inside a day
       {day - 120, day + 120},  // across midnight
+      {3960, 4320},            // ending on the 12:00 hour boundary
+      {4320, 4380},            // inside day 0: day 1 is never needed
+      {day + 4320, day + 4380},  // inside day 1
   };
-  for (const std::vector<std::int32_t>& counts :
-       {std::vector<std::int32_t>{5, 2, 1}, std::vector<std::int32_t>{8}}) {
-    const SimulationTrace full = generate_concatenated(segment, counts, cfg);
-    ASSERT_EQ(full.n_steps, last);
-    for (const auto& [begin, end] : windows) {
-      const SimulationTrace windowed =
-          generate_concatenated(segment, counts, cfg, begin, end);
-      EXPECT_EQ(trace_bytes_hash(windowed),
-                trace_bytes_hash(slice(full, begin, end)))
-          << counts.size() << " segments, window [" << begin << ", " << end
-          << ")";
+  for (const GeneratorConfig& cfg : {homogeneous, mixed}) {
+    for (const std::vector<std::int32_t>& counts :
+         {std::vector<std::int32_t>{5, 2, 1}, std::vector<std::int32_t>{8}}) {
+      const SimulationTrace full = generate_concatenated(segment, counts, cfg);
+      ASSERT_EQ(full.n_steps, last);
+      for (const auto& [begin, end] : windows) {
+        const SimulationTrace windowed =
+            generate_concatenated(segment, counts, cfg, begin, end);
+        EXPECT_EQ(trace_bytes_hash(windowed),
+                  trace_bytes_hash(slice(full, begin, end)))
+            << cfg.agent_profiles.size() << " profiles, " << counts.size()
+            << " segments, window [" << begin << ", " << end << ")";
+      }
     }
   }
 }
