@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <exception>
 #include <map>
 #include <numeric>
@@ -214,60 +216,98 @@ void draw_evening(Rng& rng, const BehaviorProfile& prof, Step social_lo,
                        a.home_start + 60, day);
 }
 
+/// What one day keeps: positions for steps [keep_begin, keep_end], calls
+/// and interactions for [keep_begin, keep_end). Pass B sizes each hour's
+/// fill by every Pass-A call, so each Pass-A call is also tallied by hour
+/// and input tokens, kept or not. The tallies sum integers, so they are
+/// exact in any order.
+struct DayRecord {
+  Step keep_begin = 0;
+  Step keep_end = 0;
+  std::array<double, 24> pass_a_by_hour{};
+  double pass_a_input_tokens = 0.0;
+  std::size_t pass_a_calls = 0;
+
+  bool keeps(Step s) const { return s >= keep_begin && s < keep_end; }
+
+  /// Stores `a`'s tile as its position at the start of step `s`.
+  void add_position(AgentSim& a, Step s) const {
+    if (s >= keep_begin && s <= keep_end) a.positions.push_back(a.tile);
+  }
+
+  void add_pass_a_call(AgentSim& a, const LlmCall& call) {
+    pass_a_by_hour[hour_of(call.step)] += 1.0;
+    pass_a_input_tokens += call.input_tokens;
+    ++pass_a_calls;
+    if (keeps(call.step)) a.calls.push_back(call);
+  }
+};
+
 /// Pass A's planning calls, agent by agent: the wake-up burst (daily plan
 /// plus schedule decompositions) and reflections at 2-3 random awake
 /// steps.
-void plan_day(std::vector<AgentSim>& sims, Step day, Rng& rng) {
+void plan_day(std::vector<AgentSim>& sims, Step day, DayRecord& record,
+              Rng& rng) {
   for (AgentSim& a : sims) {
-    a.calls.push_back(LlmCall{a.id, a.wake, 0, CallType::kDailyPlan,
-                              sample_tokens(rng, 820, 0.12, 400, 1600),
-                              sample_tokens(rng, 260, 0.15, 120, 500),
-                              prompt_hash_for(a.id, CallType::kDailyPlan, -1),
-                              -1});
+    record.add_pass_a_call(
+        a, LlmCall{a.id, a.wake, 0, CallType::kDailyPlan,
+                   sample_tokens(rng, 820, 0.12, 400, 1600),
+                   sample_tokens(rng, 260, 0.15, 120, 500),
+                   prompt_hash_for(a.id, CallType::kDailyPlan, -1), -1});
     const int decomp = static_cast<int>(rng.uniform_int(2, 3));
     for (int k = 0; k < decomp; ++k) {
-      a.calls.push_back(
-          LlmCall{a.id, a.wake + 1 + k, 0, CallType::kScheduleDecomp,
-                  sample_tokens(rng, 700, 0.12, 300, 1400),
-                  sample_tokens(rng, 120, 0.2, 40, 300),
-                  prompt_hash_for(a.id, CallType::kScheduleDecomp, -1), -1});
+      record.add_pass_a_call(
+          a, LlmCall{a.id, a.wake + 1 + k, 0, CallType::kScheduleDecomp,
+                     sample_tokens(rng, 700, 0.12, 300, 1400),
+                     sample_tokens(rng, 120, 0.2, 40, 300),
+                     prompt_hash_for(a.id, CallType::kScheduleDecomp, -1),
+                     -1});
     }
     const int reflections = static_cast<int>(rng.uniform_int(2, 3));
     for (int k = 0; k < reflections; ++k) {
       const Step s = static_cast<Step>(rng.uniform_int(
           a.wake + 600, std::max<Step>(a.wake + 601, a.sleep - 60)));
-      a.calls.push_back(LlmCall{a.id, std::min(s, day - 1), 0,
-                                CallType::kReflect,
-                                sample_tokens(rng, 1100, 0.15, 500, 2200),
-                                sample_tokens(rng, 110, 0.2, 40, 250),
-                                prompt_hash_for(a.id, CallType::kReflect, -1),
-                                -1});
+      record.add_pass_a_call(
+          a, LlmCall{a.id, std::min(s, day - 1), 0, CallType::kReflect,
+                     sample_tokens(rng, 1100, 0.15, 500, 2200),
+                     sample_tokens(rng, 110, 0.2, 40, 250),
+                     prompt_hash_for(a.id, CallType::kReflect, -1), -1});
     }
   }
 }
 
 /// Conversations of one day: the turns scheduled for later steps, each
-/// pair's last conversation end (its cooldown), and the interaction every
-/// emitted turn records.
+/// pair's last conversation end (its cooldown), the interaction every
+/// kept turn records, and the largest conversation id any turn carries.
 class ConversationBook {
  public:
   ConversationBook(Step day, bool hetero) : day_(day), hetero_(hetero) {}
 
-  /// Emits the turns scheduled for step `s` as converse calls.
-  void emit_turns(Step s, std::vector<AgentSim>& sims, Rng& rng) {
+  /// Emits the turns scheduled for step `s` as converse calls into
+  /// `record`, with their interactions if the record keeps `s`, and
+  /// forgets them.
+  void emit_turns(Step s, std::vector<AgentSim>& sims, DayRecord& record,
+                  Rng& rng) {
     auto it = scheduled_.find(s);
     if (it == scheduled_.end()) return;
     for (const Turn& turn : it->second) {
-      sims[static_cast<std::size_t>(turn.speaker)].calls.push_back(LlmCall{
-          turn.speaker, s, 0, CallType::kConverse,
-          sample_tokens(rng, 560.0 + 38.0 * turn.turn_idx, 0.1, 200, 3000),
-          sample_tokens(rng, 26, 0.3, 4, 80),
-          prompt_hash_for(turn.speaker, CallType::kConverse, turn.conv_id),
-          turn.conv_id});
-      interactions_.push_back(
-          Interaction{s, std::min(turn.speaker, turn.partner),
-                      std::max(turn.speaker, turn.partner)});
+      record.add_pass_a_call(
+          sims[static_cast<std::size_t>(turn.speaker)],
+          LlmCall{turn.speaker, s, 0, CallType::kConverse,
+                  sample_tokens(rng, 560.0 + 38.0 * turn.turn_idx, 0.1, 200,
+                                3000),
+                  sample_tokens(rng, 26, 0.3, 4, 80),
+                  prompt_hash_for(turn.speaker, CallType::kConverse,
+                                  turn.conv_id),
+                  turn.conv_id});
+      largest_id_ = std::max(largest_id_, turn.conv_id);
+      if (record.keeps(s)) {
+        interactions_.push_back(
+            Interaction{s, std::min(turn.speaker, turn.partner),
+                        std::max(turn.speaker, turn.partner)});
+      }
     }
+    scheduled_.erase(it);
   }
 
   /// Idle agents a and b (a.id < b.id) are co-located at step `s`: past
@@ -325,6 +365,10 @@ class ConversationBook {
     return std::move(interactions_);
   }
 
+  /// The largest conversation id of any emitted turn, or -1: a
+  /// conversation started on the day's last step has no turn.
+  std::int32_t largest_id() const { return largest_id_; }
+
  private:
   struct Turn {
     AgentId speaker, partner;
@@ -333,6 +377,7 @@ class ConversationBook {
   Step day_;
   bool hetero_;
   std::int32_t next_id_ = 0;
+  std::int32_t largest_id_ = -1;
   // Turns by the step they are spoken at.
   std::map<Step, std::vector<Turn>> scheduled_;
   // Each pair's last conversation end, keyed (lower id << 32) | higher id.
@@ -341,15 +386,17 @@ class ConversationBook {
 };
 
 /// Pass B: routine fill to hit the diurnal call-count profile. It depends
-/// only on schedules, profiles and the Pass-A calls, never on the world.
-/// Only calls at steps in [keep_begin, keep_end) are stored. The others are
-/// still drawn, token counts included, so each kept call draws what it
-/// would in a whole day. Nothing draws from `rng` after Pass B, so the fill
-/// stops at the first hour that starts at or after keep_end. Each hour
-/// draws its agents from a WeightedTable: a binary search over the hour's
-/// running sums, which picks exactly the agents the subtractive scan would.
+/// only on schedules, profiles and the Pass-A tallies, never on the world.
+/// Only calls at steps the record keeps are stored. The others are still
+/// drawn, token counts included, so each kept call draws what it would in
+/// a whole day. Nothing draws from `rng` after Pass B, so the fill stops at
+/// the first hour that starts at or after the record's keep_end, and does
+/// not run when the record keeps no step. Each hour draws its agents from
+/// a WeightedTable: a binary search over the hour's running sums, which
+/// picks exactly the agents the subtractive scan would.
 void fill_routine(std::vector<AgentSim>& sims, const GeneratorConfig& cfg,
-                  bool hetero, Step keep_begin, Step keep_end, Rng& rng) {
+                  bool hetero, const DayRecord& record, Rng& rng) {
+  if (record.keep_begin >= record.keep_end) return;
   const double total_target = cfg.target_calls_per_25_agents *
                               (static_cast<double>(cfg.n_agents) / 25.0);
 
@@ -384,17 +431,8 @@ void fill_routine(std::vector<AgentSim>& sims, const GeneratorConfig& cfg,
     }
   }
 
-  // Existing (pass A) calls and input tokens per hour.
-  std::array<double, 24> existing{};
-  double nonroutine_input_sum = 0.0;
-  std::size_t nonroutine_count = 0;
-  for (const auto& a : sims) {
-    for (const auto& c : a.calls) {
-      existing[hour_of(c.step)] += 1.0;
-      nonroutine_input_sum += c.input_tokens;
-      ++nonroutine_count;
-    }
-  }
+  // Existing (pass A) calls per hour.
+  const std::array<double, 24>& existing = record.pass_a_by_hour;
 
   // Choose the routine input-token mean so the trace-wide mean hits the
   // calibration target.
@@ -405,8 +443,9 @@ void fill_routine(std::vector<AgentSim>& sims, const GeneratorConfig& cfg,
   const double routine_input_mean =
       routine_quota > 0.0
           ? std::clamp((cfg.mean_input_tokens *
-                            (routine_quota + static_cast<double>(nonroutine_count)) -
-                        nonroutine_input_sum) /
+                            (routine_quota +
+                             static_cast<double>(record.pass_a_calls)) -
+                        record.pass_a_input_tokens) /
                            routine_quota,
                        64.0, 2048.0)
           : cfg.mean_input_tokens;
@@ -435,7 +474,7 @@ void fill_routine(std::vector<AgentSim>& sims, const GeneratorConfig& cfg,
   // limits lock-step parallelism in the first place.
   for (std::size_t h = 0; h < 24; ++h) {
     const Step h0 = static_cast<Step>(h * kStepsPerHour);
-    if (h0 >= keep_end) break;
+    if (h0 >= record.keep_end) break;
     double deficit = target_by_hour[h] - existing[h];
     const auto& candidates = awake_by_hour[h];
     if (candidates.empty()) continue;
@@ -489,7 +528,7 @@ void fill_routine(std::vector<AgentSim>& sims, const GeneratorConfig& cfg,
         burst = 1 + static_cast<int>(rng.poisson(1.0));  // routine check
       }
       burst = std::min(burst, 24);
-      const bool keep = s >= keep_begin && s < keep_end;
+      const bool keep = record.keeps(s);
       for (int k = 0; k < burst; ++k) {
         const CallType type = kBurstPattern[k % 4];
         const std::int32_t input =
@@ -506,25 +545,21 @@ void fill_routine(std::vector<AgentSim>& sims, const GeneratorConfig& cfg,
   }
 }
 
-/// Fills `out`, whose world fields the caller has set, with the day's
-/// agents and interactions and validates it. Each agent's calls are sorted
-/// by step and numbered within a step; with window_begin >= 0 only the
-/// calls and interactions in [window_begin, window_end) are kept,
-/// filtered after the numbering exactly as slice() would, and the agents'
-/// positions must cover [window_begin, window_end].
+/// Fills `out`, whose world fields the caller has set, with the agents and
+/// interactions kept for steps [begin, end] and validates it. The agents'
+/// positions must cover [begin, end], and they and `interactions` hold
+/// only calls and interactions at steps in [begin, end). Each agent's
+/// calls are sorted by step and numbered within a step; a step is kept
+/// whole or not at all, so the numbers are those of the whole day.
 SimulationTrace assemble(SimulationTrace out, const GeneratorConfig& cfg,
                          std::vector<AgentSim>& sims,
-                         std::vector<Interaction> interactions,
-                         Step window_begin, Step window_end) {
-  const bool windowed = window_begin >= 0;
+                         std::vector<Interaction> interactions, Step begin,
+                         Step end) {
   out.n_agents = cfg.n_agents;
-  out.start_step = windowed ? window_begin : 0;
-  out.n_steps = (windowed ? window_end : cfg.steps_per_day) - out.start_step;
+  out.start_step = begin;
+  out.n_steps = end - begin;
   out.radius_p = cfg.radius_p;
   out.max_vel = cfg.max_vel;
-  auto outside_window = [&](Step step) {
-    return windowed && (step < window_begin || step >= window_end);
-  };
   out.agents.resize(sims.size());
   for (std::size_t i = 0; i < sims.size(); ++i) {
     AgentTrace& at = out.agents[i];
@@ -544,14 +579,6 @@ SimulationTrace assemble(SimulationTrace out, const GeneratorConfig& cfg,
       prev = c.step;
       c.seq = seq;
     }
-    calls.erase(std::remove_if(calls.begin(), calls.end(),
-                               [&](const LlmCall& c) {
-                                 return outside_window(c.step);
-                               }),
-                calls.end());
-    // A window keeps a small share of the day's Pass-A calls: the trace
-    // gives back the capacity the rest took (likewise for interactions).
-    if (windowed) calls.shrink_to_fit();
     at.calls = std::move(calls);
   }
   std::sort(interactions.begin(), interactions.end(),
@@ -562,20 +589,156 @@ SimulationTrace assemble(SimulationTrace out, const GeneratorConfig& cfg,
             });
   interactions.erase(std::unique(interactions.begin(), interactions.end()),
                      interactions.end());
-  interactions.erase(std::remove_if(interactions.begin(), interactions.end(),
-                                    [&](const Interaction& in) {
-                                      return outside_window(in.step);
-                                    }),
-                     interactions.end());
-  if (windowed) interactions.shrink_to_fit();
   out.interactions = std::move(interactions);
   out.validate();
   return out;
 }
 
-}  // namespace
+/// The checked window of a trace `length` steps long: [0, length] when
+/// window_begin < 0.
+std::pair<Step, Step> kept_steps(Step window_begin, Step window_end,
+                                 Step length, const char* what) {
+  if (window_begin < 0) return {0, length};
+  AIM_CHECK_MSG(window_begin < window_end && window_end <= length,
+                "window [" << window_begin << ", " << window_end
+                           << ") is not inside the " << what);
+  return {window_begin, window_end};
+}
 
-SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
+/// GridMap::arena_at as a table: per tile, the first arena in map order
+/// whose rect holds it. Built once per map, since the idle wander asks at
+/// every wandering step; the generator builds it for the segment maps it
+/// runs on, not GridMap, whose concatenated worlds can be huge.
+class ArenaTable {
+ public:
+  explicit ArenaTable(const GridMap& map)
+      : width_(static_cast<std::size_t>(map.width())),
+        arena_(width_ * static_cast<std::size_t>(map.height()), nullptr) {
+    for (const world::Arena& arena : map.arenas()) {
+      const world::Rect& r = arena.rect;
+      for (std::int32_t y = std::max(r.y0, 0);
+           y <= std::min(r.y1, map.height() - 1); ++y) {
+        for (std::int32_t x = std::max(r.x0, 0);
+             x <= std::min(r.x1, map.width() - 1); ++x) {
+          const world::Arena*& slot = arena_[index(Tile{x, y})];
+          if (slot == nullptr) slot = &arena;
+        }
+      }
+    }
+  }
+
+  /// The arena holding `t`, which must be on the map, or nullptr.
+  const world::Arena* at(Tile t) const { return arena_[index(t)]; }
+
+ private:
+  std::size_t index(Tile t) const {
+    return static_cast<std::size_t>(t.y) * width_ +
+           static_cast<std::size_t>(t.x);
+  }
+
+  std::size_t width_;
+  std::vector<const world::Arena*> arena_;
+};
+
+/// The kick-off scan's idle agents as structure-of-arrays columns of
+/// 16-bit lanes (tile x, tile y, busy flag), eight lanes to a vector
+/// register. `seal` pads the columns to a whole group of eight with busy
+/// lanes, which never pass the prefilter.
+class IdleColumns {
+ public:
+  /// Tile coordinates below 2^14 keep the prefilter's lane arithmetic
+  /// exact (see `near`).
+  static constexpr std::int32_t kMaxSide = 1 << 14;
+
+  void clear() {
+    x_.clear();
+    y_.clear();
+    busy_.clear();
+    agent_.clear();
+  }
+
+  void push(Tile t, AgentId agent) {
+    x_.push_back(static_cast<std::uint16_t>(t.x));
+    y_.push_back(static_cast<std::uint16_t>(t.y));
+    busy_.push_back(0);
+    agent_.push_back(agent);
+  }
+
+  void seal() {
+    while (x_.size() % 8 != 0) {
+      x_.push_back(0);
+      y_.push_back(0);
+      busy_.push_back(1);
+    }
+  }
+
+  std::size_t size() const { return agent_.size(); }
+  AgentId agent(std::size_t k) const { return agent_[k]; }
+  bool busy(std::size_t k) const { return busy_[k] != 0; }
+  void set_busy(std::size_t k) { busy_[k] = 1; }
+
+  /// The prefilter over the lanes from `from` to the end of its 64-lane
+  /// word or of the list: bit k is set when lane base + k, base = from
+  /// rounded down to the word, is not busy and lies within `reach` tiles
+  /// of `t` on both axes. One pass over the word's groups of eight lanes,
+  /// each packed into eight bits; no branch depends on the lanes.
+  std::uint64_t near(std::size_t from, Tile t, std::uint16_t reach) const {
+    using Lanes = std::uint16_t __attribute__((vector_size(16)));
+    using Bytes = std::int8_t __attribute__((vector_size(8)));
+    static_assert(std::endian::native == std::endian::little,
+                  "the bit packing reads lane k from byte k");
+    const std::size_t base = from / 64 * 64;
+    const std::size_t to = std::min(size(), base + 64);
+    // |dx| <= reach as one unsigned compare of dx + reach against
+    // 2 * reach: |dx| < 2^14 and reach < 2^14, so a negative sum wraps
+    // to at least 2^15 + 2^14 and a non-negative one stays below 2^15.
+    const auto x_lo = static_cast<std::uint16_t>(t.x - reach);
+    const auto y_lo = static_cast<std::uint16_t>(t.y - reach);
+    const auto span = static_cast<std::uint16_t>(2 * reach);
+    std::uint64_t mask = 0;
+    for (std::size_t g = (from - base) / 8; base + 8 * g < to; ++g) {
+      const std::size_t k = base + 8 * g;
+      Lanes x, y, busy;
+      std::memcpy(&x, x_.data() + k, sizeof x);
+      std::memcpy(&y, y_.data() + k, sizeof y);
+      std::memcpy(&busy, busy_.data() + k, sizeof busy);
+      const Bytes pass = __builtin_convertvector(
+          (x - x_lo <= span) & (y - y_lo <= span) & (busy == 0), Bytes);
+      std::uint64_t bytes;
+      std::memcpy(&bytes, &pass, sizeof bytes);
+      // Each byte is 0 or all ones. The multiply moves bit 0 of byte b to
+      // bit 56 + b, and no two partial products share a bit.
+      mask |= (((bytes & 0x0101010101010101ULL) * 0x0102040810204080ULL) >>
+               56)
+              << (8 * g);
+    }
+    return mask & (~std::uint64_t{0} << (from - base));
+  }
+
+ private:
+  std::vector<std::uint16_t> x_, y_, busy_;
+  std::vector<AgentId> agent_;
+};
+
+/// One grid day's agents and kept interactions.
+struct GridDay {
+  std::vector<AgentSim> sims;
+  std::vector<Interaction> interactions;
+  /// The largest conversation id any of the day's calls carries, or -1.
+  std::int32_t largest_conversation_id = -1;
+};
+
+/// Runs one grid day and keeps positions for day steps [keep_begin,
+/// keep_end], calls and interactions for [keep_begin, keep_end). One RNG
+/// stream drives the day, so Pass A (movement, conversations, planning)
+/// runs every step either way; Pass B draws after it, sizes each hour by
+/// every Pass-A call, and stops after the last hour with a kept step.
+/// `step_offset` is the day's first step on the episode's axis: a move is
+/// checked where it is made, since validate() sees only kept positions,
+/// and its message names the move's absolute step as validate() would.
+GridDay run_grid_day(const GridMap& map, const ArenaTable& arenas,
+                     const GeneratorConfig& cfg, Step keep_begin,
+                     Step keep_end, Step step_offset) {
   AIM_CHECK(cfg.steps_per_day > 0);
   AIM_CHECK(cfg.day_index >= 0);
   AIM_CHECK_MSG(cfg.radius_p >= 0.0,
@@ -584,6 +747,11 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
                     cfg.start_tiles.size() ==
                         static_cast<std::size_t>(cfg.n_agents),
                 "start_tiles must be empty or one per agent");
+  AIM_CHECK_MSG(map.width() <= IdleColumns::kMaxSide &&
+                    map.height() <= IdleColumns::kMaxSide,
+                "grid generation takes maps up to "
+                    << IdleColumns::kMaxSide << " tiles a side, got "
+                    << map.width() << "x" << map.height());
   std::vector<AgentSim> sims = make_agents(cfg);
   const bool hetero = !cfg.agent_profiles.empty();
   // Day 0 seeds exactly as the historical single-day generator; later days
@@ -611,6 +779,19 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
       it = venue_tables.emplace(p.name, discover_venues(map, p)).first;
     }
     return it->second;
+  };
+
+  DayRecord record{keep_begin, keep_end};
+  auto move_to = [&](AgentSim& a, Tile next, Step s) {
+    const Step step = step_offset + s;
+    AIM_CHECK_MSG(map.in_bounds(next), "agent " << a.id
+                                                << " moved out of bounds at step "
+                                                << step);
+    const double d = chebyshev(a.tile.center(), next.center());
+    AIM_CHECK_MSG(d <= cfg.max_vel + 1e-9, "agent " << a.id << " moved " << d
+                                                    << " > max_vel at step "
+                                                    << step);
+    a.tile = next;
   };
 
   const Step day = cfg.steps_per_day;
@@ -657,9 +838,11 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
       // Cross-day carry-over: this day starts exactly where the previous
       // one ended (typically in bed anyway — the routine ends at home).
       a.tile = cfg.start_tiles[static_cast<std::size_t>(i)];
+      AIM_CHECK_MSG(map.in_bounds(a.tile), "agent " << i
+                                                    << " starts out of bounds");
     }
-    a.positions.reserve(static_cast<std::size_t>(day) + 1);
-    a.positions.push_back(a.tile);
+    a.positions.reserve(static_cast<std::size_t>(keep_end - keep_begin) + 1);
+    record.add_position(a, 0);
   }
 
   const world::Arena* const cafe = map.arena("cafe");
@@ -675,31 +858,27 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
     return a.home;
   };
 
-  // The kick-off scan's list, reused across steps.
-  struct Idle {
-    Tile tile;
-    AgentId agent;
-    bool busy;
-  };
-  std::vector<Idle> idle;
+  // The kick-off scan's columns, refilled each step.
+  IdleColumns idle;
   // A pair more than `reach` tiles apart on either axis is farther than
   // radius_p, so the exact distance test below would reject it too (tile
-  // differences are small exact integers). The map extent caps the bound
-  // before the integer cast.
-  const auto reach = static_cast<std::int32_t>(std::floor(std::min(
-      cfg.radius_p, static_cast<double>(map.width() + map.height()))));
+  // differences are small exact integers). No tile difference on a map
+  // the columns take exceeds kMaxSide - 1, which caps the bound before
+  // the integer cast.
+  const auto reach = static_cast<std::uint16_t>(std::floor(std::min(
+      cfg.radius_p, static_cast<double>(IdleColumns::kMaxSide - 1))));
 
   // ---- Pass A: movement, conversations, wake-up planning, reflections ----
-  plan_day(sims, day, rng);
+  plan_day(sims, day, record, rng);
   ConversationBook book(day, hetero);
   for (Step s = 0; s < day; ++s) {
-    book.emit_turns(s, sims, rng);
+    book.emit_turns(s, sims, record, rng);
 
     // Movement.
     for (auto& a : sims) {
       const bool asleep = s < a.wake || s >= a.sleep;
       if (asleep || a.conversing_until >= s) {
-        a.positions.push_back(a.tile);
+        record.add_position(a, s + 1);
         continue;
       }
       const world::Arena* want = target_arena_at(a, s);
@@ -710,11 +889,11 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
         a.path_idx = a.path.empty() ? 0 : 1;  // path[0] == current tile
       }
       if (a.path_idx < a.path.size()) {
-        a.tile = a.path[a.path_idx++];
+        move_to(a, a.path[a.path_idx++], s);
       } else if (rng.bernoulli(0.15)) {
         // Idle wander within the current arena, to a walkable neighbor
         // drawn in +x, -x, +y, -y order.
-        const world::Arena* arena = map.arena_at(a.tile);
+        const world::Arena* arena = arenas.at(a.tile);
         const Tile t = a.tile;
         std::array<Tile, 4> candidates;
         std::int64_t n = 0;
@@ -725,69 +904,151 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
           }
         }
         if (n > 0) {
-          a.tile =
-              candidates[static_cast<std::size_t>(rng.uniform_int(0, n - 1))];
+          move_to(
+              a,
+              candidates[static_cast<std::size_t>(rng.uniform_int(0, n - 1))],
+              s);
         }
       }
-      a.positions.push_back(a.tile);
+      record.add_position(a, s + 1);
     }
 
     // Conversation kick-off: co-located awake idle agents. The scan runs
     // over the agents awake and idle when it starts, in index order; a
-    // conversation marks both sides busy for the rest of the scan.
+    // conversation marks both sides busy for the rest of the scan. Idle
+    // agent i visits, in increasing j, the set bits of a mask of the j > i
+    // that are not busy and within `reach` on both axes. Only i's own
+    // conversation marks a lane busy, and that ends i's scan, so the mask
+    // is exact for as long as it is read: every distance test, cooldown
+    // lookup and RNG draw stays where a pair-by-pair scan makes it.
     idle.clear();
     for (const AgentSim& a : sims) {
       if (s < a.wake || s >= a.sleep || a.conversing_until >= s) continue;
-      idle.push_back(Idle{a.tile, a.id, false});
+      idle.push(a.tile, a.id);
     }
-    for (std::size_t i = 0; i < idle.size(); ++i) {
-      if (idle[i].busy) continue;
-      AgentSim& a = sims[static_cast<std::size_t>(idle[i].agent)];
-      for (std::size_t j = i + 1; j < idle.size(); ++j) {
-        if (idle[j].busy) continue;
-        if (std::abs(idle[j].tile.x - a.tile.x) > reach ||
-            std::abs(idle[j].tile.y - a.tile.y) > reach) {
-          continue;
+    idle.seal();
+    const std::size_t n_idle = idle.size();
+    for (std::size_t i = 0; i < n_idle; ++i) {
+      if (idle.busy(i)) continue;
+      AgentSim& a = sims[static_cast<std::size_t>(idle.agent(i))];
+      bool started = false;
+      for (std::size_t from = i + 1; from < n_idle && !started;
+           from = from / 64 * 64 + 64) {
+        const std::size_t base = from / 64 * 64;
+        for (std::uint64_t near = idle.near(from, a.tile, reach);
+             near != 0 && !started; near &= near - 1) {
+          const std::size_t j =
+              base + static_cast<std::size_t>(std::countr_zero(near));
+          AgentSim& b = sims[static_cast<std::size_t>(idle.agent(j))];
+          if (euclidean(a.tile.center(), b.tile.center()) > cfg.radius_p) {
+            continue;
+          }
+          // Agent a starts at most one conversation per step.
+          started = book.try_start(a, b, s, rng);
+          if (started) idle.set_busy(j);
         }
-        AgentSim& b = sims[static_cast<std::size_t>(idle[j].agent)];
-        if (euclidean(a.tile.center(), b.tile.center()) > cfg.radius_p) continue;
-        if (!book.try_start(a, b, s, rng)) continue;
-        idle[j].busy = true;
-        break;  // agent a starts at most one conversation per step
       }
     }
   }
 
-  fill_routine(sims, cfg, hetero, 0, day, rng);
+  fill_routine(sims, cfg, hetero, record, rng);
+  return GridDay{std::move(sims), book.take_interactions(), book.largest_id()};
+}
 
+/// One grid day of `map`, windowed as generate() documents.
+SimulationTrace grid_day(const GridMap& map, const ArenaTable& arenas,
+                         const GeneratorConfig& cfg, Step window_begin,
+                         Step window_end) {
+  const auto [begin, end] =
+      kept_steps(window_begin, window_end, cfg.steps_per_day, "day");
+  GridDay day = run_grid_day(map, arenas, cfg, begin, end, 0);
   SimulationTrace out;
   out.map_width = map.width();
   out.map_height = map.height();
-  return assemble(std::move(out), cfg, sims, book.take_interactions(), -1, -1);
+  return assemble(std::move(out), cfg, day.sims,
+                  std::move(day.interactions), begin, end);
 }
 
-SimulationTrace generate_episode(const world::GridMap& map,
-                                 const GeneratorConfig& cfg) {
+/// A cfg.days-day episode of `map`, windowed as generate_episode()
+/// documents.
+SimulationTrace grid_episode(const GridMap& map, const ArenaTable& arenas,
+                             const GeneratorConfig& cfg, Step window_begin,
+                             Step window_end) {
   AIM_CHECK(cfg.days >= 1);
   if (cfg.days == 1) {
     // Byte-identical to the historical single-day generator.
-    return generate(map, cfg);
+    return grid_day(map, arenas, cfg, window_begin, window_end);
   }
-  std::vector<SimulationTrace> day_traces;
-  day_traces.reserve(static_cast<std::size_t>(cfg.days));
+  const Step day = cfg.steps_per_day;
+  AIM_CHECK(day > 0);
+  const auto [begin, end] =
+      kept_steps(window_begin, window_end, cfg.days * day, "episode");
+  const auto first_day = static_cast<std::int32_t>(begin / day);
+  const auto last_day = static_cast<std::int32_t>((end - 1) / day);
+  // The episode's kept positions, calls and interactions, on its step axis.
+  std::vector<AgentSim> kept;
+  std::vector<Interaction> interactions;
   GeneratorConfig day_cfg = cfg;
-  for (std::int32_t d = 0; d < cfg.days; ++d) {
+  // Conversation ids are renumbered so no two days share one (and so no
+  // day boundary creates an artificial prefix-cache hit): day d's ids
+  // start past the largest id of every earlier day.
+  std::int32_t id_offset = 0;
+  for (std::int32_t d = 0; d <= last_day; ++d) {
     day_cfg.day_index = d;
-    if (d > 0) {
-      // Cross-day carry-over: day d starts exactly where day d-1 ended.
-      day_cfg.start_tiles.clear();
-      for (const AgentTrace& a : day_traces.back().agents) {
-        day_cfg.start_tiles.push_back(a.positions.back());
+    const Step first = static_cast<Step>(d) * day;
+    // A day before the window runs only for its final tiles and its
+    // largest conversation id, so it keeps only its last position.
+    const bool in_window = d >= first_day;
+    const Step keep_begin = in_window ? std::max<Step>(begin - first, 0) : day;
+    const Step keep_end = in_window ? std::min<Step>(end - first, day) : day;
+    GridDay today =
+        run_grid_day(map, arenas, day_cfg, keep_begin, keep_end, first);
+    // Cross-day carry-over: day d + 1 starts exactly where day d ended.
+    day_cfg.start_tiles.clear();
+    kept.resize(today.sims.size());
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      AgentSim& a = today.sims[i];
+      day_cfg.start_tiles.push_back(a.tile);
+      if (!in_window) continue;
+      // After the first kept day, a day's first position is the previous
+      // day's last.
+      std::vector<Tile>& positions = kept[i].positions;
+      positions.insert(positions.end(),
+                       a.positions.begin() + (positions.empty() ? 0 : 1),
+                       a.positions.end());
+      for (LlmCall call : a.calls) {
+        call.step += first;
+        if (call.conversation_id >= 0) {
+          call.conversation_id += id_offset;
+          call.prompt_hash = conversation_prompt_hash(call.conversation_id);
+        }
+        kept[i].calls.push_back(call);
       }
     }
-    day_traces.push_back(generate(map, day_cfg));
+    for (Interaction in : today.interactions) {
+      in.step += first;
+      interactions.push_back(in);
+    }
+    id_offset += today.largest_conversation_id + 1;
   }
-  return concatenate_days(day_traces);
+  SimulationTrace out;
+  out.map_width = map.width();
+  out.map_height = map.height();
+  return assemble(std::move(out), cfg, kept, std::move(interactions), begin,
+                  end);
+}
+
+}  // namespace
+
+SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg,
+                         Step window_begin, Step window_end) {
+  return grid_day(map, ArenaTable(map), cfg, window_begin, window_end);
+}
+
+SimulationTrace generate_episode(const world::GridMap& map,
+                                 const GeneratorConfig& cfg,
+                                 Step window_begin, Step window_end) {
+  return grid_episode(map, ArenaTable(map), cfg, window_begin, window_end);
 }
 
 SimulationTrace generate_concatenated(
@@ -803,8 +1064,8 @@ SimulationTrace generate_concatenated(
                     base.agent_profiles.size() ==
                         static_cast<std::size_t>(total),
                 "agent_profiles must cover the combined segment population");
-  // Segment k's episode, windowed as soon as it exists so the full-length
-  // trace is freed before the next segment is claimed.
+  // Every segment runs on the same map, so one arena table serves them all.
+  const ArenaTable arenas(segment);
   auto generate_segment = [&](std::size_t k) {
     GeneratorConfig cfg = base;
     cfg.n_agents = agents_per_segment[k];
@@ -814,9 +1075,7 @@ SimulationTrace generate_concatenated(
       const auto begin = base.agent_profiles.begin() + agent_offsets[k];
       cfg.agent_profiles.assign(begin, begin + agents_per_segment[k]);
     }
-    SimulationTrace episode = generate_episode(segment, cfg);
-    if (window_begin < 0) return episode;
-    return slice(episode, window_begin, window_end);
+    return grid_episode(segment, arenas, cfg, window_begin, window_end);
   };
   if (n_segments == 1) return generate_segment(0);
 
@@ -860,11 +1119,13 @@ SimulationTrace generate_social_graph(world::CsrGraph graph,
                                       const GeneratorConfig& cfg,
                                       Step window_begin, Step window_end) {
   AIM_CHECK(cfg.steps_per_day > 0);
-  const bool windowed = window_begin >= 0;
-  AIM_CHECK_MSG(!windowed || (window_begin < window_end &&
-                              window_end <= cfg.steps_per_day),
-                "window [" << window_begin << ", " << window_end
-                           << ") is not inside the day");
+  // Positions are kept for steps [keep_begin, keep_end] only, and calls
+  // for steps [keep_begin, keep_end). Pass A still walks the whole day,
+  // since Pass B draws from the same stream after it and sizes each hour's
+  // fill by every Pass-A call; Pass B stops after the window's last hour.
+  // So every RNG draw a kept byte depends on stays where it was.
+  const auto [keep_begin, keep_end] =
+      kept_steps(window_begin, window_end, cfg.steps_per_day, "day");
   AIM_CHECK_MSG(cfg.day_index == 0 && cfg.start_tiles.empty(),
                 "graph scenarios are single-day");
   AIM_CHECK_MSG(cfg.max_vel >= 1.0 - 1e-9,
@@ -876,17 +1137,7 @@ SimulationTrace generate_social_graph(world::CsrGraph graph,
 
   Rng rng(cfg.seed);
   const Step day = cfg.steps_per_day;
-  // Positions are kept for steps [keep_begin, keep_end] only, and Pass B's
-  // routine calls for steps [keep_begin, keep_end). Pass A still walks the
-  // whole day, since Pass B draws from the same stream after it and sizes
-  // each hour's fill by every Pass-A call; Pass B stops after the window's
-  // last hour. So every RNG draw a kept byte depends on stays where it was.
-  const Step keep_begin = windowed ? window_begin : 0;
-  const Step keep_end = windowed ? window_end : day;
-  auto record_position = [&](AgentSim& a, Step step) {
-    if (step < keep_begin || step > keep_end) return;
-    a.positions.push_back(a.tile);
-  };
+  DayRecord record{keep_begin, keep_end};
 
   // Per node: the highest-degree neighbor (ties to the smaller id, which
   // sorted adjacency gives for free) — the hub agents drift toward during
@@ -919,7 +1170,7 @@ SimulationTrace generate_social_graph(world::CsrGraph graph,
     a.tile = Tile{static_cast<std::int32_t>(arng.uniform_int(0, n_nodes - 1)),
                   0};
     a.positions.reserve(static_cast<std::size_t>(keep_end - keep_begin) + 1);
-    record_position(a, 0);
+    record.add_position(a, 0);
   }
 
   // Each step's kick-off lists, one per node, as flat links: a node's
@@ -932,11 +1183,11 @@ SimulationTrace generate_social_graph(world::CsrGraph graph,
   std::vector<std::int32_t> touched;
 
   // ---- Pass A: movement, conversations, wake-up planning, reflections ----
-  plan_day(sims, day, rng);
+  plan_day(sims, day, record, rng);
   ConversationBook book(day, hetero);
   for (Step s = 0; s < day; ++s) {
     const std::size_t hour = hour_of(s);
-    book.emit_turns(s, sims, rng);
+    book.emit_turns(s, sims, record, rng);
 
     // Movement: stay-or-one-hop random walk with the profile's diurnal
     // intensity; social hours bias the hop toward the highest-degree
@@ -951,7 +1202,7 @@ SimulationTrace generate_social_graph(world::CsrGraph graph,
     for (auto& a : sims) {
       const bool asleep = s < a.wake || s >= a.sleep;
       if (asleep || a.conversing_until >= s) {
-        record_position(a, s + 1);
+        record.add_position(a, s + 1);
         continue;
       }
       const double intensity = a.profile->hourly_weights[hour] / a.peak;
@@ -975,7 +1226,7 @@ SimulationTrace generate_social_graph(world::CsrGraph graph,
           a.tile = Tile{dest, 0};
         }
       }
-      record_position(a, s + 1);
+      record.add_position(a, s + 1);
       const auto node = static_cast<std::size_t>(a.tile.x);
       if (list_head[node] < 0) {
         list_head[node] = a.id;
@@ -1005,7 +1256,7 @@ SimulationTrace generate_social_graph(world::CsrGraph graph,
     }
   }
 
-  fill_routine(sims, cfg, hetero, keep_begin, keep_end, rng);
+  fill_routine(sims, cfg, hetero, record, rng);
 
   SimulationTrace out;
   out.map_width = n_nodes;
@@ -1013,7 +1264,7 @@ SimulationTrace generate_social_graph(world::CsrGraph graph,
   out.world_kind = WorldKind::kGraph;
   out.graph_adjacency = std::move(graph);
   return assemble(std::move(out), cfg, sims, book.take_interactions(),
-                  window_begin, window_end);
+                  keep_begin, keep_end);
 }
 
 }  // namespace aimetro::trace

@@ -69,14 +69,40 @@ struct GeneratorConfig {
 
 /// Generates a ONE-day trace on `map` (one segment; use
 /// concatenate_segments + GridMap::concatenate for the large ville, and
-/// generate_episode for multi-day runs). Ignores cfg.days.
-SimulationTrace generate(const world::GridMap& map, const GeneratorConfig& cfg);
+/// generate_episode for multi-day runs). Ignores cfg.days. `map` may be at
+/// most 16384 tiles a side.
+///
+/// Window: with window_begin >= 0 the result is exactly
+/// slice(<unwindowed result>, window_begin, window_end), byte for byte.
+/// One RNG stream drives the day, so movement, conversations and planning
+/// (Pass A) still run every step, but positions are stored only for steps
+/// [window_begin, window_end] and Pass-A calls only inside the window;
+/// Pass B sizes its fill from per-hour tallies of every Pass-A call. Pass
+/// B draws last: it draws every routine call up to the end of the window's
+/// last hour, stores only those inside the window, and stops there.
+/// validate() then sees only the window, so the generator checks each
+/// move (in bounds, within max_vel) as it makes it. window_begin < 0 keeps
+/// the whole day.
+SimulationTrace generate(const world::GridMap& map, const GeneratorConfig& cfg,
+                         Step window_begin = -1, Step window_end = -1);
 
-/// Generates a cfg.days-day episode on `map`: day traces chained on the
-/// time axis with positional carry-over at each midnight boundary
-/// (concatenate_days). With days == 1 this is exactly generate().
+/// Generates a cfg.days-day episode on `map`: days chained on the time
+/// axis with positional carry-over at each midnight boundary, and
+/// conversation ids (with their prompt hashes) renumbered so no two days
+/// share a conversation. With days == 1 this is exactly generate().
+///
+/// Window: with window_begin >= 0 (a step of the episode's axis) the
+/// result is exactly slice(<unwindowed result>, window_begin, window_end),
+/// byte for byte. Only the days the window needs are built: each day
+/// windows itself as generate() does, a day before the window runs Pass A
+/// for its final tiles and its largest conversation id (the carry-over and
+/// the renumbering) and stores nothing else, and no day after the window
+/// is generated. A failed move check names the move's episode step.
+/// window_begin < 0 keeps the whole episode.
 SimulationTrace generate_episode(const world::GridMap& map,
-                                 const GeneratorConfig& cfg);
+                                 const GeneratorConfig& cfg,
+                                 Step window_begin = -1,
+                                 Step window_end = -1);
 
 /// Generate one independent episode trace of `segment` per entry of
 /// `agents_per_segment` (derived seeds base.seed + k * 0x9e3779b9) and
@@ -89,10 +115,9 @@ SimulationTrace generate_episode(const world::GridMap& map,
 ///
 /// Window: with window_begin >= 0 the result is exactly
 /// slice(<unwindowed result>, window_begin, window_end), byte for byte.
-/// Each segment's episode is still generated in full (one RNG stream
-/// drives every step of it), then validated and sliced before its thread
-/// claims the next segment, so at most one full-length segment trace per
-/// thread is alive. window_begin < 0 keeps the whole episode.
+/// Each segment generates only its window, as generate_episode() does, so
+/// no segment's full-length trace is ever alive. window_begin < 0 keeps
+/// the whole episode.
 ///
 /// Concurrency: segments are generated on min(segments,
 /// std::thread::hardware_concurrency()) threads, the caller plus plain

@@ -246,72 +246,4 @@ std::uint64_t conversation_prompt_hash(std::int32_t conversation_id) {
                     static_cast<std::uint64_t>(conversation_id));
 }
 
-SimulationTrace concatenate_days(const std::vector<SimulationTrace>& days) {
-  AIM_CHECK(!days.empty());
-  const SimulationTrace& first = days.front();
-  SimulationTrace out;
-  out.n_agents = first.n_agents;
-  out.n_steps = 0;
-  out.start_step = 0;
-  out.seconds_per_step = first.seconds_per_step;
-  out.radius_p = first.radius_p;
-  out.max_vel = first.max_vel;
-  out.map_width = first.map_width;
-  out.map_height = first.map_height;
-  out.world_kind = first.world_kind;
-  out.graph_adjacency = first.graph_adjacency;
-  out.agents.resize(static_cast<std::size_t>(first.n_agents));
-  for (std::size_t i = 0; i < out.agents.size(); ++i) {
-    out.agents[i].agent = static_cast<AgentId>(i);
-  }
-
-  std::int32_t conv_id_offset = 0;
-  for (std::size_t d = 0; d < days.size(); ++d) {
-    const SimulationTrace& day = days[d];
-    AIM_CHECK_MSG(day.n_agents == first.n_agents &&
-                      day.start_step == 0 &&
-                      day.map_width == first.map_width &&
-                      day.map_height == first.map_height &&
-                      day.radius_p == first.radius_p &&
-                      day.max_vel == first.max_vel &&
-                      day.world_kind == first.world_kind &&
-                      day.graph_adjacency == first.graph_adjacency,
-                  "day " << d << " has a different shape");
-    const Step step_offset = out.n_steps;
-    std::int32_t max_conv_id = -1;
-    for (std::size_t i = 0; i < out.agents.size(); ++i) {
-      const AgentTrace& src = day.agents[i];
-      AgentTrace& dst = out.agents[i];
-      // Continuity at the boundary: this day starts exactly where the
-      // previous one ended (that final position is the carried-over one).
-      if (d == 0) {
-        dst.positions = src.positions;
-      } else {
-        AIM_CHECK_MSG(dst.positions.back() == src.positions.front(),
-                      "agent " << i << " teleported across the day "
-                               << d << " boundary");
-        dst.positions.insert(dst.positions.end(), src.positions.begin() + 1,
-                             src.positions.end());
-      }
-      for (LlmCall call : src.calls) {
-        call.step += step_offset;
-        if (call.conversation_id >= 0) {
-          max_conv_id = std::max(max_conv_id, call.conversation_id);
-          call.conversation_id += conv_id_offset;
-          call.prompt_hash = conversation_prompt_hash(call.conversation_id);
-        }
-        dst.calls.push_back(call);
-      }
-    }
-    for (Interaction in : day.interactions) {
-      in.step += step_offset;
-      out.interactions.push_back(in);
-    }
-    out.n_steps += day.n_steps;
-    conv_id_offset += max_conv_id + 1;
-  }
-  out.validate();
-  return out;
-}
-
 }  // namespace aimetro::trace

@@ -119,6 +119,8 @@ StepCalls group_calls_by_step(const AgentTrace& agent);
 
 /// Restrict `full` to absolute steps [begin, end): agents keep their
 /// positions over the window; only calls/interactions inside it survive.
+/// The generators build windowed traces themselves and promise this
+/// function's result byte for byte, so it is their tests' reference.
 SimulationTrace slice(const SimulationTrace& full, Step begin, Step end);
 
 /// Place independent segment traces side-by-side in space (agent ids and x
@@ -133,14 +135,5 @@ SimulationTrace concatenate_segments(
 /// this hash. Conversation ids must therefore stay unique across day and
 /// segment concatenation.
 std::uint64_t conversation_prompt_hash(std::int32_t conversation_id);
-
-/// Chain day traces of one population along the TIME axis — a multi-day
-/// episode. Day k must start where day k-1 ended (same agents, same map,
-/// positions continuous at each boundary; every day's start_step is 0).
-/// Calls and interactions are shifted onto the episode's absolute step
-/// axis, and conversation ids (with their prompt hashes) are renumbered so
-/// no two days share a conversation — day boundaries never create
-/// artificial prefix-cache hits.
-SimulationTrace concatenate_days(const std::vector<SimulationTrace>& days);
 
 }  // namespace aimetro::trace

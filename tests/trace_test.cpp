@@ -545,6 +545,76 @@ TEST(Validate, CatchesSpeedViolations) {
   }
 }
 
+TEST(Generator, ChecksEachMoveWhereItIsMade) {
+  // A windowed trace's validate() sees only the window's moves, so the
+  // generator checks each move as it makes it. Below one tile per step
+  // every move is too fast: generation must fail at the episode's first
+  // move even when the window starts a day later, naming the agent and
+  // the move's absolute step as validate() names a move.
+  const auto map = world::GridMap::smallville(6);
+  GeneratorConfig cfg;
+  cfg.n_agents = 6;
+  cfg.seed = 5;
+  cfg.days = 2;
+  cfg.target_calls_per_25_agents = 6000.0;  // keep the test fast
+  const Step day = cfg.steps_per_day;
+  // The first move: the earliest step any agent moves at, made by the
+  // lowest id moving then.
+  const SimulationTrace full = generate_episode(map, cfg);
+  Step step = -1;
+  AgentId agent = -1;
+  for (Step s = 0; s < full.n_steps && step < 0; ++s) {
+    for (const AgentTrace& a : full.agents) {
+      const auto at = static_cast<std::size_t>(s);
+      if (a.positions[at + 1] != a.positions[at]) {
+        step = s;
+        agent = a.agent;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(step, 0);
+  ASSERT_LT(step, 4320);
+  const std::string expected = "agent " + std::to_string(agent) +
+                               " moved 1 > max_vel at step " +
+                               std::to_string(step);
+  cfg.max_vel = 0.5;
+  const std::pair<Step, Step> windows[] = {
+      {day + 4320, day + 4380}, {4320, 4380}, {-1, -1}};
+  for (const std::int32_t days : {2, 1}) {
+    cfg.days = days;
+    for (const auto& [begin, end] : windows) {
+      if (end > days * day) continue;
+      try {
+        generate_episode(map, cfg, begin, end);
+        ADD_FAILURE() << days << " days, window [" << begin << ", " << end
+                      << "): a move faster than max_vel must fail";
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+            << days << " days, window [" << begin << ", " << end
+            << "): " << e.what();
+      }
+    }
+  }
+}
+
+TEST(Generator, IdleWanderStaysInTheFirstArenaHoldingItsTile) {
+  // An idle agent wanders within GridMap::arena_at's arena: the first one,
+  // in map order, whose rect holds its tile. No registry map overlaps its
+  // arenas, so this one adds an annex over the cafe's west half after
+  // every other arena. The cafe is still found first there, so the annex
+  // (a name no profile looks for) changes no byte.
+  const auto plain = world::GridMap::smallville(6);
+  auto annexed = plain;
+  annexed.add_arena("annex", world::Rect{10, 40, 17, 55});
+  GeneratorConfig cfg;
+  cfg.n_agents = 6;
+  cfg.seed = 3;
+  cfg.target_calls_per_25_agents = 6000.0;  // keep the test fast
+  EXPECT_EQ(trace_bytes_hash(generate(annexed, cfg)),
+            trace_bytes_hash(generate(plain, cfg)));
+}
+
 TEST(Validate, CatchesUnsortedCalls) {
   SimulationTrace trace = day_trace(1, 4);
   auto& calls = trace.agents[1].calls;
