@@ -157,13 +157,10 @@ SimulationTrace generate_concatenated(
 ///
 /// Window: with window_begin >= 0 the result is exactly
 /// slice(<unwindowed result>, window_begin, window_end), byte for byte.
-/// One RNG stream drives the day, so movement, conversations and planning
-/// (Pass A) still run every step, but positions are stored only for steps
-/// [window_begin, window_end]. The routine fill (Pass B) draws last: it
-/// draws every routine call up to the end of the window's last hour,
-/// stores only those inside the window, and stops there. validate() then
-/// sees only the window, so the generator checks each hop against the
-/// graph as it makes it. window_begin < 0 keeps the whole day.
+/// It windows its day as generate() does, with the same Pass-A tallies
+/// and Pass-B cut; validate() then sees only the window, so the generator
+/// checks each hop against the graph as it makes it. window_begin < 0
+/// keeps the whole day.
 SimulationTrace generate_social_graph(world::CsrGraph graph,
                                       const GeneratorConfig& cfg,
                                       Step window_begin = -1,
