@@ -299,6 +299,10 @@ TEST(Concatenate, WindowedEqualsSliceOfFull) {
       }
     }
   }
+  EXPECT_THROW(generate_concatenated(segment, {8}, homogeneous, 100, 100),
+               CheckError);
+  EXPECT_THROW(generate_concatenated(segment, {8}, homogeneous, 0, last + 1),
+               CheckError);
 }
 
 TEST(Concatenate, SegmentCheckFailureThrowsOnCaller) {
