@@ -222,8 +222,10 @@ void draw_evening(Rng& rng, const BehaviorProfile& prof, Step social_lo,
 /// and input tokens, kept or not. The tallies sum integers, so they are
 /// exact in any order.
 struct DayRecord {
-  Step keep_begin = 0;
-  Step keep_end = 0;
+  DayRecord(Step begin, Step end) : keep_begin(begin), keep_end(end) {}
+
+  const Step keep_begin;
+  const Step keep_end;
   std::array<double, 24> pass_a_by_hour{};
   double pass_a_input_tokens = 0.0;
   std::size_t pass_a_calls = 0;
@@ -683,8 +685,8 @@ class IdleColumns {
   /// of `t` on both axes. One pass over the word's groups of eight lanes,
   /// each packed into eight bits; no branch depends on the lanes.
   std::uint64_t near(std::size_t from, Tile t, std::uint16_t reach) const {
-    using Lanes = std::uint16_t __attribute__((vector_size(16)));
-    using Bytes = std::int8_t __attribute__((vector_size(8)));
+    typedef std::uint16_t Lanes __attribute__((vector_size(16)));
+    typedef std::int8_t Bytes __attribute__((vector_size(8)));
     static_assert(std::endian::native == std::endian::little,
                   "the bit packing reads lane k from byte k");
     const std::size_t base = from / 64 * 64;
@@ -781,7 +783,7 @@ GridDay run_grid_day(const GridMap& map, const ArenaTable& arenas,
     return it->second;
   };
 
-  DayRecord record{keep_begin, keep_end};
+  DayRecord record(keep_begin, keep_end);
   auto move_to = [&](AgentSim& a, Tile next, Step s) {
     const Step step = step_offset + s;
     AIM_CHECK_MSG(map.in_bounds(next), "agent " << a.id
@@ -935,10 +937,10 @@ GridDay run_grid_day(const GridMap& map, const ArenaTable& arenas,
       for (std::size_t from = i + 1; from < n_idle && !started;
            from = from / 64 * 64 + 64) {
         const std::size_t base = from / 64 * 64;
-        for (std::uint64_t near = idle.near(from, a.tile, reach);
-             near != 0 && !started; near &= near - 1) {
+        for (std::uint64_t mask = idle.near(from, a.tile, reach);
+             mask != 0 && !started; mask &= mask - 1) {
           const std::size_t j =
-              base + static_cast<std::size_t>(std::countr_zero(near));
+              base + static_cast<std::size_t>(std::countr_zero(mask));
           AgentSim& b = sims[static_cast<std::size_t>(idle.agent(j))];
           if (euclidean(a.tile.center(), b.tile.center()) > cfg.radius_p) {
             continue;
@@ -1137,7 +1139,7 @@ SimulationTrace generate_social_graph(world::CsrGraph graph,
 
   Rng rng(cfg.seed);
   const Step day = cfg.steps_per_day;
-  DayRecord record{keep_begin, keep_end};
+  DayRecord record(keep_begin, keep_end);
 
   // Per node: the highest-degree neighbor (ties to the smaller id, which
   // sorted adjacency gives for free) — the hub agents drift toward during
