@@ -957,7 +957,7 @@ GridDay run_grid_day(const GridMap& map, const ArenaTable& arenas,
   return GridDay{std::move(sims), book.take_interactions(), book.largest_id()};
 }
 
-/// One grid day of `map`, windowed as generate() documents.
+/// One grid day of `map`, windowed as generate_concatenated() documents.
 SimulationTrace grid_day(const GridMap& map, const ArenaTable& arenas,
                          const GeneratorConfig& cfg, Step window_begin,
                          Step window_end) {
@@ -971,7 +971,7 @@ SimulationTrace grid_day(const GridMap& map, const ArenaTable& arenas,
                   std::move(day.interactions), begin, end);
 }
 
-/// A cfg.days-day episode of `map`, windowed as generate_episode()
+/// A cfg.days-day episode of `map`, windowed as generate_concatenated()
 /// documents.
 SimulationTrace grid_episode(const GridMap& map, const ArenaTable& arenas,
                              const GeneratorConfig& cfg, Step window_begin,
@@ -1042,15 +1042,13 @@ SimulationTrace grid_episode(const GridMap& map, const ArenaTable& arenas,
 
 }  // namespace
 
-SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg,
-                         Step window_begin, Step window_end) {
-  return grid_day(map, ArenaTable(map), cfg, window_begin, window_end);
+SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
+  return grid_day(map, ArenaTable(map), cfg, -1, -1);
 }
 
 SimulationTrace generate_episode(const world::GridMap& map,
-                                 const GeneratorConfig& cfg,
-                                 Step window_begin, Step window_end) {
-  return grid_episode(map, ArenaTable(map), cfg, window_begin, window_end);
+                                 const GeneratorConfig& cfg) {
+  return grid_episode(map, ArenaTable(map), cfg, -1, -1);
 }
 
 SimulationTrace generate_concatenated(

@@ -71,38 +71,14 @@ struct GeneratorConfig {
 /// concatenate_segments + GridMap::concatenate for the large ville, and
 /// generate_episode for multi-day runs). Ignores cfg.days. `map` may be at
 /// most 16384 tiles a side.
-///
-/// Window: with window_begin >= 0 the result is exactly
-/// slice(<unwindowed result>, window_begin, window_end), byte for byte.
-/// One RNG stream drives the day, so movement, conversations and planning
-/// (Pass A) still run every step, but positions are stored only for steps
-/// [window_begin, window_end] and Pass-A calls only inside the window;
-/// Pass B sizes its fill from per-hour tallies of every Pass-A call. Pass
-/// B draws last: it draws every routine call up to the end of the window's
-/// last hour, stores only those inside the window, and stops there.
-/// validate() then sees only the window, so the generator checks each
-/// move (in bounds, within max_vel) as it makes it. window_begin < 0 keeps
-/// the whole day.
-SimulationTrace generate(const world::GridMap& map, const GeneratorConfig& cfg,
-                         Step window_begin = -1, Step window_end = -1);
+SimulationTrace generate(const world::GridMap& map, const GeneratorConfig& cfg);
 
 /// Generates a cfg.days-day episode on `map`: days chained on the time
 /// axis with positional carry-over at each midnight boundary, and
 /// conversation ids (with their prompt hashes) renumbered so no two days
 /// share a conversation. With days == 1 this is exactly generate().
-///
-/// Window: with window_begin >= 0 (a step of the episode's axis) the
-/// result is exactly slice(<unwindowed result>, window_begin, window_end),
-/// byte for byte. Only the days the window needs are built: each day
-/// windows itself as generate() does, a day before the window runs Pass A
-/// for its final tiles and its largest conversation id (the carry-over and
-/// the renumbering) and stores nothing else, and no day after the window
-/// is generated. A failed move check names the move's episode step.
-/// window_begin < 0 keeps the whole episode.
 SimulationTrace generate_episode(const world::GridMap& map,
-                                 const GeneratorConfig& cfg,
-                                 Step window_begin = -1,
-                                 Step window_end = -1);
+                                 const GeneratorConfig& cfg);
 
 /// Generate one independent episode trace of `segment` per entry of
 /// `agents_per_segment` (derived seeds base.seed + k * 0x9e3779b9) and
@@ -113,11 +89,22 @@ SimulationTrace generate_episode(const world::GridMap& map,
 /// loses no agents. A heterogeneous base.agent_profiles (sized to the
 /// segment totals) is split across the segments in agent-id order.
 ///
-/// Window: with window_begin >= 0 the result is exactly
-/// slice(<unwindowed result>, window_begin, window_end), byte for byte.
-/// Each segment generates only its window, as generate_episode() does, so
-/// no segment's full-length trace is ever alive. window_begin < 0 keeps
-/// the whole episode.
+/// Window: with window_begin >= 0 (a step of the episode's axis) the
+/// result is exactly slice(<unwindowed result>, window_begin, window_end),
+/// byte for byte, and no segment's full-length trace is ever alive. A
+/// segment builds only the days the window needs. One RNG stream drives
+/// each day, so movement, conversations and planning (Pass A) still run
+/// every step of it, but positions are stored only for steps
+/// [window_begin, window_end] and Pass-A calls only inside the window;
+/// Pass B sizes its fill from per-hour tallies of every Pass-A call. Pass
+/// B draws last: it draws every routine call up to the end of the window's
+/// last hour, stores only those inside the window, and stops there. A day
+/// before the window runs Pass A for its final tiles and its largest
+/// conversation id (the carry-over and the renumbering) and stores
+/// nothing else, and no day after the window is generated. validate() then
+/// sees only the window, so the generator checks each move (in bounds,
+/// within max_vel) as it makes it, naming the move's episode step.
+/// window_begin < 0 keeps the whole episode.
 ///
 /// Concurrency: segments are generated on min(segments,
 /// std::thread::hardware_concurrency()) threads, the caller plus plain
@@ -157,10 +144,10 @@ SimulationTrace generate_concatenated(
 ///
 /// Window: with window_begin >= 0 the result is exactly
 /// slice(<unwindowed result>, window_begin, window_end), byte for byte.
-/// It windows its day as generate() does, with the same Pass-A tallies
-/// and Pass-B cut; validate() then sees only the window, so the generator
-/// checks each hop against the graph as it makes it. window_begin < 0
-/// keeps the whole day.
+/// It windows its day as generate_concatenated() windows a grid day, with
+/// the same Pass-A tallies and Pass-B cut; validate() then sees only the
+/// window, so the generator checks each hop against the graph as it makes
+/// it. window_begin < 0 keeps the whole day.
 SimulationTrace generate_social_graph(world::CsrGraph graph,
                                       const GeneratorConfig& cfg,
                                       Step window_begin = -1,

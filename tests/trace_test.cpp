@@ -590,7 +590,7 @@ TEST(Generator, ChecksEachMoveWhereItIsMade) {
     for (const auto& [begin, end] : windows) {
       if (end > days * day) continue;
       try {
-        generate_episode(map, cfg, begin, end);
+        generate_concatenated(map, {cfg.n_agents}, cfg, begin, end);
         ADD_FAILURE() << days << " days, window [" << begin << ", " << end
                       << "): a move faster than max_vel must fail";
       } catch (const CheckError& e) {
