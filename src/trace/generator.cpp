@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cmath>
-#include <cstring>
 #include <exception>
 #include <map>
 #include <numeric>
@@ -642,86 +640,6 @@ class ArenaTable {
   std::vector<const world::Arena*> arena_;
 };
 
-/// The kick-off scan's idle agents as structure-of-arrays columns of
-/// 16-bit lanes (tile x, tile y, busy flag), eight lanes to a vector
-/// register. `seal` pads the columns to a whole group of eight with busy
-/// lanes, which never pass the prefilter.
-class IdleColumns {
- public:
-  /// Tile coordinates below 2^14 keep the prefilter's lane arithmetic
-  /// exact (see `near`).
-  static constexpr std::int32_t kMaxSide = 1 << 14;
-
-  void clear() {
-    x_.clear();
-    y_.clear();
-    busy_.clear();
-    agent_.clear();
-  }
-
-  void push(Tile t, AgentId agent) {
-    x_.push_back(static_cast<std::uint16_t>(t.x));
-    y_.push_back(static_cast<std::uint16_t>(t.y));
-    busy_.push_back(0);
-    agent_.push_back(agent);
-  }
-
-  void seal() {
-    while (x_.size() % 8 != 0) {
-      x_.push_back(0);
-      y_.push_back(0);
-      busy_.push_back(1);
-    }
-  }
-
-  std::size_t size() const { return agent_.size(); }
-  AgentId agent(std::size_t k) const { return agent_[k]; }
-  bool busy(std::size_t k) const { return busy_[k] != 0; }
-  void set_busy(std::size_t k) { busy_[k] = 1; }
-
-  /// The prefilter over the lanes from `from` to the end of its 64-lane
-  /// word or of the list: bit k is set when lane base + k, base = from
-  /// rounded down to the word, is not busy and lies within `reach` tiles
-  /// of `t` on both axes. One pass over the word's groups of eight lanes,
-  /// each packed into eight bits; no branch depends on the lanes.
-  std::uint64_t near(std::size_t from, Tile t, std::uint16_t reach) const {
-    typedef std::uint16_t Lanes __attribute__((vector_size(16)));
-    typedef std::int8_t Bytes __attribute__((vector_size(8)));
-    static_assert(std::endian::native == std::endian::little,
-                  "the bit packing reads lane k from byte k");
-    const std::size_t base = from / 64 * 64;
-    const std::size_t to = std::min(size(), base + 64);
-    // |dx| <= reach as one unsigned compare of dx + reach against
-    // 2 * reach: |dx| < 2^14 and reach < 2^14, so a negative sum wraps
-    // to at least 2^15 + 2^14 and a non-negative one stays below 2^15.
-    const auto x_lo = static_cast<std::uint16_t>(t.x - reach);
-    const auto y_lo = static_cast<std::uint16_t>(t.y - reach);
-    const auto span = static_cast<std::uint16_t>(2 * reach);
-    std::uint64_t mask = 0;
-    for (std::size_t g = (from - base) / 8; base + 8 * g < to; ++g) {
-      const std::size_t k = base + 8 * g;
-      Lanes x, y, busy;
-      std::memcpy(&x, x_.data() + k, sizeof x);
-      std::memcpy(&y, y_.data() + k, sizeof y);
-      std::memcpy(&busy, busy_.data() + k, sizeof busy);
-      const Bytes pass = __builtin_convertvector(
-          (x - x_lo <= span) & (y - y_lo <= span) & (busy == 0), Bytes);
-      std::uint64_t bytes;
-      std::memcpy(&bytes, &pass, sizeof bytes);
-      // Each byte is 0 or all ones. The multiply moves bit 0 of byte b to
-      // bit 56 + b, and no two partial products share a bit.
-      mask |= (((bytes & 0x0101010101010101ULL) * 0x0102040810204080ULL) >>
-               56)
-              << (8 * g);
-    }
-    return mask & (~std::uint64_t{0} << (from - base));
-  }
-
- private:
-  std::vector<std::uint16_t> x_, y_, busy_;
-  std::vector<AgentId> agent_;
-};
-
 /// One grid day's agents and kept interactions.
 struct GridDay {
   std::vector<AgentSim> sims;
@@ -749,11 +667,6 @@ GridDay run_grid_day(const GridMap& map, const ArenaTable& arenas,
                     cfg.start_tiles.size() ==
                         static_cast<std::size_t>(cfg.n_agents),
                 "start_tiles must be empty or one per agent");
-  AIM_CHECK_MSG(map.width() <= IdleColumns::kMaxSide &&
-                    map.height() <= IdleColumns::kMaxSide,
-                "grid generation takes maps up to "
-                    << IdleColumns::kMaxSide << " tiles a side, got "
-                    << map.width() << "x" << map.height());
   std::vector<AgentSim> sims = make_agents(cfg);
   const bool hetero = !cfg.agent_profiles.empty();
   // Day 0 seeds exactly as the historical single-day generator; later days
@@ -860,15 +773,19 @@ GridDay run_grid_day(const GridMap& map, const ArenaTable& arenas,
     return a.home;
   };
 
-  // The kick-off scan's columns, refilled each step.
-  IdleColumns idle;
+  // The kick-off scan's list, reused across steps.
+  struct Idle {
+    Tile tile;
+    AgentId agent;
+    bool busy;
+  };
+  std::vector<Idle> idle;
   // A pair more than `reach` tiles apart on either axis is farther than
   // radius_p, so the exact distance test below would reject it too (tile
-  // differences are small exact integers). No tile difference on a map
-  // the columns take exceeds kMaxSide - 1, which caps the bound before
-  // the integer cast.
-  const auto reach = static_cast<std::uint16_t>(std::floor(std::min(
-      cfg.radius_p, static_cast<double>(IdleColumns::kMaxSide - 1))));
+  // differences are small exact integers). The map extent caps the bound
+  // before the integer cast.
+  const auto reach = static_cast<std::int32_t>(std::floor(std::min(
+      cfg.radius_p, static_cast<double>(map.width() + map.height()))));
 
   // ---- Pass A: movement, conversations, wake-up planning, reflections ----
   plan_day(sims, day, record, rng);
@@ -917,38 +834,26 @@ GridDay run_grid_day(const GridMap& map, const ArenaTable& arenas,
 
     // Conversation kick-off: co-located awake idle agents. The scan runs
     // over the agents awake and idle when it starts, in index order; a
-    // conversation marks both sides busy for the rest of the scan. Idle
-    // agent i visits, in increasing j, the set bits of a mask of the j > i
-    // that are not busy and within `reach` on both axes. Only i's own
-    // conversation marks a lane busy, and that ends i's scan, so the mask
-    // is exact for as long as it is read: every distance test, cooldown
-    // lookup and RNG draw stays where a pair-by-pair scan makes it.
+    // conversation marks both sides busy for the rest of the scan.
     idle.clear();
     for (const AgentSim& a : sims) {
       if (s < a.wake || s >= a.sleep || a.conversing_until >= s) continue;
-      idle.push(a.tile, a.id);
+      idle.push_back(Idle{a.tile, a.id, false});
     }
-    idle.seal();
-    const std::size_t n_idle = idle.size();
-    for (std::size_t i = 0; i < n_idle; ++i) {
-      if (idle.busy(i)) continue;
-      AgentSim& a = sims[static_cast<std::size_t>(idle.agent(i))];
-      bool started = false;
-      for (std::size_t from = i + 1; from < n_idle && !started;
-           from = from / 64 * 64 + 64) {
-        const std::size_t base = from / 64 * 64;
-        for (std::uint64_t mask = idle.near(from, a.tile, reach);
-             mask != 0 && !started; mask &= mask - 1) {
-          const std::size_t j =
-              base + static_cast<std::size_t>(std::countr_zero(mask));
-          AgentSim& b = sims[static_cast<std::size_t>(idle.agent(j))];
-          if (euclidean(a.tile.center(), b.tile.center()) > cfg.radius_p) {
-            continue;
-          }
-          // Agent a starts at most one conversation per step.
-          started = book.try_start(a, b, s, rng);
-          if (started) idle.set_busy(j);
+    for (std::size_t i = 0; i < idle.size(); ++i) {
+      if (idle[i].busy) continue;
+      AgentSim& a = sims[static_cast<std::size_t>(idle[i].agent)];
+      for (std::size_t j = i + 1; j < idle.size(); ++j) {
+        if (idle[j].busy) continue;
+        if (std::abs(idle[j].tile.x - a.tile.x) > reach ||
+            std::abs(idle[j].tile.y - a.tile.y) > reach) {
+          continue;
         }
+        AgentSim& b = sims[static_cast<std::size_t>(idle[j].agent)];
+        if (euclidean(a.tile.center(), b.tile.center()) > cfg.radius_p) continue;
+        if (!book.try_start(a, b, s, rng)) continue;
+        idle[j].busy = true;
+        break;  // agent a starts at most one conversation per step
       }
     }
   }

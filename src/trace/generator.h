@@ -69,8 +69,7 @@ struct GeneratorConfig {
 
 /// Generates a ONE-day trace on `map` (one segment; use
 /// concatenate_segments + GridMap::concatenate for the large ville, and
-/// generate_episode for multi-day runs). Ignores cfg.days. `map` may be at
-/// most 16384 tiles a side.
+/// generate_episode for multi-day runs). Ignores cfg.days.
 SimulationTrace generate(const world::GridMap& map, const GeneratorConfig& cfg);
 
 /// Generates a cfg.days-day episode on `map`: days chained on the time
