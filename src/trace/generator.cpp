@@ -605,10 +605,10 @@ std::pair<Step, Step> kept_steps(Step window_begin, Step window_end,
   return {window_begin, window_end};
 }
 
-/// GridMap::arena_at as a table: per tile, the first arena in map order
-/// whose rect holds it. Built once per map, since the idle wander asks at
-/// every wandering step; the generator builds it for the segment maps it
-/// runs on, not GridMap, whose concatenated worlds can be huge.
+/// Per tile, the first arena in map order whose rect holds it. Built once
+/// per map, since the idle wander asks at every wandering step; the
+/// generator builds it for the segment maps it runs on, not GridMap, whose
+/// concatenated worlds can be huge.
 class ArenaTable {
  public:
   explicit ArenaTable(const GridMap& map)

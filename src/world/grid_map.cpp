@@ -51,13 +51,6 @@ const Arena* GridMap::arena(const std::string& name) const {
   return it == arena_index_.end() ? nullptr : &arenas_[it->second];
 }
 
-const Arena* GridMap::arena_at(Tile t) const {
-  for (const Arena& a : arenas_) {
-    if (a.rect.contains(t)) return &a;
-  }
-  return nullptr;
-}
-
 void GridMap::add_object(std::string name, Tile tile) {
   AIM_CHECK_MSG(object_index_.count(name) == 0, "duplicate object " << name);
   AIM_CHECK(in_bounds(tile));

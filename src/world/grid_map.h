@@ -64,8 +64,6 @@ class GridMap {
   // ---- Arenas ----
   void add_arena(std::string name, Rect rect);
   const Arena* arena(const std::string& name) const;
-  /// First arena containing `t`, or nullptr.
-  const Arena* arena_at(Tile t) const;
   const std::vector<Arena>& arenas() const { return arenas_; }
 
   // ---- Objects ----

@@ -603,11 +603,11 @@ TEST(Generator, ChecksEachMoveWhereItIsMade) {
 }
 
 TEST(Generator, IdleWanderStaysInTheFirstArenaHoldingItsTile) {
-  // An idle agent wanders within GridMap::arena_at's arena: the first one,
-  // in map order, whose rect holds its tile. No registry map overlaps its
-  // arenas, so this one adds an annex over the cafe's west half after
-  // every other arena. The cafe is still found first there, so the annex
-  // (a name no profile looks for) changes no byte.
+  // An idle agent wanders within the first arena, in map order, whose rect
+  // holds its tile. No registry map overlaps its arenas, so this one adds
+  // an annex over the cafe's west half after every other arena. The cafe
+  // is still found first there, so the annex (a name no profile looks
+  // for) changes no byte.
   const auto plain = world::GridMap::smallville(6);
   auto annexed = plain;
   annexed.add_arena("annex", world::Rect{10, 40, 17, 55});

@@ -53,8 +53,6 @@ TEST(GridMap, ArenasAndObjects) {
   map.add_object("machine", Tile{4, 4});
   ASSERT_NE(map.arena("cafe"), nullptr);
   EXPECT_EQ(map.arena("nope"), nullptr);
-  EXPECT_EQ(map.arena_at(Tile{3, 3})->name, "cafe");
-  EXPECT_EQ(map.arena_at(Tile{10, 10}), nullptr);
   EXPECT_EQ(map.object("machine")->tile, (Tile{4, 4}));
   EXPECT_THROW(map.add_arena("cafe", Rect{}), CheckError);
 }
